@@ -12,7 +12,6 @@ from .core import (
     LineInfo,
     LineRegistry,
     RegistryError,
-    contragredient_point,
     frac,
     s_invariant,
 )
@@ -40,7 +39,6 @@ from .gkring import (
     expand_ubar,
     expand_unit_product,
     pi_u_alpha,
-    product,
     recognize_unitary,
     speh_u,
     speh_u_prime,
@@ -61,7 +59,6 @@ from .transfer import (
     lj_u,
     ll_less,
     m_map,
-    q_map,
 )
 from .lfactors import (
     EpsilonFactor,

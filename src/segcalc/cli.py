@@ -69,6 +69,17 @@ def _keyvals(params: list[str]) -> dict[str, str]:
     return out
 
 
+def _unit_params(params: list[str]) -> tuple[int, str, int]:
+    """(l, line, k) from l=, k= and line=; a missing or non-integer l or k is a parse error."""
+    kv = _keyvals(params)
+    try:
+        return int(kv["l"]), kv.get("line", "rho"), int(kv["k"])
+    except KeyError as e:
+        raise CliError(f"missing parameter {e.args[0]}=", 2) from None
+    except ValueError:
+        raise CliError(f"l and k must be integers, got {params!r}", 2) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="segcalc", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -162,17 +173,12 @@ def run(args) -> int:
         return 0
 
     if cmd == "expand-u":
-        kv = _keyvals(args.params)
-        l, k = int(kv["l"]), int(kv["k"])
-        line = kv.get("line", "rho")
-        v = expand_u(l, line, k)
+        v = expand_u(*_unit_params(args.params))
         _emit(args, render_virtual(v), {"terms": virtual_to_json(v)})
         return 0
 
     if cmd == "expand-ubar":
-        kv = _keyvals(args.params)
-        l, k = int(kv["l"]), int(kv["k"])
-        line = kv.get("line", "rho")
+        l, line, k = _unit_params(args.params)
         if args.d < 2:
             raise CliError("expand-ubar needs --d >= 2", 1)
         s = s_invariant(reg[line].p, args.d)
@@ -184,14 +190,12 @@ def run(args) -> int:
         if args.d < 2:
             raise CliError("lj needs --d >= 2", 1)
         if args.unit:
-            kv = _keyvals(args.unit)
-            t = lj_u(reg, int(kv["l"]), kv.get("line", "rho"), int(kv["k"]), args.d)
+            t = lj_u(reg, *_unit_params(args.unit), args.d)
             text, payload = _signed_product_view(t)
             _emit(args, text, payload)
             return 0
         if args.expand_u:
-            kv = _keyvals(args.expand_u)
-            v = expand_u(int(kv["l"]), kv.get("line", "rho"), int(kv["k"]))
+            v = expand_u(*_unit_params(args.expand_u))
         elif args.expr:
             v = parse_virtual(args.expr, reg, 1)
         else:
@@ -280,7 +284,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (RegistryError, NotTransferable, LimitExceeded, IncompatibleLabel, ValueError) as e:
+    except (
+        RegistryError, NotTransferable, LimitExceeded, IncompatibleLabel, ValueError, OSError
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ floating point is allowed anywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
@@ -85,19 +85,28 @@ class LineRegistry:
             raise RegistryError(f"line name already used: {name!r}")
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
-        if dual is None:
-            dual = name
-        elif dual != name:
-            if dual not in self._lines:
-                raise RegistryError(f"dual line not registered: {dual!r}")
-            other = self._lines[dual]
-            if other.dual != dual and other.dual != name:
-                raise RegistryError(f"line {dual!r} is already paired")
-            if other.p != p:
-                raise ValueError("dual lines must share the same p")
-            self._lines[dual] = LineInfo(other.name, other.p, name, other.unramified)
-        self._lines[name] = LineInfo(name, p, dual, unramified)
+        info = LineInfo(name, p, name, unramified)
+        if dual is not None and dual != name:
+            info, other = self._paired(info, dual)
+            self._lines[dual] = other
+        self._lines[name] = info
         return name
+
+    def _paired(self, info: LineInfo, dual: str) -> tuple[LineInfo, LineInfo]:
+        """Both entries after pairing ``info`` with line ``dual``; nothing is stored.
+
+        Each side must be unpaired or already paired with the other, so the
+        pairing stays an involution.
+        """
+        if dual not in self._lines:
+            raise RegistryError(f"dual line not registered: {dual!r}")
+        other = self._lines[dual]
+        for x, partner in ((info, dual), (other, info.name)):
+            if x.dual not in (x.name, partner):
+                raise RegistryError(f"line {x.name!r} is already paired")
+        if other.p != info.p:
+            raise ValueError("dual lines must share the same p")
+        return replace(info, dual=dual), replace(other, dual=info.name)
 
     def __contains__(self, name: str) -> bool:
         return name in self._lines
@@ -141,15 +150,9 @@ class LineRegistry:
             reg.register(e["name"], int(e["p"]), None, bool(e.get("unramified", False)))
         for e in entries:
             dual = e.get("dual")
-            if dual is None or dual == e["name"]:
-                continue
-            if dual not in reg:
-                raise RegistryError(f"dual line not registered: {dual!r}")
-            info, other = reg[e["name"]], reg[dual]
-            if other.p != info.p:
-                raise ValueError("dual lines must share the same p")
-            reg._lines[info.name] = LineInfo(info.name, info.p, dual, info.unramified)
-            reg._lines[other.name] = LineInfo(other.name, other.p, info.name, other.unramified)
+            if dual is not None and dual != e["name"]:
+                info, other = reg._paired(reg[e["name"]], dual)
+                reg._lines[info.name], reg._lines[other.name] = info, other
         return reg
 
     @classmethod
@@ -170,7 +173,3 @@ def s_invariant(p: int, d: int) -> int:
     if p < 1 or d < 1:
         raise ValueError("p and d must be positive")
     return d // gcd(d, p)
-
-
-def contragredient_point(registry: LineRegistry, pt: CuspidalPoint) -> CuspidalPoint:
-    return registry.contragredient_point(pt)

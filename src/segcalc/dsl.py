@@ -92,6 +92,8 @@ class _Parser:
             if kind != "num":
                 raise ParseError(f"expected a denominator, got {val!r}")
             den = int(val)
+            if den == 0:
+                raise ParseError("zero denominator")
         q = Fraction(num, den)
         return -q if neg else q
 

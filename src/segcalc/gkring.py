@@ -110,10 +110,6 @@ class VirtualRep:
         return " + ".join(f"{c}*{m!r}" for m, c in self.items())
 
 
-def product(a: VirtualRep, b: VirtualRep) -> VirtualRep:
-    return a * b
-
-
 # -- Speh units ----------------------------------------------------------
 
 
@@ -243,6 +239,16 @@ def pi_u_alpha(u: SpehUnit, alpha: ExponentLike) -> Multisegment:
     return SpehUnit(u.base, u.count, u.twist, a).multisegment()
 
 
+def _two_block_product(s: int, b: int, wide: tuple, narrow: Optional[tuple]) -> UnitaryProduct:
+    """b twists nu^(i-(b+1)/2) u'(*wide) and, unless narrow is None, s-b twists
+    nu^(j-(s-b+1)/2) u'(*narrow); wide and narrow are (sigma', count) pairs."""
+    units = [SpehUnit(*wide, Fraction(2 * i - b - 1, 2)) for i in range(1, b + 1)]
+    if narrow is not None:
+        nb = s - b
+        units += [SpehUnit(*narrow, Fraction(2 * j - nb - 1, 2)) for j in range(1, nb + 1)]
+    return UnitaryProduct(units)
+
+
 def ubar_factor(sigma: Segment, k: int) -> UnitaryProduct:
     """Factor ubar(sigma', k) into twisted u'(sigma', .) units.
 
@@ -254,15 +260,7 @@ def ubar_factor(sigma: Segment, k: int) -> UnitaryProduct:
         raise ValueError("k must be >= 1")
     s = sigma.step
     a, b = divmod(k, s)
-    units = []
-    if b:
-        for i in range(1, b + 1):
-            units.append(SpehUnit(sigma, a + 1, Fraction(2 * i - b - 1, 2)))
-    if a:
-        nb = s - b
-        for j in range(1, nb + 1):
-            units.append(SpehUnit(sigma, a, Fraction(2 * j - nb - 1, 2)))
-    return UnitaryProduct(units)
+    return _two_block_product(s, b, (sigma, a + 1), (sigma, a) if a else None)
 
 
 # -- expansion formulas ----------------------------------------------------
@@ -312,6 +310,8 @@ def _tadic_sum(
     nu^(-(k+l)/2 * step) recenters the leading term at 0.  Zero-length
     factors (w(i) + l - i = 0) denote the unit and are dropped.
     """
+    if l < 1 or k < 1:
+        raise ValueError("l and k must be >= 1")
     shift = twist - Fraction(k + l, 2) * step
     terms: dict[Multisegment, int] = {}
     for w, sign in admissible_permutations(k, l):

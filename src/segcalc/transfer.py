@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .core import ExponentLike, LineRegistry, frac, s_invariant
-from .gkring import SpehUnit, UnitaryProduct, VirtualRep
+from .gkring import SpehUnit, UnitaryProduct, VirtualRep, _two_block_product
 from .multiseg import LimitExceeded, Multisegment, Segment, is_lower, unitary_esi
 
 
@@ -106,18 +106,13 @@ def lj_std(registry: LineRegistry, x: VirtualRep, d: int) -> VirtualRep:
 
 
 def m_map(m: Multisegment) -> Multisegment:
-    """Factorwise c_inv: the split standard label over an inner-form one."""
+    """Factorwise c_inv: the split label (standard or quotient) over an inner-form one."""
     return Multisegment(c_inv(s) for s in m.segments)
 
 
-def q_map(m: Multisegment) -> Multisegment:
-    """Same data as m_map, read as the Langlands-quotient correspondent."""
-    return m_map(m)
-
-
 def ll_less(a: Multisegment, b: Multisegment) -> bool:
-    """The order transported through q_map (at least as fine as the native one)."""
-    return is_lower(q_map(a), q_map(b))
+    """The order transported through m_map (at least as fine as the native one)."""
+    return is_lower(m_map(a), m_map(b))
 
 
 # -- closed-form unit transfer ----------------------------------------------
@@ -137,16 +132,10 @@ def lj_u(registry: LineRegistry, l: int, line: str, k: int, d: int) -> SignedUni
     else:
         sign = (-1) ** (k * l // s)
     b = k % s + l % s
-    t_plus, u_plus = (l - 1) // s + 1, (k - 1) // s + 1
+    wide = (unitary_esi(line, (l - 1) // s + 1, s), (k - 1) // s + 1)
     t_minus, u_minus = l // s, k // s
-    units = []
-    for i in range(1, b + 1):
-        units.append(SpehUnit(unitary_esi(line, t_plus, s), u_plus, Fraction(2 * i - b - 1, 2)))
-    if t_minus and u_minus:
-        nb = s - b
-        for j in range(1, nb + 1):
-            units.append(SpehUnit(unitary_esi(line, t_minus, s), u_minus, Fraction(2 * j - nb - 1, 2)))
-    return SignedUnitaryProduct(sign, UnitaryProduct(units))
+    narrow = (unitary_esi(line, t_minus, s), u_minus) if t_minus and u_minus else None
+    return SignedUnitaryProduct(sign, _two_block_product(s, b, wide, narrow))
 
 
 def lj_unit(registry: LineRegistry, unit: SpehUnit, d: int) -> SignedUnitaryProduct:

@@ -1,10 +1,6 @@
-import itertools
-from collections import Counter
-from fractions import Fraction
-
 import pytest
 
-from segcalc import CuspidalPoint, LineRegistry, enumerate_multisegments
+from segcalc import LineRegistry
 
 
 @pytest.fixture
@@ -20,11 +16,3 @@ def paired_registry():
     reg.register("a", 1)
     reg.register("b", 1, dual="a")
     return reg
-
-
-def window_corpus(width, max_points, line="rho", limit=None):
-    """All one-line multisegments with integer support in [0, width)."""
-    for size in range(1, max_points + 1):
-        for combo in itertools.combinations_with_replacement(range(width), size):
-            support = Counter(CuspidalPoint(line, Fraction(p)) for p in combo)
-            yield from enumerate_multisegments(support, limit=limit or max_points)

@@ -7,45 +7,46 @@ standard basis, which criterion 3 pins on the same instance; the test keeps
 the recorded value and documents the discrepancy (see README, "Known red").
 """
 
-import itertools
 import time
-from collections import Counter
 from fractions import Fraction
 
 from segcalc import (
-    CuspidalPoint,
     LineRegistry,
     Multisegment,
     Segment,
-    SpehUnit,
-    UnitaryProduct,
     VirtualRep,
+    c_map,
     dual_irr,
     elementary_successors,
     enumerate_multisegments,
     eps_irr,
-    expand_u,
-    expand_ubar,
-    expand_unit_product,
-    in_image_lju,
-    interval_decomposition,
     is_lower,
     l_esi,
     l_irr,
-    levi_conjugate_count,
     lj_std,
     lj_u,
-    mw_dual,
-    normalizing_factor,
-    raw_dual_std,
     speh_u,
     speh_ubar,
     stats,
-    ubar_factor,
     unitary_esi,
 )
-from segcalc.lfactors import FormalLFactor, mw_normalizer_quotient
 from segcalc.multiseg import descendants
+from segcalc.selfcheck import (
+    suite_duality_involution,
+    suite_intervals,
+    suite_involution_formula,
+    suite_levi_counts,
+    suite_lfactors,
+    suite_nonunit_image,
+    suite_normalizer,
+    suite_sign_coherence,
+    suite_speh_dual,
+    suite_transfer_identity,
+    suite_ubar_factorization,
+    suite_vanishing,
+    window_corpus,
+    window_supports,
+)
 
 F = Fraction
 REG = LineRegistry.standard()
@@ -53,12 +54,6 @@ REG = LineRegistry.standard()
 
 def report(num: int, ok: bool, detail: str = "") -> None:
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} {detail}")
-
-
-def window_supports(width: int, max_points: int):
-    for size in range(1, max_points + 1):
-        for combo in itertools.combinations_with_replacement(range(width), size):
-            yield Counter(CuspidalPoint("rho", F(p)) for p in combo)
 
 
 def seg(a, b, line="rho", step=1):
@@ -76,16 +71,11 @@ def ms(*segs):
 def test_criterion_01_duality_involution():
     """Involution and support preservation over the full window corpus."""
     t0 = time.time()
-    checked = 0
-    for support in window_supports(5, 7):
-        for m in enumerate_multisegments(support, limit=7):
-            d = mw_dual(m)
-            assert mw_dual(d) == m, m
-            assert d.support() == m.support(), m
-            checked += 1
+    passed, detail = suite_duality_involution(5, 7)
+    checked = int(detail.split()[0]) if passed else 0
     elapsed = time.time() - t0
-    ok = checked >= 200 and elapsed < 60
-    report(1, ok, f"{checked} multisegments in {elapsed:.1f}s")
+    ok = passed and checked >= 200 and elapsed < 60
+    report(1, ok, f"{detail} in {elapsed:.1f}s")
     assert ok
 
 
@@ -93,10 +83,9 @@ def test_criterion_01_duality_involution():
 
 
 def test_criterion_02_speh_duality_swap():
-    for l in range(1, 6):
-        for k in range(1, 6):
-            assert dual_irr(speh_u(l, "rho", k)) == speh_u(k, "rho", l)
-    report(2, True, "1 <= k,l <= 5")
+    ok, detail = suite_speh_dual(5)
+    report(2, ok, "1 <= k,l <= 5" if ok else detail)
+    assert ok
 
 
 # -- 3 ------------------------------------------------------------------------
@@ -105,29 +94,10 @@ def test_criterion_02_speh_duality_swap():
 def test_criterion_03_transfer_identity():
     """Lattice transfer of the unit expansion equals the closed-form expansion."""
     t0 = time.time()
-    checked = 0
-    for s in (2, 3):
-        # s | l configuration: the transfer is the ubar expansion
-        for l0 in range(1, 4):
-            for k in range(1, 4):
-                got = lj_std(REG, expand_u(l0 * s, "rho", k), s)
-                want = expand_ubar(unitary_esi("rho", l0, s), k, s)
-                assert got == want, (s, l0 * s, k)
-                checked += 1
-        # s | k configuration: the closed form carries the sign
-        for l in range(1, 4):
-            if l % s == 0:
-                continue
-            for k0 in range(1, 4):
-                k = k0 * s
-                t = lj_u(REG, l, "rho", k, s)
-                got = lj_std(REG, expand_u(l, "rho", k), s)
-                assert t.sign != 0
-                assert got == t.sign * expand_unit_product(t.product, s), (s, l, k)
-                checked += 1
+    passed, detail = suite_transfer_identity(smax=3, bound=3, kmax=3)
     elapsed = time.time() - t0
-    ok = elapsed < 10
-    report(3, ok, f"{checked} identities in {elapsed:.1f}s")
+    ok = passed and elapsed < 10
+    report(3, ok, f"{detail} in {elapsed:.1f}s")
     assert ok
 
 
@@ -137,18 +107,10 @@ def test_criterion_03_transfer_identity():
 def test_criterion_04_divisibility_vanishing():
     """Sign vanishes exactly when no permutation satisfies the congruences."""
     t0 = time.time()
-    for s in range(1, 7):
-        for k in range(1, 7):
-            for l in range(1, 7):
-                exists = any(
-                    all((l + w[i] - (i + 1)) % s == 0 for i in range(k))
-                    for w in itertools.permutations(range(1, k + 1))
-                )
-                vanishes = lj_u(REG, l, "rho", k, s).sign == 0
-                assert vanishes == (not exists), (s, k, l)
+    passed, detail = suite_vanishing(6)
     elapsed = time.time() - t0
-    ok = elapsed < 30
-    report(4, ok, f"s,k,l <= 6 in {elapsed:.1f}s")
+    ok = passed and elapsed < 30
+    report(4, ok, f"{detail} in {elapsed:.1f}s")
     assert ok
 
 
@@ -156,12 +118,9 @@ def test_criterion_04_divisibility_vanishing():
 
 
 def test_criterion_05_ubar_factorization_labels():
-    for s in range(1, 5):
-        for l in range(1, 4):
-            sigma = unitary_esi("rho", l, s)
-            for k in range(1, 9):
-                assert ubar_factor(sigma, k).multisegment() == speh_ubar(sigma, k)
-    report(5, True, "s <= 4, k <= 8")
+    ok, detail = suite_ubar_factorization(smax=4, kmax=8, lmax=3)
+    report(5, ok, detail)
+    assert ok
 
 
 # -- 6 ------------------------------------------------------------------------
@@ -169,24 +128,9 @@ def test_criterion_05_ubar_factorization_labels():
 
 def test_criterion_06_involution_formula():
     """Dual of ubar(tau', l) equals the stretched/shortened two-block product."""
-    for s in range(2, 4):
-        for k in range(1, 4):
-            tau = unitary_esi("rho", k, s)
-            for l in range(1, 6):
-                a, b = divmod(l, s)
-                units = [
-                    SpehUnit(unitary_esi("rho", a + 1, s), k, F(2 * i - b - 1, 2))
-                    for i in range(1, b + 1)
-                ]
-                if a:
-                    nb = s - b
-                    units += [
-                        SpehUnit(unitary_esi("rho", a, s), k, F(2 * j - nb - 1, 2))
-                        for j in range(1, nb + 1)
-                    ]
-                want = UnitaryProduct(units).multisegment()
-                assert dual_irr(speh_ubar(tau, l)) == want, (s, k, l)
-    report(6, True, "s <= 3, l <= 5, k <= 3")
+    ok, detail = suite_involution_formula(smax=3, lmax=5, kmax=3)
+    report(6, ok, detail)
+    assert ok
 
 
 # -- 7 ------------------------------------------------------------------------
@@ -241,27 +185,10 @@ def test_criterion_07_second_counterexample_regression():
 def test_criterion_08_nonunit_image_regression():
     """The d = 4 blocked product: below ubar(St'3, 16) but outside the image."""
     t0 = time.time()
-    d = 4
-    st3p = unitary_esi("rho", 3, d)
-    st4p = unitary_esi("rho", 4, d)
-    blocked = UnitaryProduct(
-        [
-            SpehUnit(st3p, 4, F(-3, 2)),
-            SpehUnit(st4p, 3, F(-1, 2)),
-            SpehUnit(st4p, 3, F(1, 2)),
-            SpehUnit(st3p, 4, F(3, 2)),
-        ]
-    )
-    ubar16 = speh_ubar(st3p, 16)
-    assert blocked.multisegment().support() == ubar16.support()
-    assert is_lower(blocked.multisegment(), ubar16)  # (ii)
-    assert in_image_lju(REG, blocked, d) is None  # (iii)
-    # control: the unblocked product does have a preimage
-    control = in_image_lju(REG, ubar_factor(st3p, 16), d)
-    assert control is not None
+    passed, detail = suite_nonunit_image(d=4, l=3, k=16)
     elapsed = time.time() - t0
-    ok = elapsed < 300
-    report(8, ok, f"dim 16 regression in {elapsed:.1f}s")
+    ok = passed and elapsed < 300
+    report(8, ok, f"dim 16 regression in {elapsed:.1f}s" if passed else detail)
     assert ok
 
 
@@ -270,23 +197,10 @@ def test_criterion_08_nonunit_image_regression():
 
 def test_criterion_09_l_and_eps_suite():
     # closed forms for the trivial and Steinberg families
-    for d in range(1, 5):
-        for n in range(1, 7):
-            stp = unitary_esi("rho", n, d)
-            assert l_esi(REG, stp) == FormalLFactor.of(F(d * n - 1, 2))
-            onep = SpehUnit(unitary_esi("rho", 1, d), n).multisegment()
-            assert l_irr(REG, onep) == FormalLFactor.of(
-                *[F(d * n - 1, 2) - d * j for j in range(n)]
-            )
-            eps = eps_irr(REG, ms(stp))
-            assert Counter(eps.shifts) == Counter(
-                ("rho", F(d * n - 1, 2) - j) for j in range(d * n)
-            )
-            assert eps_irr(REG, onep) == eps
+    ok, detail = suite_lfactors(nmax=6, dmax=4)
+    assert ok, detail
 
     # invariance of L and eps' under the esi correspondence, twists included
-    from segcalc import c_map
-
     for d in range(1, 5):
         for k in range(1, 5):
             for l in range(1, 5):
@@ -328,73 +242,28 @@ def test_criterion_09_l_and_eps_suite():
 
 
 def test_criterion_10_normalizer_cancellation():
-    for s in range(1, 6):
-        num, den = normalizing_factor(s)
-        assert mw_normalizer_quotient(s) == num / den, s
-    report(10, True, "s <= 5")
+    ok, detail = suite_normalizer(5)
+    report(10, ok, detail)
+    assert ok
 
 
 # -- 11 -----------------------------------------------------------------------
 
 
-def _interval_brute(cnt: Counter):
-    """Exhaustive decomposition: the interval covering the max is forced, so
-    the search tree is a chain and the decomposition is unique when it exists."""
-    if not cnt:
-        return []
-    top = max(cnt)
-    if top < 0:
-        return None
-    need = Counter(top - i for i in range(int(2 * top) + 1))
-    if any(cnt[c] < need[c] for c in need):
-        return None
-    rest = _interval_brute(+(cnt - need))
-    if rest is None:
-        return None
-    return sorted([top] + rest, reverse=True)
-
-
 def test_criterion_11_interval_decomposition():
     t0 = time.time()
-    checked = 0
-    values = range(-4, 5)
-    for n in range(11):
-        for combo in itertools.combinations_with_replacement(values, n):
-            cnt = Counter(F(x) for x in combo)
-            got = interval_decomposition(combo)
-            want = _interval_brute(cnt)
-            assert got == want, combo
-            if got is not None:
-                rebuilt = Counter()
-                for e in got:
-                    rebuilt.update(e - i for i in range(int(2 * e) + 1))
-                assert rebuilt == cnt
-            checked += 1
-    report(11, True, f"{checked} multisets in {time.time() - t0:.1f}s")
+    ok, detail = suite_intervals(size=10, window=4)
+    report(11, ok, f"{detail} in {time.time() - t0:.1f}s")
+    assert ok
 
 
 # -- 12 -----------------------------------------------------------------------
 
 
-def _set_partitions_into_equal_blocks(n: int, l: int) -> int:
-    m = n // l
-
-    def rec(items: frozenset) -> int:
-        if not items:
-            return 1
-        first = min(items)
-        rest = sorted(items - {first})
-        return sum(
-            rec(items - {first} - set(block)) for block in itertools.combinations(rest, m - 1)
-        )
-
-    return rec(frozenset(range(n)))
-
-
 def test_criterion_12_levi_counts():
-    assert levi_conjugate_count(4, 2) == 3 == _set_partitions_into_equal_blocks(4, 2)
-    assert levi_conjugate_count(6, 3) == 15 == _set_partitions_into_equal_blocks(6, 3)
-    report(12, True, "(4,2) -> 3, (6,3) -> 15")
+    ok, detail = suite_levi_counts()
+    report(12, ok, "(4,2) -> 3, (6,3) -> 15" if ok else detail)
+    assert ok
 
 
 # -- 13 -----------------------------------------------------------------------
@@ -403,15 +272,14 @@ def test_criterion_12_levi_counts():
 def test_criterion_13_order_sanity():
     t0 = time.time()
     # operation invariants over the full criterion-1 corpus
-    for support in window_supports(5, 7):
-        for m in enumerate_multisegments(support, limit=7):
-            assert is_lower(m, m)
-            st = stats(m)
-            for m2 in elementary_successors(m):
-                st2 = stats(m2)
-                assert st2.support == st.support
-                assert st.ell <= st2.ell
-                assert all(st2.endings[e] <= st.endings[e] for e in st2.endings)
+    for m in window_corpus(5, 7):
+        assert is_lower(m, m)
+        st = stats(m)
+        for m2 in elementary_successors(m):
+            st2 = stats(m2)
+            assert st2.support == st.support
+            assert st.ell <= st2.ell
+            assert all(st2.endings[e] <= st.endings[e] for e in st2.endings)
 
     # partial-order axioms, exhaustively on the <= 6 point classes
     pairs = 0
@@ -438,21 +306,6 @@ def test_criterion_13_order_sanity():
 
 def test_criterion_14_sign_coherence():
     t0 = time.time()
-    for d in (2, 3):
-        by_support: dict[tuple, set[int]] = {}
-        for support in window_supports(5, 6):
-            for m in enumerate_multisegments(support, limit=6):
-                x = VirtualRep.of(m)
-                a = lj_std(REG, raw_dual_std(x), d)
-                b = raw_dual_std(lj_std(REG, x, d))
-                if a.is_zero() and b.is_zero():
-                    continue
-                key = tuple(sorted(m.support().items()))
-                if a == b:
-                    by_support.setdefault(key, set()).add(1)
-                elif a == -b:
-                    by_support.setdefault(key, set()).add(-1)
-                else:
-                    raise AssertionError(f"no global sign matches on {m!r}")
-        assert all(len(signs) == 1 for signs in by_support.values()), d
-    report(14, True, f"d in (2,3) in {time.time() - t0:.1f}s")
+    ok, detail = suite_sign_coherence(5, 6, ds=(2, 3))
+    report(14, ok, f"d in (2,3) in {time.time() - t0:.1f}s" if ok else detail)
+    assert ok

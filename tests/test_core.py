@@ -45,6 +45,29 @@ def test_dual_pairing_is_symmetric():
     assert reg["b"].dual == "a"
 
 
+def test_registry_json_rejects_non_involutive_pairing():
+    data = [
+        {"name": "a", "p": 1, "dual": "b"},
+        {"name": "b", "p": 1, "dual": "a"},
+        {"name": "c", "p": 1, "dual": "b"},
+    ]
+    with pytest.raises(RegistryError, match="already paired"):
+        LineRegistry.from_json(data)
+
+
+def test_rejected_register_leaves_registry_unchanged():
+    reg = LineRegistry()
+    reg.register("a", 1)
+    reg.register("b", 1, dual="a")
+    reg.register("e", 1)
+    before = reg.to_json()
+    with pytest.raises(RegistryError):
+        reg.register("c", 1, dual="b")
+    with pytest.raises(ValueError):
+        reg.register("d", 2, dual="e")
+    assert reg.to_json() == before and "c" not in reg and "d" not in reg
+
+
 def test_registry_json_round_trip():
     reg = LineRegistry()
     reg.register("rho", 1, unramified=True)

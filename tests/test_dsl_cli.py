@@ -12,7 +12,7 @@ from segcalc.dsl import (
     render_multisegment,
     render_virtual,
 )
-from conftest import window_corpus
+from segcalc.selfcheck import window_corpus
 
 F = Fraction
 
@@ -214,15 +214,49 @@ def test_cli_lines_file(tmp_path, capsys):
     assert out.strip() == "{a:[0,0], a:[1,1]}"
 
 
+SELFCHECK_STDOUT = (
+    "[PASS] duality-involution: 301 multisegments\n"
+    "[PASS] speh-dual-swap: grid 4x4\n"
+    "[PASS] transfer-identity: 10 identities\n"
+    "[PASS] vanishing-criterion: s,k,l <= 4\n"
+    "[PASS] ubar-factorization: s <= 3, k <= 6\n"
+    "[PASS] involution-formula: s <= 2, l <= 3, k <= 2\n"
+    "[PASS] l-eps-closed-forms: n <= 4, d <= 3\n"
+    "[PASS] normalizer-cancellation: s <= 4\n"
+    "[PASS] interval-decomposition: 1716 multisets\n"
+    "[PASS] levi-counts: direct enumeration agrees\n"
+    "[PASS] unitary-image: witness and obstruction behave\n"
+    "[PASS] sign-coherence: 9 support classes\n"
+    "[FAIL] recorded-counterexample: recorded {rho':[0,0], rho':[-1,-1], rho':[1,1]} "
+    "vs computed -1 * {rho':[0,0], rho':[-1,1]} (forced by linearity; see README)\n"
+)
+
+
 def test_cli_selfcheck_reports_known_discrepancy(capsys):
     # every suite passes except the recorded-counterexample mirror, which
     # documents the reference-value discrepancy and drives the exit code
     code, out, _ = run_cli(capsys, "selfcheck")
     assert code == 1
-    lines = out.strip().splitlines()
-    fails = [ln for ln in lines if ln.startswith("[FAIL]")]
-    assert len(fails) == 1 and "recorded-counterexample" in fails[0]
-    assert sum(1 for ln in lines if ln.startswith("[PASS]")) == len(lines) - 1
+    assert out == SELFCHECK_STDOUT
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["expand-u", "l=2"], 2),
+        (["lj", "--d", "2", "--u", "l=2"], 2),
+        (["dual", "{rho:[0,1/0]}"], 2),
+        (["dual", "--lines", "missing.json", "{rho:[0,0]}"], 1),
+        (["expand-u", "l=x", "k=2"], 2),
+        (["expand-u", "l=-1", "k=2"], 1),
+    ],
+)
+def test_cli_refuses_malformed_unit_and_file_inputs(argv, code, tmp_path, capsys):
+    argv = [str(tmp_path / a) if a == "missing.json" else a for a in argv]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert out == "" and err.startswith(("error:", "parse error:"))
+    assert "Traceback" not in err
 
 
 def test_cli_global_check(tmp_path, capsys):

@@ -5,17 +5,14 @@ import pytest
 from segcalc import (
     Multisegment,
     Segment,
-    UnitaryProduct,
-    SpehUnit,
     VirtualRep,
     dual_irr,
     mw_dual,
     raw_dual_std,
-    speh_u,
     speh_ubar,
     unitary_esi,
 )
-from conftest import window_corpus
+from segcalc.selfcheck import window_corpus
 
 F = Fraction
 
@@ -60,24 +57,11 @@ def test_unlinked_family_explodes_to_singletons():
     assert got == ms(seg(0, 0), seg(1, 1), seg(3, 3))
 
 
-def test_involution_and_support_on_corpus():
-    for m in window_corpus(4, 5):
-        d = mw_dual(m)
-        assert mw_dual(d) == m
-        assert d.support() == m.support()
-
-
 # -- duality on full labels ----------------------------------------------------------
 
 
 def test_dual_of_empty():
     assert dual_irr(Multisegment.empty()) == Multisegment.empty()
-
-
-def test_speh_parameters_swap():
-    for l in range(1, 5):
-        for k in range(1, 5):
-            assert dual_irr(speh_u(l, "rho", k)) == speh_u(k, "rho", l)
 
 
 def test_ubar_parameters_swap_at_full_multiples():
@@ -114,27 +98,6 @@ def test_dual_does_not_reverse_the_order():
 def test_dual_splits_across_rigid_parts():
     m = ms(seg(0, 1), seg(F(1, 2), F(1, 2)))
     assert dual_irr(m) == ms(seg(0, 0), seg(1, 1), seg(F(1, 2), F(1, 2)))
-
-
-def test_mixed_block_dual_formula():
-    # dual of ubar(T(rho',k), l) with l = a*s + b, via the two-block product
-    for s in (2, 3):
-        for k in range(1, 4):
-            tau = unitary_esi("rho", k, s)
-            for l in range(1, 6):
-                a, b = divmod(l, s)
-                units = [
-                    SpehUnit(unitary_esi("rho", a + 1, s), k, F(2 * i - b - 1, 2))
-                    for i in range(1, b + 1)
-                ]
-                if a:
-                    nb = s - b
-                    units += [
-                        SpehUnit(unitary_esi("rho", a, s), k, F(2 * j - nb - 1, 2))
-                        for j in range(1, nb + 1)
-                    ]
-                want = UnitaryProduct(units).multisegment()
-                assert dual_irr(speh_ubar(tau, l)) == want
 
 
 # -- raw dual on the standard lattice ---------------------------------------------------

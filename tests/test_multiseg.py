@@ -18,7 +18,7 @@ from segcalc import (
     segment_relation,
     stats,
 )
-from conftest import window_corpus
+from segcalc.selfcheck import window_corpus
 
 
 def seg(a, b, line="rho", step=1):
