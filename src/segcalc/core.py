@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 Exponent = Fraction
 ExponentLike = Union[Fraction, int, str]
@@ -36,7 +36,23 @@ def frac(x: ExponentLike) -> Fraction:
 
 
 class RegistryError(ValueError):
-    """Raised for duplicate or unknown line names."""
+    """Raised for duplicate or unknown line names and malformed JSON data."""
+
+
+def json_field(entry, key: str, kind: type = str):
+    """``entry[key]`` of a parsed JSON object, checked to be a ``kind`` (a bool is no int).
+
+    Raises RegistryError when ``entry`` is not an object, lacks ``key`` or holds
+    a value of another type.
+    """
+    if not isinstance(entry, dict):
+        raise RegistryError(f"expected a JSON object, got {entry!r}")
+    if key not in entry:
+        raise RegistryError(f"missing key {key!r} in {entry!r}")
+    value = entry[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise RegistryError(f"{key!r} must be a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -141,15 +157,17 @@ class LineRegistry:
         return out
 
     @classmethod
-    def from_json(cls, data: Iterable[dict]) -> "LineRegistry":
+    def from_json(cls, data: list[dict]) -> "LineRegistry":
+        if not isinstance(data, list):
+            raise RegistryError(f"expected a JSON list of lines, got {data!r}")
         reg = cls()
-        entries = list(data)
         # register everything self-dual first, then patch the pairing, so that
         # mutual dual references may appear in any order
-        for e in entries:
-            reg.register(e["name"], int(e["p"]), None, bool(e.get("unramified", False)))
-        for e in entries:
-            dual = e.get("dual")
+        for e in data:
+            name, p = json_field(e, "name"), json_field(e, "p", int)
+            reg.register(name, p, None, bool(e.get("unramified", False)))
+        for e in data:
+            dual = None if e.get("dual") is None else json_field(e, "dual")
             if dual is not None and dual != e["name"]:
                 info, other = reg._paired(reg[e["name"]], dual)
                 reg._lines[info.name], reg._lines[other.name] = info, other

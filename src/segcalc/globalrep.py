@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import LineRegistry, frac
+from .core import LineRegistry, frac, json_field
 from .multiseg import Multisegment, Segment
 from .transfer import SignedUnitaryProduct, lg_generic_label, lj_generic, s_gamma_d
 
@@ -54,7 +54,8 @@ class GlobalAlgebra:
 
     @classmethod
     def from_json(cls, data: dict) -> "GlobalAlgebra":
-        return cls.of({p["name"]: int(p["d_v"]) for p in data["places"]})
+        places = json_field(data, "places", list)
+        return cls.of({json_field(p, "name"): json_field(p, "d_v", int) for p in places})
 
     def to_json(self) -> dict:
         return {"places": [{"name": v, "d_v": dv} for v, dv in self.places]}
@@ -85,18 +86,20 @@ class GlobalCuspidalData:
 
     @classmethod
     def from_json(cls, data: dict, registry: LineRegistry) -> "GlobalCuspidalData":
-        registry[data["line"]]
+        base = json_field(data, "line")
+        registry[base]
+        local_json = json_field(data, "locals", dict)
         mapping = {}
-        for place, entries in data["locals"].items():
+        for place in local_json:
             gamma = []
-            for e in entries:
-                line = e.get("line", data["line"])
+            for e in json_field(local_json, place, list):
+                length = json_field(e, "len", int)
+                line = json_field(e, "line") if "line" in e else base
                 registry[line]
-                length = int(e["len"])
                 seg = Segment(line, -Fraction(length - 1, 2), length, 1)
                 gamma.append((seg, frac(e.get("e", 0))))
             mapping[place] = gamma
-        return cls.of(data["line"], mapping)
+        return cls.of(base, mapping)
 
 
 @dataclass(frozen=True)

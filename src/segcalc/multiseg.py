@@ -7,8 +7,8 @@ multiset of segments kept in a canonical sorted order so that multiset
 equality and hashing are O(1) dictionary operations.
 
 Two segments on the same line and step with starts congruent mod step live
-on the same *effective line*; only such segments can ever be linked, and all
-order computations decompose along effective lines (rigid parts).
+on the same *effective line*; only such segments can ever be linked, and the
+order is decided on each effective line (rigid part) by comparing rank tables.
 """
 
 from __future__ import annotations
@@ -229,8 +229,8 @@ def is_lower(ma: Multisegment, mb: Multisegment) -> bool:
     """True iff ``ma`` is reachable from ``mb`` by >= 0 elementary operations.
 
     Elementary operations preserve the cuspidal support and never mix
-    effective lines, so the search decomposes over the rigid parts and runs
-    a memoized BFS inside each part.
+    effective lines, so the test decomposes over the rigid parts and applies
+    the rank criterion inside each part.
     """
     if ma == mb:
         return True
@@ -240,28 +240,29 @@ def is_lower(ma: Multisegment, mb: Multisegment) -> bool:
     parts_b = {p.segments[0].effective_line(): p for p in rigid_decomposition(mb)}
     if parts_a.keys() != parts_b.keys():
         return False
-    for key, target in parts_a.items():
-        if not _reachable(parts_b[key], target):
-            return False
-    return True
+    return all(_reachable(parts_b[key], target) for key, target in parts_a.items())
 
 
 def _reachable(source: Multisegment, target: Multisegment) -> bool:
-    if source == target:
-        return True
-    seen = {source}
-    frontier = [source]
-    while frontier:
-        nxt: list[Multisegment] = []
-        for m in frontier:
-            for m2 in elementary_successors(m):
-                if m2 == target:
-                    return True
-                if m2 not in seen:
-                    seen.add(m2)
-                    nxt.append(m2)
-        frontier = nxt
-    return False
+    """``target`` lies below ``source`` on one effective line, by the rank criterion.
+
+    With r(i, j) = #{segments containing [i, j]} on integer positions, that is
+    r_target >= r_source for all i <= j (Zelevinsky 1980; Abeasis-Del Fra-Kraft
+    1981).  A point's multiplicity is the sum of r(i, i) over the parts, so after
+    the support check in ``is_lower`` this forces equal supports part by part.
+    """
+    net: Counter = Counter()  # (first, last) position -> target count minus source count
+    for part, sign in ((target, 1), (source, -1)):
+        for s in part.segments:
+            first = int((s.start - s.offset_class) / s.step)
+            net[first, first + s.length - 1] += sign
+    lo, hi = min(first for first, _ in net), max(last for _, last in net)
+    for i in range(lo, hi + 1):
+        for j in range(i, hi + 1):
+            rank = sum(c for (first, last), c in net.items() if first <= i and j <= last)
+            if rank < 0:
+                return False
+    return True
 
 
 def descendants(m: Multisegment) -> set[Multisegment]:

@@ -240,6 +240,21 @@ def test_cli_selfcheck_reports_known_discrepancy(capsys):
     assert out == SELFCHECK_STDOUT
 
 
+ALGEBRA = {"places": [{"name": "v1", "d_v": 2}]}
+CUSPIDAL = {"line": "rho", "locals": {"v1": [{"len": 1}]}}
+
+
+def _lines(data):
+    return ["dual", "--lines", ("lines.json", data), "{rho:[0,0]}"]
+
+
+def _global(algebra, cuspidal):
+    return [
+        "global-check", "--algebra", ("alg.json", algebra),
+        "--cuspidal", ("cusp.json", cuspidal), "--k", "2",
+    ]
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [
@@ -249,11 +264,35 @@ def test_cli_selfcheck_reports_known_discrepancy(capsys):
         (["dual", "--lines", "missing.json", "{rho:[0,0]}"], 1),
         (["expand-u", "l=x", "k=2"], 2),
         (["expand-u", "l=-1", "k=2"], 1),
+        (_lines(5), 1),
+        (_lines([5]), 1),
+        (_lines([{"p": 1}]), 1),
+        (_lines([{"name": "rho"}]), 1),
+        (_lines([{"name": "rho", "p": "1"}]), 1),
+        (_lines([{"name": "rho", "p": 1.5}]), 1),
+        (_lines([{"name": "rho", "p": 1, "dual": ["chi"]}]), 1),
+        (_global({}, CUSPIDAL), 1),
+        (_global({"places": ["v1"]}, CUSPIDAL), 1),
+        (_global({"places": [{"d_v": 2}]}, CUSPIDAL), 1),
+        (_global({"places": [{"name": "v1"}]}, CUSPIDAL), 1),
+        (_global({"places": [{"name": "v1", "d_v": 2.5}]}, CUSPIDAL), 1),
+        (_global(ALGEBRA, [CUSPIDAL]), 1),
+        (_global(ALGEBRA, {"locals": {"v1": [{"len": 1}]}}), 1),
+        (_global(ALGEBRA, {"line": "rho"}), 1),
+        (_global(ALGEBRA, {"line": "rho", "locals": {"v1": [1]}}), 1),
+        (_global(ALGEBRA, {"line": "rho", "locals": {"v1": [{}]}}), 1),
+        (_global(ALGEBRA, {"line": "rho", "locals": {"v1": [{"len": "2"}]}}), 1),
     ],
 )
 def test_cli_refuses_malformed_unit_and_file_inputs(argv, code, tmp_path, capsys):
-    argv = [str(tmp_path / a) if a == "missing.json" else a for a in argv]
-    got, out, err = run_cli(capsys, *argv)
+    def path(a):
+        # a (name, data) pair stands for a JSON file holding data; missing.json is never written
+        if isinstance(a, tuple):
+            (tmp_path / a[0]).write_text(json.dumps(a[1]))
+            return str(tmp_path / a[0])
+        return str(tmp_path / a) if a == "missing.json" else a
+
+    got, out, err = run_cli(capsys, *map(path, argv))
     assert got == code
     assert out == "" and err.startswith(("error:", "parse error:"))
     assert "Traceback" not in err

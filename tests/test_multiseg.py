@@ -2,6 +2,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segcalc import (
     CuspidalPoint,
@@ -14,10 +16,13 @@ from segcalc import (
     hermitian_dual,
     is_hermitian,
     is_lower,
+    ll_less,
+    m_map,
     rigid_decomposition,
     segment_relation,
     stats,
 )
+from segcalc.multiseg import descendants
 from segcalc.selfcheck import window_corpus
 
 
@@ -99,6 +104,77 @@ def test_is_lower_bfs_case():
 
 def test_is_lower_different_support():
     assert not is_lower(ms(seg(0, 0)), ms(seg(1, 1)))
+    # equal total support and rigid parts, but the step-1 and step-2 parts trade a point
+    a, b = ms(seg(0, 0), seg(2, 2, step=2)), ms(seg(2, 2), seg(0, 0, step=2))
+    assert not is_lower(a, b) and not is_lower(b, a)
+
+
+def test_is_lower_decides_the_20_point_chain():
+    # below the 20 singletons lie 2^19 labels, which a search over
+    # elementary operations would visit
+    top = ms(*(seg(i, i) for i in range(20)))
+    deep = ms(seg(0, 6), seg(7, 13), seg(14, 19))
+    near = ms(seg(0, 1), *(seg(i, i) for i in range(2, 20)))
+    assert is_lower(deep, top)
+    assert not is_lower(top, near)
+
+
+@st.composite
+def labels(draw, max_points=7):
+    """Labels on two lines, steps 1-3, integer or half-integer starts, repeated points."""
+    palette = draw(st.lists(st.tuples(st.sampled_from(["rho", "chi"]), st.integers(1, 3)),
+                            min_size=1, max_size=2))
+    shift = draw(st.sampled_from([Fraction(0), Fraction(1, 2)]))
+    budget = draw(st.integers(1, max_points))
+    segs = []
+    while budget:
+        length = draw(st.integers(1, budget))
+        budget -= length
+        line, step = draw(st.sampled_from(palette))
+        segs.append(Segment(line, shift + draw(st.integers(-2, 2)), length, step))
+    return Multisegment(segs)
+
+
+def _family(data, top, max_points):
+    """``top``, a chain z >= y >= x below it, one more label below it and an unrelated label."""
+
+    def below(m):
+        return data.draw(st.sampled_from(sorted(descendants(m), key=Multisegment.sort_key)))
+
+    z = below(top)
+    y = below(z)
+    return [top, z, y, below(y), below(top), data.draw(labels(max_points))]
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(labels(), st.data())
+def test_is_lower_agrees_with_descendants_and_is_a_partial_order(top, data):
+    family = _family(data, top, 7)
+    for b in family:
+        below = descendants(b)
+        for a in family:
+            assert is_lower(a, b) == (a in below), (a, b)
+    for a in family:
+        assert is_lower(a, a)
+        for b in family:
+            if is_lower(a, b) and is_lower(b, a):
+                assert a == b, (a, b)
+            for c in family:
+                if is_lower(a, b) and is_lower(b, c):
+                    assert is_lower(a, c), (a, b, c)
+
+
+@PROPERTY
+@given(labels(max_points=4), st.data())
+def test_ll_less_is_the_order_transported_through_m_map(top, data):
+    family = _family(data, top, 4)
+    for b in family:
+        below = descendants(m_map(b))
+        for a in family:
+            assert ll_less(a, b) == is_lower(m_map(a), m_map(b)) == (m_map(a) in below), (a, b)
 
 
 # -- stats -----------------------------------------------------------------------

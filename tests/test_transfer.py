@@ -142,6 +142,16 @@ def test_ll_less_is_at_least_as_fine_as_native_order():
     assert not ll_less(b, a)
 
 
+def test_ll_less_decides_the_20_point_chain():
+    # m_map sends the 20 step-2 singletons to 20 adjacent length-2 segments;
+    # below those lie 2^19 labels
+    top = ms(*(seg(2 * i, 2 * i, step=2) for i in range(20)))
+    deep = ms(seg(0, 12, step=2), seg(14, 26, step=2), seg(28, 38, step=2))
+    near = ms(seg(0, 2, step=2), *(seg(2 * i, 2 * i, step=2) for i in range(2, 20)))
+    assert ll_less(deep, top)
+    assert not ll_less(top, near)
+
+
 def test_ll_less_refines_native_order_on_corpus():
     # native comparability always implies comparability transported through
     # the factorwise correspondence
