@@ -8,7 +8,6 @@ rules, formal L- and epsilon'-factors, and global discrete-series labels.
 
 from .core import (
     CuspidalPoint,
-    Exponent,
     LineInfo,
     LineRegistry,
     RegistryError,

@@ -20,7 +20,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, NamedTuple, Optional, Union
 
-Exponent = Fraction
 ExponentLike = Union[Fraction, int, str]
 
 

@@ -184,17 +184,14 @@ def parse_virtual(text: str, registry: LineRegistry, d: int = 1) -> VirtualRep:
 # -- rendering (canonical, byte-deterministic) --------------------------------
 
 
-def render_exponent(q: Fraction) -> str:
-    return str(q)
-
-
 def render_segment(s: Segment) -> str:
-    prime = "'" if s.step > 1 else ""
-    return f"{s.line}{prime}:[{render_exponent(s.start)},{render_exponent(s.end)}]"
+    """``line[']:[start,end]``, written once as ``Segment.__repr__``."""
+    return repr(s)
 
 
 def render_multisegment(m: Multisegment) -> str:
-    return "{" + ", ".join(render_segment(s) for s in m.segments) + "}"
+    """``{segment, ...}`` in canonical order, written once as ``Multisegment.__repr__``."""
+    return repr(m)
 
 
 def render_virtual(v: VirtualRep) -> str:

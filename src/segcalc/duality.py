@@ -29,38 +29,22 @@ def mw_dual(m: Multisegment) -> Multisegment:
     lines = {s.effective_line() for s in m.segments}
     if len(lines) != 1:
         raise ValueError("mw_dual requires a rigid multisegment (one effective line)")
-    line = m.segments[0].line
-    step = m.segments[0].step
-    base = min(s.start for s in m.segments)
-    # integer (begin, end) position pairs on the common lattice
-    work = [
-        (int((s.start - base) / step), int((s.end - base) / step))
-        for s in m.segments
-    ]
+    (line,) = lines
+    work = [(s.first, s.last) for s in m.segments]  # (begin, end) positions on the line
     out: list[Segment] = []
     while work:
         e = max(end for _, end in work)
         chain: list[tuple[int, int]] = []
-        prev_begin = None
-        ending = e
         while True:
-            candidates = [
-                seg
-                for seg in work
-                if seg[1] == ending and (prev_begin is None or seg[0] < prev_begin)
-            ]
+            bound = chain[-1][0] if chain else e + 1  # begins strictly decrease
+            candidates = [seg for seg in work if seg[1] == e - len(chain) and seg[0] < bound]
             if not candidates:
                 break
             chosen = min(candidates, key=lambda seg: (seg[1] - seg[0], seg[0]))
             work.remove(chosen)
             chain.append(chosen)
-            prev_begin = chosen[0]
-            ending -= 1
-        r = len(chain)
-        out.append(Segment(line, base + (e - r + 1) * step, r, step))
-        for begin, end in chain:
-            if end > begin:
-                work.append((begin, end - 1))
+        out.append(Segment.from_positions(line, e - len(chain) + 1, e))
+        work += [(begin, end - 1) for begin, end in chain if end > begin]
     return Multisegment(out)
 
 
@@ -74,15 +58,15 @@ def dual_irr(m: Multisegment) -> Multisegment:
 
 def segment_cut_expansion(seg: Segment) -> list[tuple[int, tuple[Segment, ...]]]:
     """(sign, pieces) over all cuts of ``seg`` into consecutive subsegments."""
-    n = seg.length
+    n, line = seg.length, seg.effective_line()
     out = []
     for cuts in itertools.chain.from_iterable(
         itertools.combinations(range(1, n), r) for r in range(n)
     ):
         bounds = (0,) + cuts + (n,)
         pieces = tuple(
-            Segment(seg.line, seg.start + bounds[i] * seg.step, bounds[i + 1] - bounds[i], seg.step)
-            for i in range(len(bounds) - 1)
+            Segment.from_positions(line, seg.first + lo, seg.first + hi - 1)
+            for lo, hi in zip(bounds, bounds[1:])
         )
         out.append(((-1) ** (n - len(pieces)), pieces))
     return out
@@ -94,11 +78,7 @@ def raw_dual_std(x: VirtualRep) -> VirtualRep:
     for label, coeff in x.terms.items():
         term = VirtualRep.of(Multisegment.empty(), coeff, x.d)
         for seg in label.segments:
-            expansion = VirtualRep(
-                x.d,
-                _accumulate(segment_cut_expansion(seg)),
-            )
-            term = term * expansion
+            term = term * VirtualRep(x.d, _accumulate(segment_cut_expansion(seg)))
         total = total + term
     return total
 

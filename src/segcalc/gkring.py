@@ -270,31 +270,33 @@ def admissible_permutations(k: int, l: int) -> Iterator[tuple[tuple[int, ...], i
     """Yield (w, sign) over permutations w of {1..k} with w(i) + l >= i.
 
     Generated by backtracking so that large k with a tight bound stays
-    cheap; 1-indexed w is returned as a tuple with w[i-1] = w(i).
+    cheap; 1-indexed w is returned as a tuple with w[i-1] = w(i).  Placing v
+    at position i adds one inversion per unused value below v, so the sign
+    is carried down the recursion.
     """
     used = [False] * (k + 1)
     perm: list[int] = []
 
-    def rec() -> Iterator[tuple[tuple[int, ...], int]]:
+    def rec(sign: int) -> Iterator[tuple[tuple[int, ...], int]]:
         i = len(perm) + 1
         if i > k:
-            inv = 0
-            for x in range(k):
-                for y in range(x + 1, k):
-                    if perm[x] > perm[y]:
-                        inv += 1
-            yield tuple(perm), (-1) ** inv
+            yield tuple(perm), sign
             return
         lo = max(1, i - l)
-        for v in range(lo, k + 1):
-            if not used[v]:
-                used[v] = True
-                perm.append(v)
-                yield from rec()
-                perm.pop()
-                used[v] = False
+        smaller = 0  # unused values below v
+        for v in range(1, k + 1):
+            if used[v]:
+                continue
+            if v < lo:
+                return  # v fits no later position either
+            used[v] = True
+            perm.append(v)
+            yield from rec(-sign if smaller % 2 else sign)
+            perm.pop()
+            used[v] = False
+            smaller += 1
 
-    yield from rec()
+    yield from rec(1)
 
 
 def count_admissible(k: int, l: int) -> int:
@@ -387,29 +389,17 @@ def recognize_unitary(m: Multisegment, limit: int = 10_000) -> Optional[UnitaryP
         base = unitary_esi(proto.line, proto.length, s)
         while centers:
             c = max(centers)
-            two_c = 2 * c / s
-            if two_c.denominator == 1 and two_c >= 0:
-                k = int(two_c) + 1
-                need = [c - s * i for i in range(k)]
-                if not _consume(centers, need):
-                    return None
-                units.append(SpehUnit(base, k))
-            else:
-                # unique k with beta = c - s(k-1)/2 in (0, s/2)
-                k = None
-                for cand in range(1, int(2 * c / s) + 2):
-                    beta = c - Fraction(s * (cand - 1), 2)
-                    if 0 < beta < Fraction(s, 2):
-                        k = cand
-                        break
-                if k is None:
-                    return None
-                beta = c - Fraction(s * (k - 1), 2)
-                need = [beta + s * (Fraction(k - 1, 2) - i) for i in range(k)]
+            # the unique k with beta = c - s(k-1)/2 in [0, s/2): a unit when beta = 0
+            k = 2 * c // s + 1
+            if k < 1:
+                return None
+            beta = c - Fraction(s * (k - 1), 2)
+            need = [beta + s * (Fraction(k - 1, 2) - i) for i in range(k)]
+            if beta:
                 need += [-beta + s * (Fraction(k - 1, 2) - i) for i in range(k)]
-                if not _consume(centers, need):
-                    return None
-                units.append(SpehUnit(base, k, Fraction(0), beta / s))
+            if not _consume(centers, need):
+                return None
+            units.append(SpehUnit(base, k, Fraction(0), beta / s if beta else None))
     return UnitaryProduct(units)
 
 

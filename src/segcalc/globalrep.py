@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import LineRegistry, frac, json_field
+from .core import LineRegistry, RegistryError, frac, json_field
 from .multiseg import Multisegment, Segment
-from .transfer import SignedUnitaryProduct, lg_generic_label, lj_generic, s_gamma_d
+from .gkring import SpehUnit, UnitaryProduct
+from .transfer import SignedUnitaryProduct, lj_generic, s_gamma_d
 
 
 class IncompatibleLabel(ValueError):
@@ -97,9 +98,19 @@ class GlobalCuspidalData:
                 line = json_field(e, "line") if "line" in e else base
                 registry[line]
                 seg = Segment(line, -Fraction(length - 1, 2), length, 1)
-                gamma.append((seg, frac(e.get("e", 0))))
+                gamma.append((seg, _twist(e.get("e", 0))))
             mapping[place] = gamma
         return cls.of(base, mapping)
+
+
+def _twist(value) -> Fraction:
+    """A local entry's ``"e"``: a JSON string such as ``"1/4"`` or a (non-bool) integer."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise RegistryError(f"'e' must be a JSON string or integer, got {value!r}")
+    try:
+        return frac(value)
+    except (ValueError, ZeroDivisionError):
+        raise RegistryError(f"'e' is not an exact rational: {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -174,7 +185,7 @@ def local_component(
     dv = alg.d_at(place)
     gamma = data.local_data(place)
     if dv == 1:
-        return lg_generic_label(gamma, k)
+        return UnitaryProduct(SpehUnit(seg, k, e) for seg, e in gamma).multisegment()
     return lj_generic(registry, gamma, k, dv)
 
 

@@ -91,16 +91,12 @@ class EpsilonFactor:
         return f"Eps[{inner}]"
 
 
-def _flat(seg: Segment) -> Segment:
-    return seg if seg.step == 1 else c_inv(seg)
-
-
 def l_esi(registry: LineRegistry, seg: Segment) -> FormalLFactor:
     """L-factor of one esi label; nonempty only over unramified size-1 lines."""
     info = registry[seg.line]
     if not (info.unramified and info.p == 1):
         return FormalLFactor.one()
-    return FormalLFactor.of(_flat(seg).end)
+    return FormalLFactor.of(c_inv(seg).end)
 
 
 def l_irr(registry: LineRegistry, m: Multisegment) -> FormalLFactor:
@@ -116,7 +112,7 @@ def eps_irr(registry: LineRegistry, m: Multisegment, psi: str = "psi") -> Epsilo
     pairs = []
     for seg in m.segments:
         registry[seg.line]  # validate the line exists
-        for pt in _flat(seg).points():
+        for pt in c_inv(seg).points():
             pairs.append((pt.line, pt.exp))
     return EpsilonFactor.of(pairs, psi)
 

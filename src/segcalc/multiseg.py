@@ -7,15 +7,20 @@ multiset of segments kept in a canonical sorted order so that multiset
 equality and hashing are O(1) dictionary operations.
 
 Two segments on the same line and step with starts congruent mod step live
-on the same *effective line*; only such segments can ever be linked, and the
-order is decided on each effective line (rigid part) by comparing rank tables.
+on the same *effective line* ``(line, step, offset_class)``; only such
+segments can ever be linked.  ``Segment`` alone maps an exponent to its
+integer position there: linkage, the order (rank tables on each effective
+line), enumeration and duality compare positions ``first..last`` and build
+segments back with ``Segment.from_positions``.  The ``repr`` of a segment or
+multisegment is its canonical text form, the one ``dsl`` parses.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -26,12 +31,20 @@ class LimitExceeded(ValueError):
     """A bounded search was asked to exceed its configured limit."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
+    """Positions ``first..last`` of the effective line ``(line, step, offset_class)``.
+
+    ``start = offset_class + first * step`` with ``0 <= offset_class < step``, both
+    fixed at construction; equality and hashing see only the four init fields.
+    """
+
     line: str
     start: Fraction
     length: int
     step: int = 1
+    offset_class: Fraction = field(init=False, repr=False, compare=False)
+    first: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "start", frac(self.start))
@@ -39,6 +52,19 @@ class Segment:
             raise ValueError(f"segment length must be >= 1, got {self.length}")
         if self.step < 1:
             raise ValueError(f"segment step must be >= 1, got {self.step}")
+        first, offset = divmod(self.start, self.step)
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "offset_class", offset)
+
+    @classmethod
+    def from_positions(cls, effective_line: tuple, first: int, last: int) -> "Segment":
+        """The segment covering positions ``first..last`` of an effective line."""
+        line, step, offset = effective_line
+        return cls(line, offset + first * step, last - first + 1, step)
+
+    @property
+    def last(self) -> int:
+        return self.first + self.length - 1
 
     @property
     def end(self) -> Fraction:
@@ -47,11 +73,6 @@ class Segment:
     @property
     def center(self) -> Fraction:
         return self.start + Fraction(self.length - 1, 2) * self.step
-
-    @property
-    def offset_class(self) -> Fraction:
-        """start mod step: labels the effective line within (line, step)."""
-        return self.start % self.step
 
     def points(self) -> Iterator[CuspidalPoint]:
         for j in range(self.length):
@@ -65,7 +86,7 @@ class Segment:
         return Segment(self.line, self.start + frac(delta), self.length, self.step)
 
     def sort_key(self):
-        return (self.line, self.step, self.offset_class, self.start, self.length)
+        return (self.line, self.step, self.offset_class, self.first, self.length)
 
     def effective_line(self):
         return (self.line, self.step, self.offset_class)
@@ -89,23 +110,13 @@ class SegmentRelation(enum.Enum):
 
 def segment_relation(s1: Segment, s2: Segment) -> SegmentRelation:
     """Classify a pair: linked iff the union is a segment distinct from both."""
-    if s1 == s2:
+    if s1.effective_line() != s2.effective_line():
+        return SegmentRelation.UNLINKED
+    a1, b1, a2, b2 = s1.first, s1.last, s2.first, s2.last
+    if a1 == a2 and b1 == b2:
         return SegmentRelation.EQUAL
-    if s1.line != s2.line or s1.step != s2.step:
-        return SegmentRelation.UNLINKED
-    if (s1.start - s2.start) % s1.step != 0:
-        return SegmentRelation.UNLINKED
-    step = s1.step
-    # integer positions along the common lattice
-    a1, b1 = 0, s1.length - 1
-    off = int((s2.start - s1.start) / step)
-    a2, b2 = off, off + s2.length - 1
-    if a1 <= a2 and b2 <= b1:
-        return SegmentRelation.UNLINKED  # contained: union equals s1
-    if a2 <= a1 and b1 <= b2:
-        return SegmentRelation.UNLINKED
-    if a2 > b1 + 1 or a1 > b2 + 1:
-        return SegmentRelation.UNLINKED  # gap: union is not a segment
+    if (a1 <= a2 and b2 <= b1) or (a2 <= a1 and b1 <= b2) or a2 > b1 + 1 or a1 > b2 + 1:
+        return SegmentRelation.UNLINKED  # nested (the union is one of them) or a gap
     if a2 > b1 or a1 > b2:
         return SegmentRelation.LINKED_ADJACENT
     return SegmentRelation.LINKED_OVERLAPPING
@@ -113,15 +124,10 @@ def segment_relation(s1: Segment, s2: Segment) -> SegmentRelation:
 
 def _union_intersection(s1: Segment, s2: Segment) -> tuple[Segment, Optional[Segment]]:
     """Union and intersection of two linked segments (intersection may be None)."""
-    step = s1.step
-    lo = min(s1.start, s2.start)
-    hi = max(s1.end, s2.end)
-    union = Segment(s1.line, lo, int((hi - lo) / step) + 1, step)
-    ilo = max(s1.start, s2.start)
-    ihi = min(s1.end, s2.end)
-    if ilo > ihi:
-        return union, None
-    return union, Segment(s1.line, ilo, int((ihi - ilo) / step) + 1, step)
+    line = s1.effective_line()
+    union = Segment.from_positions(line, min(s1.first, s2.first), max(s1.last, s2.last))
+    lo, hi = max(s1.first, s2.first), min(s1.last, s2.last)
+    return union, Segment.from_positions(line, lo, hi) if lo <= hi else None
 
 
 class Multisegment:
@@ -254,8 +260,7 @@ def _reachable(source: Multisegment, target: Multisegment) -> bool:
     net: Counter = Counter()  # (first, last) position -> target count minus source count
     for part, sign in ((target, 1), (source, -1)):
         for s in part.segments:
-            first = int((s.start - s.offset_class) / s.step)
-            net[first, first + s.length - 1] += sign
+            net[s.first, s.last] += sign
     lo, hi = min(first for first, _ in net), max(last for _, last in net)
     for i in range(lo, hi + 1):
         for j in range(i, hi + 1):
@@ -304,45 +309,27 @@ def enumerate_multisegments(
     step); partitions are enumerated independently per class and combined.
     Raises LimitExceeded when the support has more than ``limit`` points.
     """
-    cnt: Counter = Counter()
-    if isinstance(support, Counter):
-        cnt.update(support)
-    else:
-        for pt in support:
-            cnt[pt] += 1
+    cnt = +Counter(support)
     total = sum(cnt.values())
     if total > limit:
         raise LimitExceeded(f"support size {total} exceeds limit {limit}")
-    if total == 0:
-        return {Multisegment.empty()}
 
-    classes: dict[tuple[str, Fraction], Counter] = {}
+    classes: dict[tuple, Counter] = {}  # effective line -> position multiplicities
     for (line, exp), mult in cnt.items():
-        classes.setdefault((line, frac(exp) % step), Counter())[frac(exp)] = mult
+        point = Segment(line, exp, 1, step)
+        classes.setdefault(point.effective_line(), Counter())[point.first] = mult
 
-    per_class: list[list[tuple[Segment, ...]]] = []
-    for (line, _), exps in sorted(classes.items()):
-        base = min(exps)
-        positions = Counter({int((e - base) / step): mult for e, mult in exps.items()})
-        parts = _integer_partitions(positions)
-        per_class.append(
-            [
-                tuple(Segment(line, base + p * step, ln, step) for p, ln in part)
-                for part in parts
-            ]
-        )
-
-    results: set[Multisegment] = set()
-
-    def combine(idx: int, acc: tuple[Segment, ...]) -> None:
-        if idx == len(per_class):
-            results.add(Multisegment(acc))
-            return
-        for choice in per_class[idx]:
-            combine(idx + 1, acc + choice)
-
-    combine(0, ())
-    return results
+    per_class = [
+        [
+            [Segment.from_positions(eff, first, first + n - 1) for first, n in part]
+            for part in _integer_partitions(positions)
+        ]
+        for eff, positions in classes.items()
+    ]
+    return {
+        Multisegment(itertools.chain.from_iterable(choice))
+        for choice in itertools.product(*per_class)
+    }
 
 
 def _integer_partitions(positions: Counter) -> set[tuple[tuple[int, int], ...]]:

@@ -184,10 +184,10 @@ def lj_generic(
     k: int,
     d: int,
 ) -> SignedUnitaryProduct:
-    """Transfer of Lg(gamma, k) for unitary generic data gamma = prod nu^e_i sigma_i.
+    """Transfer of Lg(gamma, k) = prod nu^e_i u(sigma_i, k) for unitary generic data.
 
-    Nonzero iff s_{gamma,d} | k, in which case it is the twisted product of
-    the unit transfers of the factors.
+    It is the transfer of that unitary product, so it is nonzero iff
+    s_{gamma,d} | k: exactly then no factor's unit transfer vanishes.
     """
     data = [(seg, frac(e)) for seg, e in gamma]
     for seg, e in data:
@@ -195,25 +195,7 @@ def lj_generic(
             raise ValueError("gamma factors must be unitary split esi (centered, step 1)")
         if not abs(e) < Fraction(1, 2):
             raise ValueError(f"generic exponent must satisfy |e| < 1/2, got {e}")
-    if k % s_gamma_d(registry, data, d):
-        return ZERO_TRANSFER
-    sign = 1
-    units: list[SpehUnit] = []
-    for seg, e in data:
-        t = lj_u(registry, seg.length, seg.line, k, d)
-        if t.sign == 0:  # cannot happen when s_gamma_d | k
-            return ZERO_TRANSFER
-        sign *= t.sign
-        units.extend(t.twisted(e).product)
-    return SignedUnitaryProduct(sign, UnitaryProduct(units))
-
-
-def lg_generic_label(gamma: Iterable[tuple[Segment, ExponentLike]], k: int) -> Multisegment:
-    """Split-side label of Lg(gamma, k) = prod nu^e_i u(sigma_i, k)."""
-    out = Multisegment.empty()
-    for seg, e in gamma:
-        out = out | SpehUnit(seg, k, frac(e)).multisegment()
-    return out
+    return lj_unitary_product(registry, UnitaryProduct(SpehUnit(seg, k, e) for seg, e in data), d)
 
 
 # -- membership in the image of the unitary transfer -------------------------

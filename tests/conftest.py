@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from segcalc import LineRegistry
+
+# one profile for every property test: reproducible, no example database, no deadline
+settings.register_profile("segcalc", max_examples=100, deadline=None, derandomize=True, database=None)
+settings.load_profile("segcalc")
 
 
 @pytest.fixture

@@ -282,6 +282,11 @@ def _global(algebra, cuspidal):
         (_global(ALGEBRA, {"line": "rho", "locals": {"v1": [1]}}), 1),
         (_global(ALGEBRA, {"line": "rho", "locals": {"v1": [{}]}}), 1),
         (_global(ALGEBRA, {"line": "rho", "locals": {"v1": [{"len": "2"}]}}), 1),
+        (_global(ALGEBRA, {"line": "rho", "locals": {"v1": [{"len": 1, "e": 0.5}]}}), 1),
+        (_global(ALGEBRA, {"line": "rho", "locals": {"v1": [{"len": 1, "e": [1]}]}}), 1),
+        (_global(ALGEBRA, {"line": "rho", "locals": {"v1": [{"len": 1, "e": "1/0"}]}}), 1),
+        # at the split place v0 no |e| < 1/2 check would catch a bool read as 1
+        (_global(ALGEBRA, {"line": "rho", "locals": {"v1": [{"len": 1}], "v0": [{"len": 1, "e": True}]}}), 1),
     ],
 )
 def test_cli_refuses_malformed_unit_and_file_inputs(argv, code, tmp_path, capsys):

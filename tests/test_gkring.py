@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from segcalc import (
     ubar_factor,
     unitary_esi,
 )
-from segcalc.gkring import count_admissible
+from segcalc.gkring import admissible_permutations, count_admissible
 
 
 def seg(a, b, line="rho", step=1):
@@ -196,6 +197,20 @@ def test_admissible_count_is_factorial_for_long_segments():
             assert count_admissible(k, l) == math.factorial(k)
 
 
+def test_admissible_permutations_match_filtered_permutations_with_inversion_signs():
+    def inversions(w):
+        return sum(a > b for a, b in itertools.combinations(w, 2))
+
+    for k in range(1, 7):
+        for l in range(1, k + 1):
+            want = sorted(
+                (w, (-1) ** inversions(w))
+                for w in itertools.permutations(range(1, k + 1))
+                if all(v + l >= i for i, v in enumerate(w, 1))
+            )
+            assert sorted(admissible_permutations(k, l)) == want, (k, l)
+
+
 def test_expand_u_leading_term():
     for l in range(1, 4):
         for k in range(1, 4):
@@ -271,6 +286,13 @@ def test_recognize_alpha_pair():
 def test_recognize_rejects_asymmetric_support():
     m = ms(seg(F(-1, 4), F(3, 4)))
     assert recognize_unitary(m) is None
+
+
+def test_recognize_rejects_labels_whose_largest_center_is_negative():
+    # no k >= 1 puts the largest center at s(k-1)/2 + beta with 0 <= beta < s/2
+    for x in (F(-1, 4), F(-1, 2), F(-1)):
+        assert recognize_unitary(ms(seg(x, x))) is None
+        assert recognize_unitary(ms(seg(x, x, step=2))) is None
 
 
 def test_twist_free_products_are_hermitian():

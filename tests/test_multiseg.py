@@ -2,7 +2,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from segcalc import (
@@ -146,10 +146,6 @@ def _family(data, top, max_points):
     return [top, z, y, below(y), below(top), data.draw(labels(max_points))]
 
 
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-
-
-@PROPERTY
 @given(labels(), st.data())
 def test_is_lower_agrees_with_descendants_and_is_a_partial_order(top, data):
     family = _family(data, top, 7)
@@ -167,7 +163,6 @@ def test_is_lower_agrees_with_descendants_and_is_a_partial_order(top, data):
                     assert is_lower(a, c), (a, b, c)
 
 
-@PROPERTY
 @given(labels(max_points=4), st.data())
 def test_ll_less_is_the_order_transported_through_m_map(top, data):
     family = _family(data, top, 4)
@@ -175,6 +170,44 @@ def test_ll_less_is_the_order_transported_through_m_map(top, data):
         below = descendants(m_map(b))
         for a in family:
             assert ll_less(a, b) == is_lower(m_map(a), m_map(b)) == (m_map(a) in below), (a, b)
+
+
+def _points(s):
+    return {s.start + j * s.step for j in range(s.length)}
+
+
+def _segment_on(line, step, points):
+    """The step-``step`` segment with this point set, or None if it is no progression."""
+    pts = sorted(points)
+    if any(b - a != step for a, b in zip(pts, pts[1:])):
+        return None
+    return Segment(line, pts[0], len(pts), step)
+
+
+@given(labels(), labels())
+def test_coordinate_round_trips_and_linkage_matches_point_sets(a, b):
+    segs = a.segments + b.segments
+    for s in segs:
+        assert Segment.from_positions(s.effective_line(), s.first, s.last) == s
+    for s1 in segs:
+        for s2 in segs:
+            p1, p2 = _points(s1), _points(s2)
+            union = None
+            if (s1.line, s1.step) == (s2.line, s2.step):
+                union = _segment_on(s1.line, s1.step, p1 | p2)
+            if s1 == s2:
+                want = SegmentRelation.EQUAL
+            elif union is None or union in (s1, s2):
+                want = SegmentRelation.UNLINKED
+            elif p1.isdisjoint(p2):
+                want = SegmentRelation.LINKED_ADJACENT
+            else:
+                want = SegmentRelation.LINKED_OVERLAPPING
+            assert segment_relation(s1, s2) == want, (s1, s2)
+            if want in (SegmentRelation.LINKED_ADJACENT, SegmentRelation.LINKED_OVERLAPPING):
+                inter = _segment_on(s1.line, s1.step, p1 & p2) if p1 & p2 else None
+                op = ms(union) if inter is None else ms(union, inter)
+                assert elementary_successors(ms(s1, s2)) == {op}, (s1, s2)
 
 
 # -- stats -----------------------------------------------------------------------
