@@ -10,7 +10,10 @@ part at a time because it commutes with induction products.
 ``raw_dual_std`` is the signed cut-expansion dual on the standard basis: on
 one segment of length n it is the alternating sum over the 2^(n-1) ways to
 cut the segment into consecutive pieces, with sign (-1)^(n - #pieces), and
-it extends multiplicatively and linearly.  It carries no extra global sign
+it extends multiplicatively and linearly.  A label's terms are built by
+folding in its segments' cut lists one segment at a time into one dict,
+merging equal partial labels at each step; every cut of a segment shares
+the same piece objects.  It carries no extra global sign
 normalization; identities against the signed involution hold up to one sign
 per homogeneous component (see the transfer tests).
 """
@@ -57,35 +60,44 @@ def dual_irr(m: Multisegment) -> Multisegment:
 
 
 def segment_cut_expansion(seg: Segment) -> list[tuple[int, tuple[Segment, ...]]]:
-    """(sign, pieces) over all cuts of ``seg`` into consecutive subsegments."""
+    """(sign, pieces) over all cuts of ``seg`` into consecutive subsegments.
+
+    Each of the n(n+1)/2 distinct pieces is built once and shared by every cut
+    that uses it.
+    """
     n, line = seg.length, seg.effective_line()
+    piece = {
+        (lo, hi): Segment.from_positions(line, seg.first + lo, seg.first + hi - 1)
+        for lo in range(n)
+        for hi in range(lo + 1, n + 1)
+    }
     out = []
     for cuts in itertools.chain.from_iterable(
         itertools.combinations(range(1, n), r) for r in range(n)
     ):
         bounds = (0,) + cuts + (n,)
-        pieces = tuple(
-            Segment.from_positions(line, seg.first + lo, seg.first + hi - 1)
-            for lo, hi in zip(bounds, bounds[1:])
-        )
-        out.append(((-1) ** (n - len(pieces)), pieces))
+        out.append(((-1) ** (n - 1 - len(cuts)), tuple(map(piece.get, zip(bounds, bounds[1:])))))
     return out
 
 
 def raw_dual_std(x: VirtualRep) -> VirtualRep:
-    """Linear cut-expansion dual on the standard lattice (no sign normalization)."""
-    total = VirtualRep.zero(x.d)
-    for label, coeff in x.terms.items():
-        term = VirtualRep.of(Multisegment.empty(), coeff, x.d)
-        for seg in label.segments:
-            term = term * VirtualRep(x.d, _accumulate(segment_cut_expansion(seg)))
-        total = total + term
-    return total
+    """Linear cut-expansion dual on the standard lattice (no sign normalization).
 
-
-def _accumulate(cuts: list[tuple[int, tuple[Segment, ...]]]) -> dict[Multisegment, int]:
+    Each label is folded in one segment at a time: every partial label takes
+    every cut of the next segment, and equal partial labels merge before the
+    next segment, so repeated segments cost their distinct cut multisets only.
+    """
     terms: dict[Multisegment, int] = {}
-    for sign, pieces in cuts:
-        label = Multisegment(pieces)
-        terms[label] = terms.get(label, 0) + sign
-    return terms
+    for label, coeff in x.terms.items():
+        partial = {Multisegment.empty(): coeff}
+        for seg in label.segments:
+            cuts = segment_cut_expansion(seg)
+            folded: dict[Multisegment, int] = {}
+            for m, c in partial.items():
+                for sign, pieces in cuts:
+                    key = Multisegment(m.segments + pieces)
+                    folded[key] = folded.get(key, 0) + sign * c
+            partial = folded
+        for m, c in partial.items():
+            terms[m] = terms.get(m, 0) + c
+    return VirtualRep(x.d, terms)

@@ -314,16 +314,18 @@ def _tadic_sum(
     """
     if l < 1 or k < 1:
         raise ValueError("l and k must be >= 1")
-    shift = twist - Fraction(k + l, 2) * step
+    # factor (i, m) covers positions i..i+m-1 (from the recentered origin) of one
+    # effective line; each is built once and shared by every permutation
+    origin = Segment(line, twist - Fraction(k + l, 2) * step, 1, step)
+    eff, base = origin.effective_line(), origin.first
+    factor = {
+        (i, m): Segment.from_positions(eff, base + i, base + i + m - 1)
+        for i in range(1, k + 1)
+        for m in range(1, k + l - i + 1)
+    }
     terms: dict[Multisegment, int] = {}
     for w, sign in admissible_permutations(k, l):
-        segs = []
-        for i in range(1, k + 1):
-            m = w[i - 1] + l - i
-            if m == 0:
-                continue
-            segs.append(Segment(line, i * step + shift, m, step))
-        label = Multisegment(segs)
+        label = Multisegment(factor[i, wi + l - i] for i, wi in enumerate(w, 1) if wi + l != i)
         terms[label] = terms.get(label, 0) + sign
     return VirtualRep(d, terms)
 

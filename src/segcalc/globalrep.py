@@ -19,7 +19,7 @@ from typing import Optional, Union
 from .core import LineRegistry, RegistryError, frac, json_field
 from .multiseg import Multisegment, Segment
 from .gkring import SpehUnit, UnitaryProduct
-from .transfer import SignedUnitaryProduct, lj_generic, s_gamma_d
+from .transfer import SignedUnitaryProduct, generic_data, lj_generic, s_gamma_d
 
 
 class IncompatibleLabel(ValueError):
@@ -83,7 +83,7 @@ class GlobalCuspidalData:
         for v, data in self.locals:
             if v == place:
                 return list(data)
-        raise KeyError(f"no local data recorded for place {place!r}")
+        raise RegistryError(f"no local data recorded for ramified place {place!r}")
 
     @classmethod
     def from_json(cls, data: dict, registry: LineRegistry) -> "GlobalCuspidalData":
@@ -181,11 +181,14 @@ def local_component(
     place: str,
     alg: GlobalAlgebra,
 ) -> Union[Multisegment, SignedUnitaryProduct]:
-    """Local component of MW(rho, k): a split label, or its transfer at v in V."""
+    """Local component of MW(rho, k): a split label, or its transfer at v in V.
+
+    Both branches check the local data as ``lj_generic`` does (``generic_data``).
+    """
     dv = alg.d_at(place)
     gamma = data.local_data(place)
     if dv == 1:
-        return UnitaryProduct(SpehUnit(seg, k, e) for seg, e in gamma).multisegment()
+        return UnitaryProduct(SpehUnit(seg, k, e) for seg, e in generic_data(gamma)).multisegment()
     return lj_generic(registry, gamma, k, dv)
 
 
@@ -198,36 +201,38 @@ def interval_decomposition(a) -> Optional[list[Fraction]]:
     Returns the sorted (descending) list of endpoints e, each repeated with
     its multiplicity: the count of {-e..e} is f(e) - f(e+1) where f is the
     multiplicity function.  Works for an all-integer or an all-half-integer
-    multiset; the decomposition, when it exists, is unique.
+    multiset; the decomposition, when it exists, is unique.  The work is done
+    on the doubled values 2e, which are integers for every such input.
     """
-    cnt = Counter(frac(x) for x in a)
+    doubled = [_twice(x) for x in a]
+    if None in doubled:
+        return None
+    cnt = Counter(doubled)
     if not cnt:
         return []
-    parities = {x % 1 for x in cnt}
-    if len(parities) != 1:
+    if len({t % 2 for t in cnt}) != 1:
         return None
-    offset = parities.pop()
-    if offset not in (Fraction(0), Fraction(1, 2)):
-        return None
-    for x, n in cnt.items():
-        if cnt.get(-x, 0) != n:
+    for t, n in cnt.items():
+        if cnt.get(-t, 0) != n:
             return None
-    top = max(cnt)
-    if top < 0:
-        return None
     out: list[Fraction] = []
     total = 0
-    e = top
-    while e >= offset:
-        mult = cnt.get(e, 0) - cnt.get(e + 1, 0)
+    for t in range(max(cnt), -1, -2):  # 2e from the top down to 0 or 1
+        mult = cnt.get(t, 0) - cnt.get(t + 2, 0)
         if mult < 0:
             return None
-        out.extend([e] * mult)
-        total += mult * (int(2 * e) + 1)
-        e -= 1
-    if total != sum(cnt.values()):
-        return None
-    return sorted(out, reverse=True)
+        if mult:
+            out.extend([Fraction(t, 2)] * mult)
+            total += mult * (t + 1)
+    return out if total == len(doubled) else None
+
+
+def _twice(x) -> Optional[int]:
+    """2x for an integer or half-integer x, else None."""
+    if type(x) is int:
+        return 2 * x
+    x = frac(x)
+    return 2 * x.numerator // x.denominator if x.denominator <= 2 else None
 
 
 def mw_exponents(k: int) -> list[Fraction]:

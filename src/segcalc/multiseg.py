@@ -11,8 +11,12 @@ on the same *effective line* ``(line, step, offset_class)``; only such
 segments can ever be linked.  ``Segment`` alone maps an exponent to its
 integer position there: linkage, the order (rank tables on each effective
 line), enumeration and duality compare positions ``first..last`` and build
-segments back with ``Segment.from_positions``.  The ``repr`` of a segment or
-multisegment is its canonical text form, the one ``dsl`` parses.
+segments back with ``Segment.from_positions``.  Equality and the canonical
+order read one tuple of line, step, offset class and integer positions fixed
+at construction, never the Fraction ``start``; a segment's hash is computed
+once from the integer fields of that tuple, and a multisegment hashes once,
+from its segments' hashes.  The ``repr`` of a segment or multisegment is its
+canonical text form, the one ``dsl`` parses.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .core import CuspidalPoint, ExponentLike, LineRegistry, frac
@@ -31,36 +35,75 @@ class LimitExceeded(ValueError):
     """A bounded search was asked to exceed its configured limit."""
 
 
-@dataclass(frozen=True, slots=True)
 class Segment:
     """Positions ``first..last`` of the effective line ``(line, step, offset_class)``.
 
-    ``start = offset_class + first * step`` with ``0 <= offset_class < step``, both
-    fixed at construction; equality and hashing see only the four init fields.
+    ``start = offset_class + first * step`` with ``0 <= offset_class < step``; all
+    three are fixed at construction, ``offset_class`` as an int when integral and
+    as a Fraction otherwise.  One stored tuple ``(line, step, offset_class, first,
+    length)`` decides equality and the canonical order (``sort_key()``); the hash
+    is computed once, from the integer fields ``(line, step, numerator,
+    denominator of offset_class, first, length)``, so equal segments hash
+    equally whichever constructor built them.
     """
 
-    line: str
-    start: Fraction
-    length: int
-    step: int = 1
-    offset_class: Fraction = field(init=False, repr=False, compare=False)
-    first: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("line", "step", "start", "length", "first", "_order", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "start", frac(self.start))
-        if self.length < 1:
-            raise ValueError(f"segment length must be >= 1, got {self.length}")
-        if self.step < 1:
-            raise ValueError(f"segment step must be >= 1, got {self.step}")
-        first, offset = divmod(self.start, self.step)
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "offset_class", offset)
+    def __init__(self, line: str, start: ExponentLike, length: int, step: int = 1):
+        if step < 1:
+            raise ValueError(f"segment step must be >= 1, got {step}")
+        start = frac(start)
+        den = start.denominator
+        first, num = divmod(start.numerator, den * step)
+        self._fix(line, step, num if den == 1 else Fraction(num, den), num, den, first, length, start)
 
     @classmethod
     def from_positions(cls, effective_line: tuple, first: int, last: int) -> "Segment":
-        """The segment covering positions ``first..last`` of an effective line."""
+        """The segment covering positions ``first..last`` of an effective line.
+
+        Segments built from one ``effective_line`` tuple share its offset object.
+        """
         line, step, offset = effective_line
-        return cls(line, offset + first * step, last - first + 1, step)
+        num, den = offset.numerator, offset.denominator
+        shift, num = divmod(num, den * step)
+        if shift or den == 1:  # an int offset, or one outside [0, step) moved into its class
+            offset = num if den == 1 else Fraction(num, den)
+        first, length = first + shift, last - first + 1
+        start = Fraction(num + first * step) if den == 1 else Fraction(num + first * step * den, den)
+        seg = cls.__new__(cls)
+        seg._fix(line, step, offset, num, den, first, length, start)
+        return seg
+
+    def _fix(self, line, step, offset, num, den, first, length, start) -> None:
+        """Set every slot once."""
+        if length < 1:
+            raise ValueError(f"segment length must be >= 1, got {length}")
+        put = object.__setattr__
+        put(self, "line", line)
+        put(self, "step", step)
+        put(self, "start", start)
+        put(self, "length", length)
+        put(self, "first", first)
+        put(self, "_order", (line, step, offset, first, length))
+        put(self, "_hash", hash((line, step, num, den, first, length)))
+
+    def __setattr__(self, *_):  # pragma: no cover
+        raise AttributeError("Segment is immutable")
+
+    def __reduce__(self):
+        return Segment, (self.line, self.start, self.length, self.step)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Segment):
+            return self._order == other._order
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @property
+    def offset_class(self):
+        return self._order[2]
 
     @property
     def last(self) -> int:
@@ -86,10 +129,10 @@ class Segment:
         return Segment(self.line, self.start + frac(delta), self.length, self.step)
 
     def sort_key(self):
-        return (self.line, self.step, self.offset_class, self.first, self.length)
+        return self._order
 
     def effective_line(self):
-        return (self.line, self.step, self.offset_class)
+        return self._order[:3]
 
     def __repr__(self) -> str:
         prime = "'" if self.step > 1 else ""
@@ -130,14 +173,23 @@ def _union_intersection(s1: Segment, s2: Segment) -> tuple[Segment, Optional[Seg
     return union, Segment.from_positions(line, lo, hi) if lo <= hi else None
 
 
-class Multisegment:
-    """A multiset of segments in canonical order (hashable, immutable)."""
+_ORDER = attrgetter("_order")
+_HASH = attrgetter("_hash")
 
-    __slots__ = ("segments",)
+
+class Multisegment:
+    """A multiset of segments in canonical order (hashable, immutable).
+
+    The order and the hash are read from the segments' stored keys; the hash
+    is computed once, at construction.
+    """
+
+    __slots__ = ("segments", "_hash")
 
     def __init__(self, segments: Iterable[Segment] = ()):
-        segs = tuple(sorted(segments, key=Segment.sort_key))
+        segs = tuple(sorted(segments, key=_ORDER))
         object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "_hash", hash(tuple(map(_HASH, segs))))
 
     def __setattr__(self, *_):  # pragma: no cover
         raise AttributeError("Multisegment is immutable")
@@ -156,16 +208,20 @@ class Multisegment:
         return bool(self.segments)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Multisegment) and self.segments == other.segments
+        return self is other or (
+            isinstance(other, Multisegment)
+            and self._hash == other._hash
+            and self.segments == other.segments
+        )
 
     def __hash__(self) -> int:
-        return hash(self.segments)
+        return self._hash
 
     def __lt__(self, other: "Multisegment") -> bool:
         return self.sort_key() < other.sort_key()
 
     def sort_key(self):
-        return tuple(s.sort_key() for s in self.segments)
+        return tuple(map(_ORDER, self.segments))
 
     def __or__(self, other: "Multisegment") -> "Multisegment":
         return Multisegment(self.segments + other.segments)

@@ -178,6 +178,17 @@ def s_gamma_d(registry: LineRegistry, gamma: Iterable[tuple[Segment, Fraction]],
     return s
 
 
+def generic_data(gamma: Iterable[tuple[Segment, ExponentLike]]) -> list[tuple[Segment, Fraction]]:
+    """Unitary generic data, checked: centered step-1 esi factors with |e| < 1/2."""
+    data = [(seg, frac(e)) for seg, e in gamma]
+    for seg, e in data:
+        if seg.step != 1 or seg.center != 0:
+            raise ValueError("gamma factors must be unitary split esi (centered, step 1)")
+        if not abs(e) < Fraction(1, 2):
+            raise ValueError(f"generic exponent must satisfy |e| < 1/2, got {e}")
+    return data
+
+
 def lj_generic(
     registry: LineRegistry,
     gamma: Iterable[tuple[Segment, ExponentLike]],
@@ -189,13 +200,8 @@ def lj_generic(
     It is the transfer of that unitary product, so it is nonzero iff
     s_{gamma,d} | k: exactly then no factor's unit transfer vanishes.
     """
-    data = [(seg, frac(e)) for seg, e in gamma]
-    for seg, e in data:
-        if seg.step != 1 or seg.center != 0:
-            raise ValueError("gamma factors must be unitary split esi (centered, step 1)")
-        if not abs(e) < Fraction(1, 2):
-            raise ValueError(f"generic exponent must satisfy |e| < 1/2, got {e}")
-    return lj_unitary_product(registry, UnitaryProduct(SpehUnit(seg, k, e) for seg, e in data), d)
+    units = (SpehUnit(seg, k, e) for seg, e in generic_data(gamma))
+    return lj_unitary_product(registry, UnitaryProduct(units), d)
 
 
 # -- membership in the image of the unitary transfer -------------------------

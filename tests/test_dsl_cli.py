@@ -287,6 +287,10 @@ def _global(algebra, cuspidal):
         (_global(ALGEBRA, {"line": "rho", "locals": {"v1": [{"len": 1, "e": "1/0"}]}}), 1),
         # at the split place v0 no |e| < 1/2 check would catch a bool read as 1
         (_global(ALGEBRA, {"line": "rho", "locals": {"v1": [{"len": 1}], "v0": [{"len": 1, "e": True}]}}), 1),
+        # the ramified place v1 has no local data
+        (_global(ALGEBRA, {"line": "rho", "locals": {"v0": [{"len": 1}]}}), 1),
+        # the split place v0 gets the generic checks too: |e| = 3 is not below 1/2
+        (_global(ALGEBRA, {"line": "rho", "locals": {"v1": [{"len": 1}], "v0": [{"len": 2, "e": 3}]}}), 1),
     ],
 )
 def test_cli_refuses_malformed_unit_and_file_inputs(argv, code, tmp_path, capsys):

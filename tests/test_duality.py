@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 from segcalc import (
     Multisegment,
@@ -13,6 +14,7 @@ from segcalc import (
     unitary_esi,
 )
 from segcalc.selfcheck import window_corpus
+from strategies import labels_with_repeats
 
 F = Fraction
 
@@ -128,6 +130,13 @@ def test_raw_dual_is_linear():
     assert raw_dual_std(x) == 2 * raw_dual_std(
         VirtualRep.of(ms(seg(0, 1)))
     ) - 3 * raw_dual_std(VirtualRep.of(ms(seg(0, 0), seg(1, 1))))
+
+
+@given(labels_with_repeats(3), labels_with_repeats(3), labels_with_repeats(3))
+def test_raw_dual_is_multiplicative_and_linear_on_generated_labels(a, b, c):
+    x = 2 * VirtualRep.of(a) - VirtualRep.of(b)
+    y = VirtualRep.of(c)
+    assert raw_dual_std(x * y) == raw_dual_std(x) * raw_dual_std(y)
 
 
 def test_raw_dual_is_involutive_on_corpus():

@@ -3,6 +3,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from segcalc import (
     DiscreteSeriesLabel,
@@ -20,6 +22,7 @@ from segcalc import (
     s_rho_d,
     unitary_esi,
 )
+from segcalc.core import RegistryError
 from segcalc.globalrep import IncompatibleLabel, mw_exponents
 
 F = Fraction
@@ -125,6 +128,26 @@ def test_local_component_at_ramified_place(registry):
     assert got.sign != 0
 
 
+def test_local_component_at_split_place_checks_generic_data(registry):
+    alg = GlobalAlgebra.of({"v1": 2})
+    for e in (F(3), F(1, 2), F(-1, 2)):
+        data = GlobalCuspidalData.of(
+            "rho", {"v1": [(unitary_esi("rho", 1), F(0))], "v0": [(unitary_esi("rho", 2), e)]}
+        )
+        with pytest.raises(ValueError, match=r"\|e\| < 1/2"):
+            local_component(registry, data, 2, "v0", alg)
+    off_center = GlobalCuspidalData.of("rho", {"v0": [(unitary_esi("rho", 2).shifted(1), F(0))]})
+    with pytest.raises(ValueError, match="centered"):
+        local_component(registry, off_center, 2, "v0", alg)
+
+
+def test_missing_ramified_place_is_a_registry_error(registry):
+    alg = GlobalAlgebra.of({"v1": 2})
+    data = cuspidal_data({"v0": 1})
+    with pytest.raises(RegistryError, match="'v1'"):
+        s_rho_d(registry, data, alg)
+
+
 def test_local_component_vanishes_off_multiples(registry):
     alg = GlobalAlgebra.of({"v1": 2})
     data = cuspidal_data({"v1": 1})
@@ -176,6 +199,11 @@ def test_interval_mixed_parity_fails():
     assert interval_decomposition([F(0), F(1, 2)]) is None
 
 
+def test_interval_rejects_exponents_off_the_half_lattice():
+    for a in ([F(1, 4)], [F(-1, 4), F(1, 4)], [F(1, 3)], [F(-1, 3), 0, F(1, 3)]):
+        assert interval_decomposition(a) is None, a
+
+
 def test_interval_reassembles_input():
     vals = range(-3, 4)
     for n in range(7):
@@ -187,6 +215,30 @@ def test_interval_reassembles_input():
             for e in got:
                 rebuilt.update(F(e) - i for i in range(int(2 * e) + 1))
             assert rebuilt == Counter(F(x) for x in combo)
+
+
+@st.composite
+def interval_unions(draw):
+    """Endpoints e, all integers or all half-integers, and their intervals' points, shuffled."""
+    half = draw(st.booleans())
+    ends = [Fraction(2 * e + half, 2) for e in draw(st.lists(st.integers(0, 4), max_size=5))]
+    points = [e - i for e in ends for i in range(int(2 * e) + 1)]
+    return ends, draw(st.permutations(points))
+
+
+@given(interval_unions())
+def test_interval_decomposition_recovers_generated_unions(case):
+    ends, points = case
+    assert interval_decomposition(points) == sorted(ends, reverse=True)
+
+
+@given(st.lists(st.integers(-4, 4), max_size=10), st.booleans())
+def test_interval_decomposition_reassembles_generated_multisets(values, half):
+    points = [Fraction(2 * v + 1, 2) if half else v for v in values]
+    got = interval_decomposition(points)
+    if got is not None:
+        assert all(isinstance(e, Fraction) for e in got)
+        assert Counter(e - i for e in got for i in range(int(2 * e) + 1)) == Counter(points)
 
 
 # -- product matching --------------------------------------------------------------------------

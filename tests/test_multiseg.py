@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from segcalc import (
 )
 from segcalc.multiseg import descendants
 from segcalc.selfcheck import window_corpus
+from strategies import labels
 
 
 def seg(a, b, line="rho", step=1):
@@ -119,22 +121,6 @@ def test_is_lower_decides_the_20_point_chain():
     assert not is_lower(top, near)
 
 
-@st.composite
-def labels(draw, max_points=7):
-    """Labels on two lines, steps 1-3, integer or half-integer starts, repeated points."""
-    palette = draw(st.lists(st.tuples(st.sampled_from(["rho", "chi"]), st.integers(1, 3)),
-                            min_size=1, max_size=2))
-    shift = draw(st.sampled_from([Fraction(0), Fraction(1, 2)]))
-    budget = draw(st.integers(1, max_points))
-    segs = []
-    while budget:
-        length = draw(st.integers(1, budget))
-        budget -= length
-        line, step = draw(st.sampled_from(palette))
-        segs.append(Segment(line, shift + draw(st.integers(-2, 2)), length, step))
-    return Multisegment(segs)
-
-
 def _family(data, top, max_points):
     """``top``, a chain z >= y >= x below it, one more label below it and an unrelated label."""
 
@@ -208,6 +194,53 @@ def test_coordinate_round_trips_and_linkage_matches_point_sets(a, b):
                 inter = _segment_on(s1.line, s1.step, p1 & p2) if p1 & p2 else None
                 op = ms(union) if inter is None else ms(union, inter)
                 assert elementary_successors(ms(s1, s2)) == {op}, (s1, s2)
+
+
+# -- the integer label key --------------------------------------------------------
+
+
+def _reference_order(s):
+    """(line, step, offset class, position, length) recomputed from the exponents."""
+    offset = s.start % s.step
+    return (s.line, s.step, offset, (s.start - offset) / s.step, s.length)
+
+
+@given(labels(), labels())
+def test_segments_are_equal_iff_line_step_start_length_agree(a, b):
+    segs = a.segments + b.segments
+    for s1 in segs:
+        for s2 in segs:
+            same = (s1.line, s1.step, s1.start, s1.length) == (s2.line, s2.step, s2.start, s2.length)
+            assert (s1 == s2) == same, (s1, s2)
+
+
+@given(labels(), labels())
+def test_equal_segments_hash_equally_from_either_constructor(a, b):
+    for s in a.segments + b.segments:
+        copies = (
+            Segment(s.line, s.start, s.length, s.step),
+            Segment(s.line, str(s.start), s.length, s.step),
+            Segment.from_positions(s.effective_line(), s.first, s.last),
+            Segment.from_positions((s.line, s.step, s.offset_class + s.step), s.first - 1, s.last - 1),
+            Segment.from_positions((s.line, s.step, Fraction(s.offset_class)), s.first, s.last),
+            pickle.loads(pickle.dumps(s)),
+        )
+        for t in copies:
+            assert t == s and hash(t) == hash(s) and t.start == s.start, (t, s)
+            # one form per offset class: an int when integral, a Fraction otherwise
+            assert type(t.offset_class) is (int if s.start.denominator == 1 else Fraction), t
+    rebuilt = Multisegment(Segment(s.line, s.start, s.length, s.step) for s in reversed(a.segments))
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+
+
+@given(labels(), labels())
+def test_canonical_order_is_line_step_offset_first_length(a, b):
+    segs = list(reversed(a.segments + b.segments))
+    want = sorted(segs, key=_reference_order)
+    assert sorted(segs, key=Segment.sort_key) == want
+    assert list(Multisegment(segs).segments) == want
+    pair = [a, b, a | b]
+    assert sorted(pair) == sorted(pair, key=lambda m: tuple(map(_reference_order, m.segments)))
 
 
 # -- stats -----------------------------------------------------------------------
