@@ -72,10 +72,12 @@ from .lfactors import (
 from .globalrep import (
     DiscreteSeriesLabel,
     GlobalAlgebra,
+    GlobalCheck,
     GlobalCuspidalData,
     d_compatible_mw,
     g_inverse,
     g_map,
+    global_check,
     interval_decomposition,
     levi_conjugate_count,
     local_component,

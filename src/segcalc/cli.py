@@ -13,30 +13,18 @@ import sys
 
 from .core import LineRegistry, RegistryError, s_invariant
 from .duality import dual_irr
-from .dsl import (
-    ParseError,
-    multisegment_to_json,
-    parse_multisegment,
-    parse_virtual,
-    render_multisegment,
-    render_unitary_product,
-    render_virtual,
-    unitary_product_to_json,
-    virtual_to_json,
-)
-from .gkring import expand_u, expand_ubar, recognize_unitary
+from .dsl import ParseError, parse_multisegment, parse_virtual
+from .gkring import UnitaryProduct, VirtualRep, expand_u, expand_ubar, recognize_unitary
 from .globalrep import (
     GlobalAlgebra,
     GlobalCuspidalData,
     IncompatibleLabel,
-    d_compatible_mw,
+    global_check,
     levi_conjugate_count,
-    local_component,
-    s_rho_d,
 )
 from .lfactors import eps_irr, l_irr
 from .multiseg import LimitExceeded, Multisegment, enumerate_multisegments, is_lower, unitary_esi
-from .transfer import NotTransferable, SignedUnitaryProduct, lj_std, lj_u
+from .transfer import NotTransferable, lj_std, lj_u
 from . import selfcheck
 
 
@@ -141,136 +129,89 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit(args, text: str, payload) -> None:
-    if args.as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+def _label(args, reg: LineRegistry, text: str) -> Multisegment:
+    return parse_multisegment(text, reg, args.d)
+
+
+def _expand_ubar(args, reg: LineRegistry) -> VirtualRep:
+    l, line, k = _unit_params(args.params)
+    if args.d < 2:
+        raise CliError("expand-ubar needs --d >= 2", 1)
+    return expand_ubar(unitary_esi(line, l, s_invariant(reg[line].p, args.d)), k, args.d)
+
+
+def _lj(args, reg: LineRegistry):
+    if args.d < 2:
+        raise CliError("lj needs --d >= 2", 1)
+    if args.unit:
+        return lj_u(reg, *_unit_params(args.unit), args.d)
+    if args.expand_u:
+        v = expand_u(*_unit_params(args.expand_u))
+    elif args.expr:
+        v = parse_virtual(args.expr, reg, 1)
     else:
-        print(text)
+        raise CliError("lj needs an expression, --expand-u or --u", 2)
+    return lj_std(reg, v, args.d)
 
 
-def _signed_product_view(t: SignedUnitaryProduct):
-    if t.sign == 0:
-        return "0", {"sign": 0, "units": []}
-    text = f"{t.sign:+d} * {render_unitary_product(t.product)}"
-    return text, {"sign": t.sign, "units": unitary_product_to_json(t.product)}
+def _enumerate(args, reg: LineRegistry) -> list[Multisegment]:
+    m = _label(args, reg, args.expr)
+    step = m.segments[0].step if m.segments else 1
+    found = enumerate_multisegments(m.support(), step=step, limit=args.limit)
+    return sorted(found, key=Multisegment.sort_key)
+
+
+def _global_check(args, reg: LineRegistry):
+    with open(args.algebra) as fh:
+        alg = GlobalAlgebra.from_json(json.load(fh))
+    with open(args.cuspidal) as fh:
+        data = GlobalCuspidalData.from_json(json.load(fh), reg)
+    return global_check(reg, data, args.k, alg)
+
+
+# command -> (args, registry) -> value; ``run`` writes the value
+COMMANDS = {
+    "dual": lambda args, reg: dual_irr(_label(args, reg, args.expr)),
+    "order": lambda args, reg: is_lower(_label(args, reg, args.a), _label(args, reg, args.b)),
+    "expand-u": lambda args, reg: expand_u(*_unit_params(args.params)),
+    "expand-ubar": _expand_ubar,
+    "lj": _lj,
+    "recognize": lambda args, reg: recognize_unitary(_label(args, reg, args.expr)),
+    "lfun": lambda args, reg: l_irr(reg, _label(args, reg, args.expr)),
+    "eps": lambda args, reg: eps_irr(reg, _label(args, reg, args.expr)),
+    "enumerate": _enumerate,
+    "global-check": _global_check,
+    "count-levi": lambda args, reg: levi_conjugate_count(args.n, args.l),
+}
+
+# ``--json`` prints an object: a value whose JSON is a list or a scalar goes under
+# the key of its type (``None`` is recognize's "no factorization")
+_KEY = {
+    Multisegment: "multisegment", VirtualRep: "terms", UnitaryProduct: "units",
+    type(None): "units", bool: "lower", int: "count",
+}
+
+
+def _text(value) -> str:
+    if isinstance(value, list):  # enumerate: one label a line
+        return "\n".join(map(repr, value))
+    return str(value).lower() if value is None or isinstance(value, bool) else repr(value)
+
+
+def _json(value):
+    if isinstance(value, list):  # enumerate: a bare list
+        return [x.to_json() for x in value]
+    data = value.to_json() if hasattr(value, "to_json") else value
+    return {_KEY[type(value)]: data} if type(value) in _KEY else data
 
 
 def run(args) -> int:
     reg = _registry(args)
-    cmd = args.command
-
-    if cmd == "dual":
-        m = parse_multisegment(args.expr, reg, args.d)
-        out = dual_irr(m)
-        _emit(args, render_multisegment(out), {"multisegment": multisegment_to_json(out)})
-        return 0
-
-    if cmd == "order":
-        a = parse_multisegment(args.a, reg, args.d)
-        b = parse_multisegment(args.b, reg, args.d)
-        res = is_lower(a, b)
-        _emit(args, "true" if res else "false", {"lower": res})
-        return 0
-
-    if cmd == "expand-u":
-        v = expand_u(*_unit_params(args.params))
-        _emit(args, render_virtual(v), {"terms": virtual_to_json(v)})
-        return 0
-
-    if cmd == "expand-ubar":
-        l, line, k = _unit_params(args.params)
-        if args.d < 2:
-            raise CliError("expand-ubar needs --d >= 2", 1)
-        s = s_invariant(reg[line].p, args.d)
-        v = expand_ubar(unitary_esi(line, l, s), k, args.d)
-        _emit(args, render_virtual(v), {"terms": virtual_to_json(v)})
-        return 0
-
-    if cmd == "lj":
-        if args.d < 2:
-            raise CliError("lj needs --d >= 2", 1)
-        if args.unit:
-            t = lj_u(reg, *_unit_params(args.unit), args.d)
-            text, payload = _signed_product_view(t)
-            _emit(args, text, payload)
-            return 0
-        if args.expand_u:
-            v = expand_u(*_unit_params(args.expand_u))
-        elif args.expr:
-            v = parse_virtual(args.expr, reg, 1)
-        else:
-            raise CliError("lj needs an expression, --expand-u or --u", 2)
-        out = lj_std(reg, v, args.d)
-        _emit(args, render_virtual(out), {"terms": virtual_to_json(out)})
-        return 0
-
-    if cmd == "recognize":
-        m = parse_multisegment(args.expr, reg, args.d)
-        up = recognize_unitary(m)
-        if up is None:
-            _emit(args, "none", {"units": None})
-        else:
-            _emit(args, render_unitary_product(up), {"units": unitary_product_to_json(up)})
-        return 0
-
-    if cmd == "lfun":
-        m = parse_multisegment(args.expr, reg, args.d)
-        lf = l_irr(reg, m)
-        _emit(args, lf.render(), {"shifts": [str(a) for a in lf.shifts]})
-        return 0
-
-    if cmd == "eps":
-        m = parse_multisegment(args.expr, reg, args.d)
-        ef = eps_irr(reg, m)
-        _emit(
-            args,
-            ef.render(),
-            {"psi": ef.psi, "shifts": [{"tag": t, "shift": str(a)} for t, a in ef.shifts]},
-        )
-        return 0
-
-    if cmd == "enumerate":
-        m = parse_multisegment(args.expr, reg, args.d)
-        step = m.segments[0].step if m.segments else 1
-        found = sorted(
-            enumerate_multisegments(m.support(), step=step, limit=args.limit),
-            key=Multisegment.sort_key,
-        )
-        text = "\n".join(render_multisegment(x) for x in found)
-        _emit(args, text, [multisegment_to_json(x) for x in found])
-        return 0
-
-    if cmd == "global-check":
-        with open(args.algebra) as fh:
-            alg = GlobalAlgebra.from_json(json.load(fh))
-        with open(args.cuspidal) as fh:
-            data = GlobalCuspidalData.from_json(json.load(fh), reg)
-        s = s_rho_d(reg, data, alg)
-        compatible = d_compatible_mw(reg, data, args.k, alg)
-        lines = [f"s_rho_D = {s}", f"MW(rho, {args.k}) D-compatible: {str(compatible).lower()}"]
-        payload = {"s_rho_D": s, "k": args.k, "compatible": compatible, "places": {}}
-        for place, _ in data.locals:
-            comp = local_component(reg, data, args.k, place, alg)
-            if isinstance(comp, Multisegment):
-                lines.append(f"{place} (split): {render_multisegment(comp)}")
-                payload["places"][place] = {"label": multisegment_to_json(comp)}
-            else:
-                text, view = _signed_product_view(comp)
-                lines.append(f"{place} (d_v={alg.d_at(place)}): {text}")
-                payload["places"][place] = view
-        _emit(args, "\n".join(lines), payload)
-        return 0
-
-    if cmd == "count-levi":
-        n = levi_conjugate_count(args.n, args.l)
-        _emit(args, str(n), {"count": n})
-        return 0
-
-    if cmd == "selfcheck":
-        ok = selfcheck.run_all()
-        return 0 if ok else 1
-
-    raise CliError(f"unknown command {cmd!r}", 2)
+    if args.command == "selfcheck":  # reports suite by suite, as text only
+        return 0 if selfcheck.run_all() else 1
+    value = COMMANDS[args.command](args, reg)
+    print(json.dumps(_json(value), indent=2, sort_keys=True) if args.as_json else _text(value))
+    return 0
 
 
 def main(argv=None) -> int:

@@ -105,9 +105,14 @@ class VirtualRep:
         return VirtualRep(self.d if d is None else d, terms)
 
     def __repr__(self) -> str:
+        """``1 * {…} - 2 * {…}`` in canonical order, as ``dsl`` parses it; ``0`` when empty."""
         if not self.terms:
             return "0"
-        return " + ".join(f"{c}*{m!r}" for m, c in self.items())
+        text = " ".join(f"{'-' if c < 0 else '+'} {abs(c)} * {m!r}" for m, c in self.items())
+        return text[2:] if text[0] == "+" else "-" + text[2:]
+
+    def to_json(self) -> list[dict]:
+        return [{"coeff": c, "multisegment": m.to_json()} for m, c in self.items()]
 
 
 # -- Speh units ----------------------------------------------------------
@@ -164,12 +169,20 @@ class SpehUnit:
         return (self.base.sort_key(), self.count, self.twist, self.alpha or Fraction(0))
 
     def __repr__(self) -> str:
-        inner = f"u({self.base!r}, {self.count})"
+        """``[nu^(twist) ][pi(]u(base, k)[, alpha)]``, written ``u'`` on an inner-form line."""
+        kind = "u" if self.step == 1 else "u'"
+        inner = f"{kind}({self.base!r}, {self.count})"
         if self.alpha is not None:
             inner = f"pi({inner}, {self.alpha})"
         if self.twist:
             inner = f"nu^({self.twist}) {inner}"
         return inner
+
+    def to_json(self) -> dict:
+        out = {"base": self.base.to_json(), "k": self.count, "twist": str(self.twist)}
+        if self.alpha is not None:
+            out["alpha"] = str(self.alpha)
+        return out
 
 
 class UnitaryProduct:
@@ -182,6 +195,9 @@ class UnitaryProduct:
 
     def __setattr__(self, *_):  # pragma: no cover
         raise AttributeError("UnitaryProduct is immutable")
+
+    def __reduce__(self):
+        return UnitaryProduct, (self.units,)
 
     @classmethod
     def empty(cls) -> "UnitaryProduct":
@@ -210,6 +226,9 @@ class UnitaryProduct:
 
     def __repr__(self) -> str:
         return " x ".join(repr(u) for u in self.units) if self.units else "1"
+
+    def to_json(self) -> list[dict]:
+        return [u.to_json() for u in self.units]
 
 
 # -- unit constructors ----------------------------------------------------

@@ -192,6 +192,39 @@ def local_component(
     return lj_generic(registry, gamma, k, dv)
 
 
+class GlobalCheck:
+    """s_{rho,D}, the D-compatibility of MW(rho, k), and its component at each place.
+
+    ``components`` holds ``(place, d_v, component)`` with the component as
+    ``local_component`` returns it: a label when d_v = 1, else a signed transfer.
+    """
+
+    def __init__(self, s: int, k: int, compatible: bool, components: list[tuple]):
+        self.s, self.k, self.compatible, self.components = s, k, compatible, components
+
+    def __repr__(self) -> str:
+        lines = [f"s_rho_D = {self.s}", f"MW(rho, {self.k}) D-compatible: {str(self.compatible).lower()}"]
+        for place, dv, comp in self.components:
+            lines.append(f"{place} ({'split' if dv == 1 else f'd_v={dv}'}): {comp!r}")
+        return "\n".join(lines)
+
+    def to_json(self) -> dict:
+        places = {v: c.to_json() if dv > 1 else {"label": c.to_json()} for v, dv, c in self.components}
+        return {"s_rho_D": self.s, "k": self.k, "compatible": self.compatible, "places": places}
+
+
+def global_check(
+    registry: LineRegistry, data: GlobalCuspidalData, k: int, alg: GlobalAlgebra
+) -> GlobalCheck:
+    """The bookkeeping of MW(rho, k) at every place of the cuspidal data."""
+    s = s_rho_d(registry, data, alg)
+    compatible = d_compatible_mw(registry, data, k, alg)
+    components = [
+        (v, alg.d_at(v), local_component(registry, data, k, v, alg)) for v, _ in data.locals
+    ]
+    return GlobalCheck(s, k, compatible, components)
+
+
 # -- support matching ---------------------------------------------------------
 
 

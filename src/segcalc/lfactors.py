@@ -45,13 +45,13 @@ class FormalLFactor:
     def as_counter(self) -> Counter:
         return Counter(self.shifts)
 
-    def render(self) -> str:
+    def __repr__(self) -> str:
         if not self.shifts:
             return "1"
         return " * ".join(f"(1 - q^(-s{_signed(a)}))^-1" for a in self.shifts)
 
-    def __repr__(self) -> str:
-        return f"L[{', '.join(str(a) for a in self.shifts)}]"
+    def to_json(self) -> dict:
+        return {"shifts": [str(a) for a in self.shifts]}
 
 
 def _signed(a: Fraction) -> str:
@@ -79,16 +79,13 @@ class EpsilonFactor:
     def as_counter(self) -> Counter:
         return Counter(self.shifts)
 
-    def render(self) -> str:
+    def __repr__(self) -> str:
         if not self.shifts:
             return "1"
-        return " * ".join(
-            f"eps'(s{_signed(-a)}, {t}, {self.psi})" for t, a in self.shifts
-        )
+        return " * ".join(f"eps'(s{_signed(-a)}, {t}, {self.psi})" for t, a in self.shifts)
 
-    def __repr__(self) -> str:
-        inner = ", ".join(f"({t}, {a})" for t, a in self.shifts)
-        return f"Eps[{inner}]"
+    def to_json(self) -> dict:
+        return {"psi": self.psi, "shifts": [{"tag": t, "shift": str(a)} for t, a in self.shifts]}
 
 
 def l_esi(registry: LineRegistry, seg: Segment) -> FormalLFactor:
@@ -150,7 +147,7 @@ class FormalRSProduct:
         d = frac(delta)
         return FormalRSProduct.of({a + d: e for a, e in self.powers})
 
-    def render(self) -> str:
+    def __repr__(self) -> str:
         if not self.powers:
             return "1"
 
@@ -159,9 +156,6 @@ class FormalRSProduct:
             return f"L({arg})" + (f"^{e}" if e != 1 else "")
 
         return " * ".join(term(a, e) for a, e in self.powers)
-
-    def __repr__(self) -> str:
-        return f"RS[{', '.join(f'{a}:{e}' for a, e in self.powers)}]"
 
 
 def rs_lg(s: int) -> FormalRSProduct:

@@ -16,7 +16,7 @@ order read one tuple of line, step, offset class and integer positions fixed
 at construction, never the Fraction ``start``; a segment's hash is computed
 once from the integer fields of that tuple, and a multisegment hashes once,
 from its segments' hashes.  The ``repr`` of a segment or multisegment is its
-canonical text form, the one ``dsl`` parses.
+canonical text form, the one ``dsl`` parses; ``to_json()`` is its JSON form.
 """
 
 from __future__ import annotations
@@ -138,6 +138,9 @@ class Segment:
         prime = "'" if self.step > 1 else ""
         return f"{self.line}{prime}:[{self.start},{self.end}]"
 
+    def to_json(self) -> dict:
+        return {"line": self.line, "start": str(self.start), "end": str(self.end), "step": self.step}
+
 
 def unitary_esi(line: str, length: int, step: int = 1) -> Segment:
     """The length-``length`` segment on ``line`` centered at exponent 0."""
@@ -194,6 +197,9 @@ class Multisegment:
     def __setattr__(self, *_):  # pragma: no cover
         raise AttributeError("Multisegment is immutable")
 
+    def __reduce__(self):
+        return Multisegment, (self.segments,)
+
     @classmethod
     def empty(cls) -> "Multisegment":
         return cls(())
@@ -245,6 +251,9 @@ class Multisegment:
 
     def __repr__(self) -> str:
         return "{" + ", ".join(repr(s) for s in self.segments) + "}"
+
+    def to_json(self) -> list[dict]:
+        return [s.to_json() for s in self.segments]
 
 
 class MultisegmentStats(NamedTuple):

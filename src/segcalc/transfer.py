@@ -59,6 +59,12 @@ class SignedUnitaryProduct:
             return self
         return SignedUnitaryProduct(self.sign, self.product.twisted(delta))
 
+    def __repr__(self) -> str:
+        return f"{self.sign:+d} * {self.product!r}" if self.sign else "0"
+
+    def to_json(self) -> dict:
+        return {"sign": self.sign, "units": self.product.to_json()}
+
 
 ZERO_TRANSFER = SignedUnitaryProduct(0, UnitaryProduct.empty())
 

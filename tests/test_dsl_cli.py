@@ -1,18 +1,16 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from segcalc import LineRegistry, Multisegment, Segment, VirtualRep, expand_u
+from segcalc import LineRegistry, Multisegment, Segment, VirtualRep, expand_u, s_invariant
 from segcalc.cli import main
-from segcalc.dsl import (
-    ParseError,
-    parse_multisegment,
-    parse_virtual,
-    render_multisegment,
-    render_virtual,
-)
+from segcalc.dsl import ParseError, parse_multisegment, parse_virtual
 from segcalc.selfcheck import window_corpus
+from strategies import labels, virtual_reps
 
 F = Fraction
 
@@ -88,17 +86,37 @@ def test_parse_garbage_rejected(registry):
 
 def test_round_trip_on_corpus(registry):
     for m in window_corpus(4, 4):
-        assert parse_multisegment(render_multisegment(m), registry) == m
+        assert parse_multisegment(repr(m), registry) == m
 
 
 def test_round_trip_virtual(registry):
     v = expand_u(2, "rho", 3)
-    assert parse_virtual(render_virtual(v), registry) == v
+    assert parse_virtual(repr(v), registry) == v
 
 
 def test_round_trip_primed(registry):
     m = ms(seg(-1, 1, step=2), seg(0, 0, step=2))
-    assert parse_multisegment(render_multisegment(m), registry, d=2) == m
+    assert parse_multisegment(repr(m), registry, d=2) == m
+
+
+TWO_LINES = LineRegistry()
+TWO_LINES.register("rho", 1)
+TWO_LINES.register("chi", 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@given(data=st.data())
+def test_parse_inverts_repr_on_generated_labels_and_virtual_reps(d, data):
+    # at inner-form index d a segment is written unprimed (step 1) or primed (step s(p, d), p = 1)
+    label = labels(steps=(1, s_invariant(1, d)))
+    m = data.draw(label)
+    assert parse_multisegment(repr(m), TWO_LINES, d) == m
+    v = data.draw(virtual_reps(d, label))
+    if v.is_zero():
+        assert repr(v) == "0"
+    else:
+        assert parse_virtual(repr(v), TWO_LINES, d) == v
+    assert repr(VirtualRep(d, {})) == "0"
 
 
 # -- CLI ----------------------------------------------------------------------------
@@ -305,6 +323,37 @@ def test_cli_refuses_malformed_unit_and_file_inputs(argv, code, tmp_path, capsys
     assert got == code
     assert out == "" and err.startswith(("error:", "parse error:"))
     assert "Traceback" not in err
+
+
+# -- recorded CLI bytes ----------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+with open(ROOT / "bench" / "data" / "cli_expected.json") as fh:
+    RECORDED = json.load(fh)
+
+RECOGNIZED_PAIR = (
+    '{\n  "units": [\n    {\n      "alpha": "1/4",\n      "base": {\n        "end": "0",\n'
+    '        "line": "rho",\n        "start": "0",\n        "step": 1\n      },\n'
+    '      "k": 1,\n      "twist": "0"\n    }\n  ]\n}\n'
+)
+PINNED = [
+    {"argv": ["recognize", "{rho:[-1/4,-1/4], rho:[1/4,1/4]}"], "exit": 0,
+     "stdout": "pi(u(rho:[0,0], 1), 1/4)\n"},
+    {"argv": ["recognize", "--json", "{rho:[-1/4,-1/4], rho:[1/4,1/4]}"], "exit": 0,
+     "stdout": RECOGNIZED_PAIR},
+    {"argv": ["lj", "--d", "2", "{rho:[0,0]}"], "exit": 0, "stdout": "0\n"},
+    {"argv": ["lj", "--json", "--d", "2", "{rho:[0,0]}"], "exit": 0, "stdout": '{\n  "terms": []\n}\n'},
+]
+
+
+@pytest.mark.parametrize("entry", RECORDED + PINNED)
+def test_cli_matches_recorded_table(entry, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)  # the recorded argv name bench/data/*.json
+    try:
+        code = main(list(entry["argv"]))
+    except SystemExit as e:  # argparse refusals
+        code = e.code
+    assert (code, capsys.readouterr().out) == (entry["exit"], entry["stdout"])
 
 
 def test_cli_global_check(tmp_path, capsys):

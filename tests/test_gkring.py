@@ -1,7 +1,11 @@
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from segcalc import (
     Multisegment,
@@ -22,6 +26,7 @@ from segcalc import (
     unitary_esi,
 )
 from segcalc.gkring import admissible_permutations, count_admissible
+from strategies import labels, labels_with_repeats
 
 
 def seg(a, b, line="rho", step=1):
@@ -325,3 +330,21 @@ def test_recognize_round_trips_products():
     assert got is not None
     assert got.multisegment() == up.multisegment()
     assert got == up
+
+
+# -- copies ------------------------------------------------------------------------------
+
+
+@given(
+    st.one_of(labels(), labels_with_repeats()),
+    st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.sampled_from([None, F(1, 4)]),
+)
+def test_labels_products_and_virtual_reps_survive_copy_and_pickle(m, length, step, k, alpha):
+    up = recognize_unitary(SpehUnit(unitary_esi("rho", length, step), k, 0, alpha).multisegment())
+    assert up is not None
+    v = VirtualRep.of(m, 2) - VirtualRep.of(up.multisegment())
+    for x in (m, up, v):
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x
+            if x is not v:  # VirtualRep defines no hash
+                assert hash(y) == hash(x)

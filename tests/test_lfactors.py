@@ -100,10 +100,10 @@ def test_unflagged_label_has_empty_l_but_full_eps():
 
 def test_render_forms(registry):
     lf = l_esi(registry, unitary_esi("rho", 2))
-    assert lf.render() == "(1 - q^(-s-1/2))^-1"
-    assert FormalLFactor.one().render() == "1"
+    assert repr(lf) == "(1 - q^(-s-1/2))^-1"
+    assert repr(FormalLFactor.one()) == "1"
     ef = eps_irr(registry, ms(seg(F(-1, 2), F(-1, 2))))
-    assert ef.render() == "eps'(s-1/2, rho, psi)"
+    assert repr(ef) == "eps'(s-1/2, rho, psi)"
 
 
 # -- transfer invariance -----------------------------------------------------------
@@ -162,4 +162,4 @@ def test_rs_product_algebra():
     assert (x * y).as_dict() == {F(0): 1, F(2): 3}
     assert (x / x).as_dict() == {}
     assert x.shifted(1).as_dict() == {F(1): 1, F(2): 2}
-    assert rs_lg(2).render() == "L(z-1) * L(z)^2 * L(z+1)"
+    assert repr(rs_lg(2)) == "L(z-1) * L(z)^2 * L(z+1)"
