@@ -6,7 +6,7 @@ Grammar (whitespace-insensitive):
     name      := letter (letter | digit | '_')* ["'"]
     segment   := name ':' '[' rational [',' rational] ']'
     multiseg  := '{' [segment (',' segment)*] '}'
-    virtual   := ['-'] term (('+'|'-') term)*
+    virtual   := '0' | ['-'] term (('+'|'-') term)*
     term      := [integer '*'] multiseg
 
 A primed name denotes the inner-form side of the registered base line; its
@@ -16,7 +16,7 @@ abbreviates a length-1 segment.
 
 This module only parses.  Each value writes itself: its ``repr`` is its text
 form (for a label, the two-rational canonical form) and ``to_json()`` its
-JSON form.  parse(repr(x)) = x for every label and every nonzero virtual
+JSON form.  parse(repr(x)) = x for every label and every virtual
 representation; the zero one is written ``0``.
 """
 
@@ -153,6 +153,9 @@ class _Parser:
         return coeff, self.multisegment()
 
     def virtual(self) -> VirtualRep:
+        if self.tokens == [("num", "0")]:
+            self.next()
+            return VirtualRep.zero(self.d)
         sign = 1
         if self.at_sym("-"):
             self.next()

@@ -24,6 +24,7 @@ standard-basis expansions.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,14 +100,31 @@ def is_d_compatible(registry: LineRegistry, x: Union[Segment, Multisegment], d: 
 
 
 def lj_std(registry: LineRegistry, x: VirtualRep, d: int) -> VirtualRep:
-    """Lattice transfer: factorwise c_map on compatible labels, 0 otherwise."""
+    """Lattice transfer: factorwise c_map on compatible labels, 0 otherwise.
+
+    Terms share few distinct segments, so the compatibility test and the
+    c_map image of each segment are computed once per call.
+    """
     if x.d != 1:
         raise NotTransferable("lj_std starts from the split side")
+    compatible: dict[Segment, bool] = {}
+    images: dict[Segment, Segment] = {}
 
     def image(m: Multisegment) -> Optional[Multisegment]:
-        if not is_d_compatible(registry, m, d):
-            return None
-        return Multisegment(c_map(registry, s, d) for s in m.segments)
+        # an incompatible segment zeroes the label before c_map can refuse a step != 1 one
+        for seg in m.segments:
+            ok = compatible.get(seg)
+            if ok is None:
+                ok = compatible[seg] = is_d_compatible(registry, seg, d)
+            if not ok:
+                return None
+        out = []
+        for seg in m.segments:
+            img = images.get(seg)
+            if img is None:
+                img = images[seg] = c_map(registry, seg, d)
+            out.append(img)
+        return Multisegment(out)
 
     return x.map_terms(image, d=d)
 
@@ -174,8 +192,6 @@ def lj_unitary_product(registry: LineRegistry, up: UnitaryProduct, d: int) -> Si
 
 def s_gamma_d(registry: LineRegistry, gamma: Iterable[tuple[Segment, Fraction]], d: int) -> int:
     """Least s with d | p_i s for every factor not already compatible."""
-    import math
-
     s = 1
     for seg, _ in gamma:
         si = s_invariant(registry[seg.line].p, d)
@@ -241,8 +257,11 @@ def in_image_lju(
     Any preimage factors into split units whose individual transfers cover
     the target's unit multiset exactly, so the search is an exact cover by
     the transfers of candidate units u(Z(rho, l), k) and pi(u, alpha) pairs
-    with matching support.  Candidates are tried in canonical order and the
-    first witness is returned; None means the target is not in the image.
+    with matching support.  The candidates come from the target's unit
+    shapes (line, length, step, count): lj_u(l, k) is built only when both
+    of its blocks have a shape that occurs in the target, since otherwise no
+    twist of it can be covered.  Candidates are tried in canonical order and
+    the first witness is returned; None means the target is not in the image.
     """
     want = _flatten(target)
     if not want:
@@ -254,6 +273,7 @@ def in_image_lju(
     if sum(sizes.values()) > limit:
         raise LimitExceeded(f"target support {sum(sizes.values())} exceeds limit {limit}")
 
+    shapes = {key[:4] for key in want}
     twists = sorted({key[4] for key in want})
 
     candidates: list[tuple[tuple, SpehUnit, Counter]] = []
@@ -264,6 +284,11 @@ def in_image_lju(
         for l in range(1, n_line + 1):
             for k in range(1, n_line // l + 1):
                 if l % s and k % s:
+                    continue
+                # lj_u(l, k) has a wide block iff b > 0 and a narrow one iff both floors are > 0
+                if l % s + k % s and (line, (l - 1) // s + 1, s, (k - 1) // s + 1) not in shapes:
+                    continue
+                if l // s and k // s and (line, l // s, s, k // s) not in shapes:
                     continue
                 base = lj_u(registry, l, line, k, d)
                 plain = SpehUnit(unitary_esi(line, l), k)

@@ -75,6 +75,14 @@ def test_parse_virtual_leading_minus(registry):
     assert got == VirtualRep(1, {ms(seg(0, 0)): -1})
 
 
+def test_parse_virtual_zero(registry):
+    # a bare 0 is the empty sum, as repr writes it; it is no coefficient
+    assert parse_virtual("0", registry, 2) == VirtualRep.zero(2)
+    for text in ("0 *", "-0", "0 + {rho:[0,0]}"):
+        with pytest.raises(ParseError):
+            parse_virtual(text, registry)
+
+
 def test_parse_garbage_rejected(registry):
     for text in ("{rho:[0,1]", "rho:[0,1]}", "{rho 0 1}", "{rho:[0,1]} ?"):
         with pytest.raises(ParseError):
@@ -112,10 +120,7 @@ def test_parse_inverts_repr_on_generated_labels_and_virtual_reps(d, data):
     m = data.draw(label)
     assert parse_multisegment(repr(m), TWO_LINES, d) == m
     v = data.draw(virtual_reps(d, label))
-    if v.is_zero():
-        assert repr(v) == "0"
-    else:
-        assert parse_virtual(repr(v), TWO_LINES, d) == v
+    assert parse_virtual(repr(v), TWO_LINES, d) == v
     assert repr(VirtualRep(d, {})) == "0"
 
 
@@ -163,6 +168,12 @@ def test_cli_lj_of_expression(capsys):
     code, out, _ = run_cli(capsys, "lj", "--d", "2", "{rho:[-1/2,1/2]}")
     assert code == 0
     assert out.strip() == "1 * {rho':[0,0]}"
+
+
+def test_cli_lj_of_zero(capsys):
+    # the printed zero transfer can be fed back to lj
+    code, out, _ = run_cli(capsys, "lj", "--d", "2", "0")
+    assert (code, out) == (0, "0\n")
 
 
 def test_cli_count_levi(capsys):

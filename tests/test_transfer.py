@@ -1,8 +1,12 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from segcalc import (
+    LineRegistry,
     Multisegment,
     NotTransferable,
     Segment,
@@ -27,6 +31,7 @@ from segcalc import (
     unitary_esi,
 )
 from segcalc.transfer import lj_unitary_product, s_gamma_d
+from strategies import labels, virtual_reps
 
 F = Fraction
 
@@ -112,6 +117,58 @@ def test_lj_std_drops_incompatible_label(registry):
 def test_lj_std_of_cuspidal_pair_expansion(registry):
     got = lj_std(registry, expand_u(1, "rho", 2), 2)
     assert got == VirtualRep(2, {ms(seg(0, 0, step=2)): -1})
+
+
+TWO_LINES = LineRegistry()
+TWO_LINES.register("rho", 1)
+TWO_LINES.register("chi", 2)
+SPLIT = virtual_reps(1, labels(steps=(1,)))
+DS = st.sampled_from([2, 3, 4])
+
+
+def test_lj_std_zeroes_an_incompatible_label_before_rejecting_a_step():
+    # the step-2 chi segment sorts first; rho:[0,0] is not 2-compatible, so the label is 0
+    step2 = seg(0, 2, line="chi", step=2)
+    assert lj_std(TWO_LINES, VirtualRep.of(ms(step2, seg(0, 0))), 2) == VirtualRep.zero(2)
+    with pytest.raises(NotTransferable):
+        lj_std(TWO_LINES, VirtualRep.of(ms(step2, seg(0, 1))), 2)
+
+
+def lj_std_per_occurrence(registry, x, d):
+    """lj_std written out segment by segment, with no table."""
+    if x.d != 1:
+        raise NotTransferable("lj_std starts from the split side")
+    terms = {}
+    for m, c in x.terms.items():
+        if is_d_compatible(registry, m, d):
+            image = Multisegment(c_map(registry, s, d) for s in m.segments)
+            terms[image] = terms.get(image, 0) + c
+    return VirtualRep(d, terms)
+
+
+@given(DS, SPLIT, SPLIT)
+def test_lj_std_is_linear_and_multiplicative(d, x, y):
+    assert lj_std(TWO_LINES, x + y, d) == lj_std(TWO_LINES, x, d) + lj_std(TWO_LINES, y, d)
+    assert lj_std(TWO_LINES, -x, d) == -lj_std(TWO_LINES, x, d)
+    assert lj_std(TWO_LINES, x * y, d) == lj_std(TWO_LINES, x, d) * lj_std(TWO_LINES, y, d)
+
+
+@given(DS, virtual_reps())
+def test_lj_std_matches_the_per_occurrence_map(d, x):
+    # steps 1-3: a compatible label with a step != 1 segment raises, an incompatible one is 0
+    try:
+        want = lj_std_per_occurrence(TWO_LINES, x, d)
+    except NotTransferable as e:
+        with pytest.raises(NotTransferable, match=re.escape(str(e))):
+            lj_std(TWO_LINES, x, d)
+    else:
+        assert lj_std(TWO_LINES, x, d) == want
+
+
+@given(DS, st.sampled_from([2, 3]).flatmap(virtual_reps))
+def test_lj_std_refuses_the_inner_form_side(d, x):
+    with pytest.raises(NotTransferable):
+        lj_std(TWO_LINES, x, d)
 
 
 # -- transported order -------------------------------------------------------------------
