@@ -10,17 +10,27 @@ part at a time because it commutes with induction products.
 ``raw_dual_std`` is the signed cut-expansion dual on the standard basis: on
 one segment of length n it is the alternating sum over the 2^(n-1) ways to
 cut the segment into consecutive pieces, with sign (-1)^(n - #pieces), and
-it extends multiplicatively and linearly.  A label's terms are built by
-folding in its segments' cut lists one segment at a time into one dict,
-merging equal partial labels at each step; every cut of a segment shares
-the same piece objects.  It carries no extra global sign
+it extends multiplicatively and linearly.  It carries no extra global sign
 normalization; identities against the signed involution hold up to one sign
 per homogeneous component (see the transfer tests).
+
+Both expansions share prefixes instead of building each term anew.
+``segment_cut_expansion`` extends the cuts of a shorter prefix of the
+segment by one shared piece, and ``raw_dual_std`` folds a label's segments
+in one at a time, extending each partial label by every cut.  They rely on
+the canonical-order invariant of ``Multisegment``: a label's segments are
+sorted by (effective line, first position, length).  Pieces of one cut start
+at increasing positions of one effective line, so a cut is already sorted;
+and a segment that starts a new effective line sorts after every piece
+placed before it, so the partial label plus its cut is a label as it
+stands, made by ``Multisegment._canonical`` without a sort.  Only the
+pieces of a further segment on the same effective line (a repeat, or an
+overlapping or later one) can interleave with earlier pieces, and those
+labels go through the sorting constructor.
 """
 
 from __future__ import annotations
 
-import itertools
 from .gkring import VirtualRep
 from .multiseg import Multisegment, Segment, rigid_decomposition
 
@@ -63,41 +73,55 @@ def segment_cut_expansion(seg: Segment) -> list[tuple[int, tuple[Segment, ...]]]
     """(sign, pieces) over all cuts of ``seg`` into consecutive subsegments.
 
     Each of the n(n+1)/2 distinct pieces is built once and shared by every cut
-    that uses it.
+    that uses it.  The cuts of positions 0..hi are the cuts of 0..lo-1 for
+    each lo <= hi, every one extended by the piece lo..hi, so each cut is one
+    tuple concatenation onto a shared prefix and the sign (-1)^(n - #pieces)
+    flips once per piece; no recursion, no cut-position tuples.  Pieces
+    start at increasing positions of one effective line, so every ``pieces``
+    tuple is already in canonical order.
     """
-    n, line = seg.length, seg.effective_line()
-    piece = {
-        (lo, hi): Segment.from_positions(line, seg.first + lo, seg.first + hi - 1)
-        for lo in range(n)
-        for hi in range(lo + 1, n + 1)
-    }
-    out = []
-    for cuts in itertools.chain.from_iterable(
-        itertools.combinations(range(1, n), r) for r in range(n)
-    ):
-        bounds = (0,) + cuts + (n,)
-        out.append(((-1) ** (n - 1 - len(cuts)), tuple(map(piece.get, zip(bounds, bounds[1:])))))
-    return out
+    n, line, first = seg.length, seg.effective_line(), seg.first
+    ending = [[(-1 if n % 2 else 1, ())]]  # ending[hi]: the cuts of positions 0..hi-1
+    for hi in range(n):
+        piece = [Segment.from_positions(line, first + lo, first + hi) for lo in range(hi + 1)]
+        ending.append([(-sign, pre + (piece[lo],)) for lo in range(hi + 1) for sign, pre in ending[lo]])
+    return ending[n]
 
 
 def raw_dual_std(x: VirtualRep) -> VirtualRep:
     """Linear cut-expansion dual on the standard lattice (no sign normalization).
 
     Each label is folded in one segment at a time: every partial label takes
-    every cut of the next segment, and equal partial labels merge before the
-    next segment, so repeated segments cost their distinct cut multisets only.
+    every cut of the next segment.  When the segment starts a new effective
+    line, each (partial label, cut) pair is already a distinct canonical
+    label (see the module docstring); otherwise the labels are sorted and
+    equal partial labels merge before the next segment, so repeated
+    segments cost their distinct cut multisets only.
     """
+    canonical = Multisegment._canonical
     terms: dict[Multisegment, int] = {}
     for label, coeff in x.terms.items():
         partial = {Multisegment.empty(): coeff}
+        line = None
         for seg in label.segments:
             cuts = segment_cut_expansion(seg)
-            folded: dict[Multisegment, int] = {}
+            if seg.effective_line() != line:
+                line = seg.effective_line()
+                partial = {
+                    canonical(m.segments + pieces): sign * c
+                    for m, c in partial.items()
+                    for sign, pieces in cuts
+                }
+            else:
+                folded: dict[Multisegment, int] = {}
+                for m, c in partial.items():
+                    for sign, pieces in cuts:
+                        key = Multisegment(m.segments + pieces)
+                        folded[key] = folded.get(key, 0) + sign * c
+                partial = folded
+        if terms:
             for m, c in partial.items():
-                for sign, pieces in cuts:
-                    key = Multisegment(m.segments + pieces)
-                    folded[key] = folded.get(key, 0) + sign * c
-            partial = folded
-        for m, c in partial.items():
-            terms[m] = terms.get(m, 0) + c
+                terms[m] = terms.get(m, 0) + c
+        else:
+            terms = partial
     return VirtualRep(x.d, terms)

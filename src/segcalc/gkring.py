@@ -291,7 +291,8 @@ def admissible_permutations(k: int, l: int) -> Iterator[tuple[tuple[int, ...], i
     Generated by backtracking so that large k with a tight bound stays
     cheap; 1-indexed w is returned as a tuple with w[i-1] = w(i).  Placing v
     at position i adds one inversion per unused value below v, so the sign
-    is carried down the recursion.
+    is carried down the recursion.  ``_tadic_sum`` walks the same set
+    itself, without recursion.
     """
     used = [False] * (k + 1)
     perm: list[int] = []
@@ -330,22 +331,58 @@ def _tadic_sum(
     Interior factors start at position i (in step units); the overall twist
     nu^(-(k+l)/2 * step) recenters the leading term at 0.  Zero-length
     factors (w(i) + l - i = 0) denote the unit and are dropped.
+
+    W_k^l is walked depth first with an explicit stack, never by recursion.
+    An entry holds the next position i, the bitmask of the values already
+    placed, the label prefix of factors 1..i-1 and its sign; each child
+    extends that shared prefix tuple by one factor, and placing v flips the
+    sign once per unused value below v.  Value i - l fits no later position,
+    so while it is unused it is the only child: every entry completes.  The
+    last two positions take the two values left in both orders at once.
+    All factors lie on one effective line and factor i starts at position
+    i, so every prefix is already in canonical order and becomes a label
+    through ``Multisegment._canonical`` without a sort.  Distinct w give
+    distinct labels, and they finish in the lexicographic order of
+    ``admissible_permutations``.
     """
     if l < 1 or k < 1:
         raise ValueError("l and k must be >= 1")
-    # factor (i, m) covers positions i..i+m-1 (from the recentered origin) of one
-    # effective line; each is built once and shared by every permutation
+    # factor[i][m] is () for m = 0, else the 1-tuple of the factor covering positions
+    # i..i+m-1 (from the recentered origin) of one effective line; each is built once
     origin = Segment(line, twist - Fraction(k + l, 2) * step, 1, step)
     eff, base = origin.effective_line(), origin.first
-    factor = {
-        (i, m): Segment.from_positions(eff, base + i, base + i + m - 1)
+    factor = [()] + [
+        [()] + [(Segment.from_positions(eff, base + i, base + i + m - 1),) for m in range(1, k + l - i + 1)]
         for i in range(1, k + 1)
-        for m in range(1, k + l - i + 1)
-    }
+    ]
+    canonical = Multisegment._canonical
+    if k == 1:
+        return VirtualRep(d, {canonical(factor[1][l]): 1})
     terms: dict[Multisegment, int] = {}
-    for w, sign in admissible_permutations(k, l):
-        label = Multisegment(factor[i, wi + l - i] for i, wi in enumerate(w, 1) if wi + l != i)
-        terms[label] = terms.get(label, 0) + sign
+    last, values = factor[k], (1 << k + 1) - 2  # bits 1..k
+    stack = [(1, 0, (), 1)]
+    while stack:
+        i, used, prefix, sign = stack.pop()
+        row = factor[i]
+        if i == k - 1:  # a < b are left: (a, b) always fits, (b, a) unless a = k - 1 - l
+            rest = values ^ used
+            a, b = (rest & -rest).bit_length() - 1, rest.bit_length() - 1
+            terms[canonical(prefix + row[a + l - i] + last[b + l - k])] = sign
+            if a + l != i:
+                terms[canonical(prefix + row[b + l - i] + last[a + l - k])] = -sign
+            continue
+        lo = i - l
+        if lo >= 1 and not used >> lo & 1:
+            stack.append((i + 1, used | 1 << lo, prefix, sign))
+            continue
+        # push the unused values from the largest down, so the smallest is popped first;
+        # all k - i + 1 unused values are >= lo, and the largest passes k - i of them
+        if (k - i) % 2:
+            sign = -sign
+        for v in range(k, max(lo, 1) - 1, -1):
+            if not used >> v & 1:
+                stack.append((i + 1, used | 1 << v, prefix + row[v + l - i], sign))
+                sign = -sign
     return VirtualRep(d, terms)
 
 

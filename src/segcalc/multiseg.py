@@ -184,15 +184,29 @@ class Multisegment:
     """A multiset of segments in canonical order (hashable, immutable).
 
     The order and the hash are read from the segments' stored keys; the hash
-    is computed once, at construction.
+    is computed once, at construction.  A producer that builds its segments
+    already in canonical order makes its labels with ``_canonical``, which
+    skips the sort.
     """
 
     __slots__ = ("segments", "_hash")
 
     def __init__(self, segments: Iterable[Segment] = ()):
         segs = tuple(sorted(segments, key=_ORDER))
-        object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "_hash", hash(tuple(map(_HASH, segs))))
+        _SET_SEGMENTS(self, segs)
+        _SET_HASH(self, hash(tuple(map(_HASH, segs))))
+
+    @classmethod
+    def _canonical(cls, segs: tuple) -> "Multisegment":
+        """The label of a tuple already in canonical order, which is not checked.
+
+        It hashes as ``__init__`` does; only a producer that builds its segments
+        in canonical order may call it.
+        """
+        m = object.__new__(cls)
+        _SET_SEGMENTS(m, segs)
+        _SET_HASH(m, hash(tuple(map(_HASH, segs))))
+        return m
 
     def __setattr__(self, *_):  # pragma: no cover
         raise AttributeError("Multisegment is immutable")
@@ -230,7 +244,17 @@ class Multisegment:
         return tuple(map(_ORDER, self.segments))
 
     def __or__(self, other: "Multisegment") -> "Multisegment":
-        return Multisegment(self.segments + other.segments)
+        """Multiset union; two labels that do not interleave are joined without a sort."""
+        a, b = self.segments, other.segments
+        if not b:
+            return self
+        if not a:
+            return other
+        if a[-1]._order <= b[0]._order:
+            return Multisegment._canonical(a + b)
+        if b[-1]._order <= a[0]._order:
+            return Multisegment._canonical(b + a)
+        return Multisegment(a + b)
 
     def shifted(self, delta: ExponentLike) -> "Multisegment":
         d = frac(delta)
@@ -254,6 +278,11 @@ class Multisegment:
 
     def to_json(self) -> list[dict]:
         return [s.to_json() for s in self.segments]
+
+
+# the slot setters, bound once: Multisegment.__setattr__ refuses every assignment
+_SET_SEGMENTS = Multisegment.segments.__set__
+_SET_HASH = Multisegment._hash.__set__
 
 
 class MultisegmentStats(NamedTuple):

@@ -1,0 +1,202 @@
+"""The expansion kernels against the per-term constructions they replace.
+
+``_tadic_sum`` walks W_k^l depth first and ``segment_cut_expansion`` builds
+each cut onto a shared prefix; both hand finished prefixes to
+``Multisegment._canonical`` without a sort, and ``raw_dual_std`` and ``|``
+skip the sort where the pieces cannot interleave.  The oracles below keep
+the constructions these replaced: one sorted label per admissible
+permutation, one ``itertools.combinations`` cut list with a bounds tuple per
+cut, and a fold that sorts every partial label.  The kernels must agree with
+them term for term, produce labels exactly as the sorting constructor
+would, and run in a stack depth that does not grow with k or n.
+"""
+
+import itertools
+import sys
+from fractions import Fraction
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from segcalc import Multisegment, Segment, VirtualRep, expand_u, expand_u_prime, raw_dual_std, unitary_esi
+from segcalc.duality import segment_cut_expansion
+from segcalc.gkring import _tadic_sum, admissible_permutations
+from strategies import labels, labels_with_repeats, virtual_reps
+
+F = Fraction
+TWISTS = st.sampled_from([F(0), F(1), F(-2), F(1, 2), F(-3, 4), F(5, 4)])
+
+
+def tadic_sum_oracle(line, l, k, step, twist, d):
+    """One label per admissible permutation, sorted by the constructor."""
+    origin = Segment(line, twist - F(k + l, 2) * step, 1, step)
+    eff, base = origin.effective_line(), origin.first
+    terms = {}
+    for w, sign in admissible_permutations(k, l):
+        label = Multisegment(
+            Segment.from_positions(eff, base + i, base + wi + l - 1) for i, wi in enumerate(w, 1) if wi + l != i
+        )
+        terms[label] = terms.get(label, 0) + sign
+    return VirtualRep(d, terms)
+
+
+def cut_expansion_oracle(seg):
+    """(sign, pieces) for every choice of cut positions, in ``itertools.combinations`` order."""
+    n, line = seg.length, seg.effective_line()
+    out = []
+    for cuts in itertools.chain.from_iterable(itertools.combinations(range(1, n), r) for r in range(n)):
+        bounds = (0,) + cuts + (n,)
+        pieces = tuple(Segment.from_positions(line, seg.first + lo, seg.first + hi - 1)
+                       for lo, hi in zip(bounds, bounds[1:]))
+        out.append(((-1) ** (n - 1 - len(cuts)), pieces))
+    return out
+
+
+def raw_dual_oracle(x):
+    """The segment-by-segment fold with the oracle cuts, sorting every partial label."""
+    terms = {}
+    for label, coeff in x.terms.items():
+        partial = {Multisegment.empty(): coeff}
+        for seg in label.segments:
+            folded = {}
+            for m, c in partial.items():
+                for sign, pieces in cut_expansion_oracle(seg):
+                    key = Multisegment(m.segments + pieces)
+                    folded[key] = folded.get(key, 0) + sign * c
+            partial = folded
+        for m, c in partial.items():
+            terms[m] = terms.get(m, 0) + c
+    return VirtualRep(x.d, terms)
+
+
+def assert_canonical(v):
+    """Every label is exactly what the sorting constructor makes of its segments."""
+    for m in v.terms:
+        sorted_m = Multisegment(m.segments)
+        assert m.segments == sorted_m.segments, m
+        assert hash(m) == hash(sorted_m), m
+
+
+def cut_key(cut):
+    sign, pieces = cut
+    return sign, [p.sort_key() for p in pieces]
+
+
+# -- W_k^l -------------------------------------------------------------------------
+
+
+@given(st.integers(1, 4), st.integers(1, 6), st.sampled_from([1, 2, 3]), TWISTS,
+       st.sampled_from([1, 2, 3]), st.sampled_from(["rho", "chi"]))
+def test_tadic_sum_equals_per_permutation_oracle(l, k, step, twist, d, line):
+    got, want = _tadic_sum(line, l, k, step, twist, d), tadic_sum_oracle(line, l, k, step, twist, d)
+    assert got == want
+    assert list(got.terms) == list(want.terms)  # the lexicographic order of W_k^l
+
+
+def test_tadic_sum_equals_oracle_on_every_small_shape():
+    for l in range(1, 5):
+        for k in range(1, 8):
+            assert _tadic_sum("rho", l, k, 1, F(0), 1) == tadic_sum_oracle("rho", l, k, 1, F(0), 1), (l, k)
+
+
+@given(st.integers(1, 3), st.integers(1, 5), st.sampled_from([1, 2, 3]), TWISTS)
+def test_expand_u_and_expand_u_prime_equal_the_oracle(l, k, step, twist):
+    assert expand_u(l, "chi", k, twist) == tadic_sum_oracle("chi", l, k, 1, twist, 1)
+    sigma = unitary_esi("rho", l, step)
+    assert expand_u_prime(sigma, k, 2, twist) == tadic_sum_oracle("rho", l, k, step, twist, 2)
+
+
+# -- cuts and the raw dual --------------------------------------------------------------
+
+
+@given(st.integers(1, 8), st.sampled_from([1, 2, 3]), TWISTS, st.sampled_from(["rho", "chi"]))
+def test_segment_cut_expansion_equals_combinations_oracle(n, step, start, line):
+    seg = Segment(line, start, n, step)
+    got = segment_cut_expansion(seg)
+    assert len(got) == 2 ** (n - 1)
+    assert sorted(got, key=cut_key) == sorted(cut_expansion_oracle(seg), key=cut_key)
+
+
+@given(st.one_of(labels(), labels_with_repeats()))
+def test_raw_dual_equals_sorting_fold_on_generated_labels(m):
+    for d in (1, 2):
+        x = VirtualRep.of(m, 3, d)
+        assert raw_dual_std(x) == raw_dual_oracle(x)
+
+
+@given(virtual_reps(1, labels_with_repeats(5)))
+def test_raw_dual_equals_sorting_fold_on_generated_virtual_reps(x):
+    assert raw_dual_std(x) == raw_dual_oracle(x)
+
+
+def test_raw_dual_equals_oracle_on_repeats_and_two_lines():
+    for segs in (  # (line, start, length, step)
+        [("rho", 0, 3, 1), ("rho", 0, 3, 1)],  # a repeat
+        [("rho", 0, 3, 1), ("rho", 1, 3, 1), ("rho", 2, 2, 1)],  # interleaving pieces on one effective line
+        [("rho", 0, 2, 1), ("rho", 3, 2, 1)],  # one effective line, disjoint
+        [("rho", 0, 3, 1), ("chi", 0, 3, 1), ("chi", 0, 3, 1)],  # a new line, then a repeat on it
+        [("rho", 0, 2, 2), ("rho", 2, 2, 2), ("rho", 1, 2, 2)],  # step 2, two offset classes
+        [("rho", F(1, 2), 3, 1), ("rho", 0, 3, 1)],  # two effective lines on one line
+    ):
+        x = VirtualRep.of(Multisegment(Segment(*s) for s in segs))
+        assert raw_dual_std(x) == raw_dual_oracle(x), segs
+
+
+# -- canonical order ----------------------------------------------------------------------
+
+
+@given(st.integers(1, 3), st.integers(1, 5), st.sampled_from([1, 2, 3]), TWISTS,
+       st.one_of(labels(5), labels_with_repeats(4)), st.one_of(labels(5), labels_with_repeats(4)))
+def test_producers_without_a_sort_make_canonical_labels(l, k, step, twist, a, b):
+    assert_canonical(expand_u(l, "rho", k, twist))
+    assert_canonical(expand_u_prime(unitary_esi("chi", l, step), k, 2, twist))
+    assert_canonical(raw_dual_std(VirtualRep.of(a) - 2 * VirtualRep.of(b)))
+    for m in (a | b, b | a, a | a, a | Multisegment.empty(), Multisegment.empty() | b):
+        assert_canonical(VirtualRep.of(m))
+    assert a | b == b | a == Multisegment(a.segments + b.segments)
+
+
+# -- stack depth ----------------------------------------------------------------------------
+
+
+def _depth():
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+def _run_with_margin(margin, f):
+    """``f()`` with the recursion limit ``margin`` frames above this one; None on RecursionError.
+
+    The interpreter may count a few more levels than there are Python frames,
+    so a small margin can already be refused by ``setrecursionlimit``.
+    """
+    old = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(_depth() + margin)
+        return f()
+    except RecursionError:
+        return None
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def _dual_of_segment(n):
+    return raw_dual_std(VirtualRep.of(Multisegment([Segment("rho", 0, n)])))
+
+
+def test_large_kernels_run_30_frames_above_the_caller():
+    want_u = tadic_sum_oracle("rho", 1, 11, 1, F(0), 1)
+    want_dual = raw_dual_oracle(VirtualRep.of(Multisegment([Segment("rho", 0, 11)])))
+    assert _run_with_margin(30, lambda: expand_u(1, "rho", 11)) == want_u
+    assert _run_with_margin(30, lambda: _dual_of_segment(11)) == want_dual
+
+
+def test_kernel_stack_depth_does_not_grow_with_k_or_n():
+    for small, large in (
+        (lambda: expand_u(1, "rho", 2), lambda: expand_u(1, "rho", 11)),
+        (lambda: _dual_of_segment(2), lambda: _dual_of_segment(11)),
+    ):
+        margin = next(m for m in range(1, 60) if _run_with_margin(m, small) is not None)
+        assert _run_with_margin(margin, large) is not None
