@@ -135,9 +135,6 @@ class LineRegistry:
     def __iter__(self) -> Iterator[LineInfo]:
         return iter(self._lines.values())
 
-    def p(self, name: str) -> int:
-        return self[name].p
-
     def contragredient_point(self, pt: CuspidalPoint) -> CuspidalPoint:
         """h(nu^x rho) = nu^(-x) h(rho): dual line, negated exponent."""
         info = self[pt.line]

@@ -7,15 +7,19 @@ the split side).  Induction products are bilinear multiset unions.
 Speh units are stored centered with an explicit twist: the label of
 ``u(sigma, k)`` is a parallelogram of k parallel copies of sigma whose
 centers form an arithmetic progression of difference step(sigma) symmetric
-around the twist.  The expansion formulas below write these units on the
-standard basis as alternating sums over restricted permutation sets.
+around the twist.  A pair pi(u, alpha) is its two halves nu^(+-alpha) u;
+``SpehUnit.half_twists`` is the one place that rule is written, and the
+centers, expansions, transfers and recognition read it from there.  The
+expansion formulas below write plain units on the standard basis as
+alternating sums over restricted permutation sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from functools import reduce
+from typing import Callable, Iterator, Optional
 
 from .core import ExponentLike, frac
 from .multiseg import LimitExceeded, Multisegment, Segment, unitary_esi
@@ -87,10 +91,6 @@ class VirtualRep:
                 terms[m] = terms.get(m, 0) + c1 * c2
         return VirtualRep(self.d, terms)
 
-    def shifted(self, delta: ExponentLike) -> "VirtualRep":
-        d = frac(delta)
-        return VirtualRep(self.d, {m.shifted(d): c for m, c in self.terms.items()})
-
     def items(self) -> list[tuple[Multisegment, int]]:
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
 
@@ -152,18 +152,40 @@ class SpehUnit:
     def twisted(self, delta: ExponentLike) -> "SpehUnit":
         return SpehUnit(self.base, self.count, self.twist + frac(delta), self.alpha)
 
-    def _centers(self) -> list[Fraction]:
-        k, s = self.count, self.step
-        plain = [self.twist + s * (Fraction(k - 1, 2) - i) for i in range(k)]
+    @staticmethod
+    def half_twists(twist: Fraction, step: int, alpha: Optional[Fraction]) -> tuple[Fraction, ...]:
+        """Twists of the plain halves: ``twist``, or ``twist +- alpha * step`` for a pair.
+
+        This is the one statement of the pair rule pi(u, alpha) = nu^alpha u x nu^-alpha u.
+        """
+        if alpha is None:
+            return (twist,)
+        shift = alpha * step
+        return (twist + shift, twist - shift)
+
+    @staticmethod
+    def layout(count: int, step: int, twist: Fraction, alpha: Optional[Fraction]) -> list[Fraction]:
+        """Copy centers of the unit with these fields, without building it.
+
+        Each plain half has ``count`` centers of difference ``step`` symmetric
+        around its twist.  ``recognize_unitary`` tries many layouts and builds
+        a unit only for one that fits.
+        """
+        tops = SpehUnit.half_twists(twist, step, alpha)
+        return [t + step * (Fraction(count - 1, 2) - i) for t in tops for i in range(count)]
+
+    def halves(self) -> tuple["SpehUnit", ...]:
+        """The unit itself, or for a pair its two plain twisted halves."""
         if self.alpha is None:
-            return plain
-        shift = self.alpha * s
-        return [c + shift for c in plain] + [c - shift for c in plain]
+            return (self,)
+        twists = self.half_twists(self.twist, self.step, self.alpha)
+        return tuple(SpehUnit(self.base, self.count, t) for t in twists)
+
+    def centers(self) -> list[Fraction]:
+        return self.layout(self.count, self.step, self.twist, self.alpha)
 
     def multisegment(self) -> Multisegment:
-        return Multisegment(
-            self.base.shifted(c) for c in self._centers()
-        )
+        return Multisegment(self.base.shifted(c) for c in self.centers())
 
     def sort_key(self):
         return (self.base.sort_key(), self.count, self.twist, self.alpha or Fraction(0))
@@ -185,19 +207,14 @@ class SpehUnit:
         return out
 
 
+@dataclass(frozen=True)
 class UnitaryProduct:
     """A multiset of Speh units; its label is the union of the factors'."""
 
-    __slots__ = ("units",)
+    units: tuple[SpehUnit, ...] = ()
 
-    def __init__(self, units: Iterable[SpehUnit] = ()):
-        object.__setattr__(self, "units", tuple(sorted(units, key=SpehUnit.sort_key)))
-
-    def __setattr__(self, *_):  # pragma: no cover
-        raise AttributeError("UnitaryProduct is immutable")
-
-    def __reduce__(self):
-        return UnitaryProduct, (self.units,)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "units", tuple(sorted(self.units, key=SpehUnit.sort_key)))
 
     @classmethod
     def empty(cls) -> "UnitaryProduct":
@@ -208,12 +225,6 @@ class UnitaryProduct:
 
     def __len__(self) -> int:
         return len(self.units)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UnitaryProduct) and self.units == other.units
-
-    def __hash__(self) -> int:
-        return hash(self.units)
 
     def multisegment(self) -> Multisegment:
         out = Multisegment.empty()
@@ -252,10 +263,7 @@ def speh_ubar(sigma: Segment, k: int, twist: ExponentLike = 0) -> Multisegment:
 
 def pi_u_alpha(u: SpehUnit, alpha: ExponentLike) -> Multisegment:
     """Label of pi(u, alpha) = nu^alpha u x nu^-alpha u, 0 < alpha < 1/2."""
-    a = frac(alpha)
-    if not (0 < a < Fraction(1, 2)):
-        raise ValueError(f"alpha must lie in (0, 1/2), got {a}")
-    return SpehUnit(u.base, u.count, u.twist, a).multisegment()
+    return SpehUnit(u.base, u.count, u.twist, alpha).multisegment()
 
 
 def _two_block_product(s: int, b: int, wide: tuple, narrow: Optional[tuple]) -> UnitaryProduct:
@@ -285,44 +293,6 @@ def ubar_factor(sigma: Segment, k: int) -> UnitaryProduct:
 # -- expansion formulas ----------------------------------------------------
 
 
-def admissible_permutations(k: int, l: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (w, sign) over permutations w of {1..k} with w(i) + l >= i.
-
-    Generated by backtracking so that large k with a tight bound stays
-    cheap; 1-indexed w is returned as a tuple with w[i-1] = w(i).  Placing v
-    at position i adds one inversion per unused value below v, so the sign
-    is carried down the recursion.  ``_tadic_sum`` walks the same set
-    itself, without recursion.
-    """
-    used = [False] * (k + 1)
-    perm: list[int] = []
-
-    def rec(sign: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        i = len(perm) + 1
-        if i > k:
-            yield tuple(perm), sign
-            return
-        lo = max(1, i - l)
-        smaller = 0  # unused values below v
-        for v in range(1, k + 1):
-            if used[v]:
-                continue
-            if v < lo:
-                return  # v fits no later position either
-            used[v] = True
-            perm.append(v)
-            yield from rec(-sign if smaller % 2 else sign)
-            perm.pop()
-            used[v] = False
-            smaller += 1
-
-    yield from rec(1)
-
-
-def count_admissible(k: int, l: int) -> int:
-    return sum(1 for _ in admissible_permutations(k, l))
-
-
 def _tadic_sum(
     line: str, l: int, k: int, step: int, twist: Fraction, d: int
 ) -> VirtualRep:
@@ -342,8 +312,7 @@ def _tadic_sum(
     All factors lie on one effective line and factor i starts at position
     i, so every prefix is already in canonical order and becomes a label
     through ``Multisegment._canonical`` without a sort.  Distinct w give
-    distinct labels, and they finish in the lexicographic order of
-    ``admissible_permutations``.
+    distinct labels, and they finish in the lexicographic order of w.
     """
     if l < 1 or k < 1:
         raise ValueError("l and k must be >= 1")
@@ -397,12 +366,8 @@ def expand_u_prime(sigma: Segment, k: int, d: int, twist: ExponentLike = 0) -> V
 
 
 def expand_unit(unit: SpehUnit, d: int) -> VirtualRep:
-    """Standard-basis expansion of one unit (with its twist and alpha pair)."""
-    base = expand_u_prime(unit.base, unit.count, d, unit.twist)
-    if unit.alpha is None:
-        return base
-    shift = unit.alpha * unit.step
-    return base.shifted(shift) * base.shifted(-shift)
+    """Standard-basis expansion of one unit: the product of its halves' expansions."""
+    return reduce(VirtualRep.__mul__, (expand_u_prime(h.base, h.count, d, h.twist) for h in unit.halves()))
 
 
 def expand_unit_product(up: UnitaryProduct, d: int) -> VirtualRep:
@@ -452,12 +417,10 @@ def recognize_unitary(m: Multisegment, limit: int = 10_000) -> Optional[UnitaryP
             if k < 1:
                 return None
             beta = c - Fraction(s * (k - 1), 2)
-            need = [beta + s * (Fraction(k - 1, 2) - i) for i in range(k)]
-            if beta:
-                need += [-beta + s * (Fraction(k - 1, 2) - i) for i in range(k)]
-            if not _consume(centers, need):
+            alpha = beta / s if beta else None
+            if not _consume(centers, SpehUnit.layout(k, s, Fraction(0), alpha)):
                 return None
-            units.append(SpehUnit(base, k, Fraction(0), beta / s if beta else None))
+            units.append(SpehUnit(base, k, Fraction(0), alpha))
     return UnitaryProduct(units)
 
 

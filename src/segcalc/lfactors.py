@@ -15,7 +15,6 @@ Steinberg representations in every block size.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -41,9 +40,6 @@ class FormalLFactor:
 
     def __mul__(self, other: "FormalLFactor") -> "FormalLFactor":
         return FormalLFactor(tuple(sorted(self.shifts + other.shifts)))
-
-    def as_counter(self) -> Counter:
-        return Counter(self.shifts)
 
     def __repr__(self) -> str:
         if not self.shifts:
@@ -75,9 +71,6 @@ class EpsilonFactor:
         if self.psi != other.psi:
             raise ValueError("epsilon factors with different psi tags")
         return EpsilonFactor(tuple(sorted(self.shifts + other.shifts)), self.psi)
-
-    def as_counter(self) -> Counter:
-        return Counter(self.shifts)
 
     def __repr__(self) -> str:
         if not self.shifts:

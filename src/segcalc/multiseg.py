@@ -427,17 +427,23 @@ def enumerate_multisegments(
 
 
 def _integer_partitions(positions: Counter) -> set[tuple[tuple[int, int], ...]]:
-    """Partitions of an integer multiset into runs, as ((start, length), ...)."""
-    memo: dict[tuple, set] = {}
+    """Partitions of an integer multiset into runs, as ((start, length), ...).
 
-    def rec(cnt: tuple[tuple[int, int], ...]) -> set[tuple[tuple[int, int], ...]]:
-        if not cnt:
-            return {()}
-        if cnt in memo:
-            return memo[cnt]
+    A partition takes a run from the smallest position p and partitions the
+    rest.  The reachable states (remaining multisets) are collected first,
+    then solved smallest first, so no step recurses however deep the
+    support.
+    """
+    runs: dict[tuple, tuple[int, list]] = {}  # state -> (p, [(run length, rest)])
+    todo = [tuple(sorted(positions.items()))]
+    root = todo[0]
+    while todo:
+        cnt = todo.pop()
+        if not cnt or cnt in runs:
+            continue
         d = dict(cnt)
         p = min(d)
-        out: set[tuple[tuple[int, int], ...]] = set()
+        children = []
         length = 0
         while d.get(p + length, 0) > 0:
             length += 1
@@ -446,10 +452,11 @@ def _integer_partitions(positions: Counter) -> set[tuple[tuple[int, int], ...]]:
                 d2[q] -= 1
                 if d2[q] == 0:
                     del d2[q]
-            key = tuple(sorted(d2.items()))
-            for rest in rec(key):
-                out.add(tuple(sorted(rest + ((p, length),))))
-        memo[cnt] = out
-        return out
-
-    return rec(tuple(sorted(positions.items())))
+            children.append((length, tuple(sorted(d2.items()))))
+        runs[cnt] = (p, children)
+        todo.extend(rest for _, rest in children)
+    memo: dict[tuple, set] = {(): {()}}
+    for cnt in sorted(runs, key=lambda c: sum(n for _, n in c)):
+        p, children = runs[cnt]
+        memo[cnt] = {tuple(sorted(part + ((p, length),))) for length, rest in children for part in memo[rest]}
+    return memo[root]

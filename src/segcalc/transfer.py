@@ -163,30 +163,23 @@ def lj_u(registry: LineRegistry, l: int, line: str, k: int, d: int) -> SignedUni
 
 
 def lj_unit(registry: LineRegistry, unit: SpehUnit, d: int) -> SignedUnitaryProduct:
-    """Transfer of one split unit, twists carried through; pairs transfer twice."""
+    """Transfer of one plain split unit, its twist carried through."""
     if unit.step != 1:
         raise NotTransferable("lj_unit expects a split-side unit")
-    base = lj_u(registry, unit.base.length, unit.base.line, unit.count, d)
-    if base.sign == 0:
-        return ZERO_TRANSFER
-    if unit.alpha is None:
-        return base.twisted(unit.twist)
-    up = base.twisted(unit.twist + unit.alpha)
-    dn = base.twisted(unit.twist - unit.alpha)
-    return SignedUnitaryProduct(
-        base.sign * base.sign, UnitaryProduct(tuple(up.product) + tuple(dn.product))
-    )
+    return lj_u(registry, unit.base.length, unit.base.line, unit.count, d).twisted(unit.twist)
 
 
 def lj_unitary_product(registry: LineRegistry, up: UnitaryProduct, d: int) -> SignedUnitaryProduct:
+    """Transfer of a split unitary product: the product of its units' halves' transfers."""
     sign = 1
     units: list[SpehUnit] = []
     for u in up.units:
-        t = lj_unit(registry, u, d)
-        if t.sign == 0:
-            return ZERO_TRANSFER
-        sign *= t.sign
-        units.extend(t.product)
+        for half in u.halves():
+            t = lj_unit(registry, half, d)
+            if t.sign == 0:
+                return ZERO_TRANSFER
+            sign *= t.sign
+            units.extend(t.product)
     return SignedUnitaryProduct(sign, UnitaryProduct(units))
 
 
@@ -234,16 +227,8 @@ def _unit_key(u: SpehUnit) -> tuple:
 
 
 def _flatten(up: UnitaryProduct) -> Counter:
-    """Unit multiset with pi(u, alpha) pairs split into two twisted units."""
-    out: Counter = Counter()
-    for u in up.units:
-        if u.alpha is None:
-            out[_unit_key(u)] += 1
-        else:
-            shift = u.alpha * u.step
-            out[_unit_key(SpehUnit(u.base, u.count, u.twist + shift))] += 1
-            out[_unit_key(SpehUnit(u.base, u.count, u.twist - shift))] += 1
-    return out
+    """Unit multiset with pi(u, alpha) pairs split into their halves."""
+    return Counter(_unit_key(half) for u in up.units for half in u.halves())
 
 
 def in_image_lju(
@@ -291,40 +276,31 @@ def in_image_lju(
                 if l // s and k // s and (line, l // s, s, k // s) not in shapes:
                     continue
                 base = lj_u(registry, l, line, k, d)
-                plain = SpehUnit(unitary_esi(line, l), k)
-                candidates.append(((line, l, k, Fraction(0)), plain, _flatten(base.product)))
                 base_twists = {u.twist for u in base.product}
-                alphas = sorted(
-                    {
-                        abs(t - bt)
-                        for t in twists
-                        for bt in base_twists
-                        if 0 < abs(t - bt) < Fraction(1, 2)
-                    }
-                )
-                for a in alphas:
-                    paired = SpehUnit(unitary_esi(line, l), k, Fraction(0), a)
-                    cover = _flatten(base.twisted(a).product) + _flatten(base.twisted(-a).product)
-                    candidates.append(((line, l, k, a), paired, cover))
+                alphas = {abs(t - bt) for t in twists for bt in base_twists}
+                for a in [None] + sorted(x for x in alphas if 0 < x < Fraction(1, 2)):
+                    unit = SpehUnit(unitary_esi(line, l), k, Fraction(0), a)
+                    cover: Counter = Counter()
+                    for half in unit.halves():
+                        cover.update(_flatten(base.twisted(half.twist).product))
+                    candidates.append(((line, l, k, a or Fraction(0)), unit, cover))
     candidates.sort(key=lambda c: c[0])
 
-    def solve(remaining: Counter) -> Optional[list[SpehUnit]]:
+    # depth-first exact cover on an explicit stack; a frame is
+    # [remaining, next candidate to try, the unit that led to it]
+    stack = [[+want, 0, None]]
+    while stack:
+        frame = stack[-1]
+        remaining = frame[0]
         if not remaining:
-            return []
+            return UnitaryProduct(f[2] for f in stack[1:])
         pivot = min(remaining)
-        for _, unit, cover in candidates:
-            if cover.get(pivot, 0) == 0:
-                continue
-            if any(remaining.get(key, 0) < n for key, n in cover.items()):
-                continue
-            rest = remaining - cover
-            rest = +rest
-            sub = solve(rest)
-            if sub is not None:
-                return [unit] + sub
-        return None
-
-    witness = solve(+want)
-    if witness is None:
-        return None
-    return UnitaryProduct(witness)
+        for j in range(frame[1], len(candidates)):
+            _, unit, cover = candidates[j]
+            if cover.get(pivot, 0) and all(remaining.get(key, 0) >= n for key, n in cover.items()):
+                frame[1] = j + 1
+                stack.append([remaining - cover, 0, unit])
+                break
+        else:
+            stack.pop()
+    return None

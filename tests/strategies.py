@@ -1,10 +1,11 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies and oracles shared by the property tests."""
 
 from fractions import Fraction
+from typing import Iterator
 
 from hypothesis import strategies as st
 
-from segcalc import Multisegment, Segment, VirtualRep
+from segcalc import Multisegment, Segment, SpehUnit, UnitaryProduct, VirtualRep, unitary_esi
 
 
 @st.composite
@@ -38,3 +39,55 @@ def virtual_reps(draw, d=1, label=labels()):
     for m, c in draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(-3, 3)), max_size=6)):
         v = v + VirtualRep.of(m, c, d)
     return v
+
+
+@st.composite
+def unitary_products(draw, lines=("rho", "chi")):
+    """At most two split factors, each a twist-0 unit or a pi(u, alpha) pair, with l and k <= 3."""
+    units = []
+    for _ in range(draw(st.integers(0, 2))):
+        base = unitary_esi(draw(st.sampled_from(lines)), draw(st.integers(1, 3)))
+        alpha = draw(st.sampled_from([None, None, Fraction(1, 8), Fraction(1, 4), Fraction(1, 3)]))
+        units.append(SpehUnit(base, draw(st.integers(1, 3)), Fraction(0), alpha))
+    return UnitaryProduct(units)
+
+
+# -- W_k^l, the index set of the Speh-unit expansion -----------------------------
+
+
+def admissible_permutations(k: int, l: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (w, sign) over permutations w of {1..k} with w(i) + l >= i.
+
+    Generated by backtracking so that large k with a tight bound stays
+    cheap; 1-indexed w is returned as a tuple with w[i-1] = w(i).  Placing v
+    at position i adds one inversion per unused value below v, so the sign
+    is carried down the recursion.  It is the oracle for ``_tadic_sum``,
+    which walks the same set without recursion.
+    """
+    used = [False] * (k + 1)
+    perm: list[int] = []
+
+    def rec(sign: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        i = len(perm) + 1
+        if i > k:
+            yield tuple(perm), sign
+            return
+        lo = max(1, i - l)
+        smaller = 0  # unused values below v
+        for v in range(1, k + 1):
+            if used[v]:
+                continue
+            if v < lo:
+                return  # v fits no later position either
+            used[v] = True
+            perm.append(v)
+            yield from rec(-sign if smaller % 2 else sign)
+            perm.pop()
+            used[v] = False
+            smaller += 1
+
+    yield from rec(1)
+
+
+def count_admissible(k: int, l: int) -> int:
+    return sum(1 for _ in admissible_permutations(k, l))

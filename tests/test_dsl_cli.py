@@ -336,6 +336,19 @@ def test_cli_refuses_malformed_unit_and_file_inputs(argv, code, tmp_path, capsys
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "label,limit",
+    [
+        (["rho:[0,0]"] * 1000, 1000),  # one point 1000 times
+        ([f"rho:[{2 * i},{2 * i}]" for i in range(1000)], 5000),  # 1000 isolated points
+    ],
+)
+def test_cli_enumerates_a_deep_support_without_a_traceback(label, limit, capsys):
+    text = "{" + ", ".join(label) + "}"
+    code, out, err = run_cli(capsys, "enumerate", "--limit", str(limit), text)
+    assert (code, out, err) == (0, text + "\n", "")
+
+
 # -- recorded CLI bytes ----------------------------------------------------------------
 
 ROOT = Path(__file__).resolve().parent.parent

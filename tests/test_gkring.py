@@ -25,8 +25,7 @@ from segcalc import (
     ubar_factor,
     unitary_esi,
 )
-from segcalc.gkring import admissible_permutations, count_admissible
-from strategies import labels, labels_with_repeats
+from strategies import admissible_permutations, count_admissible, labels, labels_with_repeats, unitary_products
 
 
 def seg(a, b, line="rho", step=1):
@@ -330,6 +329,22 @@ def test_recognize_round_trips_products():
     assert got is not None
     assert got.multisegment() == up.multisegment()
     assert got == up
+
+
+@given(unitary_products())
+def test_recognize_inverts_multisegment_on_generated_products(up):
+    assert recognize_unitary(up.multisegment()) == up
+
+
+def test_unit_layout_is_its_halves():
+    pair = SpehUnit(unitary_esi("rho", 2, 2), 3, F(1, 2), F(1, 3))
+    up, dn = pair.halves()
+    assert (up.twist, dn.twist, up.alpha, dn.alpha) == (F(1, 2) + F(2, 3), F(1, 2) - F(2, 3), None, None)
+    assert pair.centers() == up.centers() + dn.centers()
+    assert pair.multisegment() == up.multisegment() | dn.multisegment()
+    assert expand_unit_product(UnitaryProduct([pair]), 2) == expand_unit_product(UnitaryProduct([up, dn]), 2)
+    plain = SpehUnit(unitary_esi("rho", 2), 3)
+    assert plain.halves() == (plain,) and plain.centers() == [1, 0, -1]
 
 
 # -- copies ------------------------------------------------------------------------------

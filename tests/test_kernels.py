@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from segcalc import Multisegment, Segment, VirtualRep, expand_u, expand_u_prime, raw_dual_std, unitary_esi
 from segcalc.duality import segment_cut_expansion
-from segcalc.gkring import _tadic_sum, admissible_permutations
-from strategies import labels, labels_with_repeats, virtual_reps
+from segcalc.gkring import _tadic_sum
+from strategies import admissible_permutations, labels, labels_with_repeats, virtual_reps
 
 F = Fraction
 TWISTS = st.sampled_from([F(0), F(1), F(-2), F(1, 2), F(-3, 4), F(5, 4)])

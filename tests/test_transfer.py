@@ -10,6 +10,7 @@ from segcalc import (
     Multisegment,
     NotTransferable,
     Segment,
+    SignedUnitaryProduct,
     SpehUnit,
     UnitaryProduct,
     VirtualRep,
@@ -31,7 +32,7 @@ from segcalc import (
     unitary_esi,
 )
 from segcalc.transfer import lj_unitary_product, s_gamma_d
-from strategies import labels, virtual_reps
+from strategies import labels, unitary_products, virtual_reps
 
 F = Fraction
 
@@ -384,3 +385,17 @@ def test_alpha_pair_target_has_pair_witness(registry):
     assert got is not None
     t = lj_unitary_product(registry, got, 2)
     assert t.multisegment() == target.multisegment()
+
+
+@given(DS, unitary_products())
+def test_unit_transfer_is_the_lattice_transfer_of_the_expansion(d, up):
+    t = lj_unitary_product(TWO_LINES, up, d)
+    assert lj_std(TWO_LINES, expand_unit_product(up, 1), d) == t.sign * expand_unit_product(t.product, d)
+
+
+def test_a_deep_target_finds_its_witness_without_recursion():
+    # 1200 factors: a search recursing once per factor passes Python's default depth
+    target = UnitaryProduct([SpehUnit(unitary_esi("rho", 1, 2), 1)] * 1200)
+    got = in_image_lju(TWO_LINES, target, 2)
+    assert got == UnitaryProduct([SpehUnit(unitary_esi("rho", 1), 2)] * 1200)
+    assert lj_unitary_product(TWO_LINES, got, 2) == SignedUnitaryProduct(1, target)
