@@ -57,15 +57,17 @@ def _keyvals(params: list[str]) -> dict[str, str]:
     return out
 
 
-def _unit_params(params: list[str]) -> tuple[int, str, int]:
-    """(l, line, k) from l=, k= and line=; a missing or non-integer l or k is a parse error."""
+def _unit_params(params: list[str], reg: LineRegistry) -> tuple[int, str, int]:
+    """(l, line, k) from l=, k= and line=: a bad l or k exits 2, an unknown line 1."""
     kv = _keyvals(params)
     try:
-        return int(kv["l"]), kv.get("line", "rho"), int(kv["k"])
+        l, line, k = int(kv["l"]), kv.get("line", "rho"), int(kv["k"])
     except KeyError as e:
         raise CliError(f"missing parameter {e.args[0]}=", 2) from None
     except ValueError:
         raise CliError(f"l and k must be integers, got {params!r}", 2) from None
+    reg[line]  # raises RegistryError for an unknown line
+    return l, line, k
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,7 +136,7 @@ def _label(args, reg: LineRegistry, text: str) -> Multisegment:
 
 
 def _expand_ubar(args, reg: LineRegistry) -> VirtualRep:
-    l, line, k = _unit_params(args.params)
+    l, line, k = _unit_params(args.params, reg)
     if args.d < 2:
         raise CliError("expand-ubar needs --d >= 2", 1)
     return expand_ubar(unitary_esi(line, l, s_invariant(reg[line].p, args.d)), k, args.d)
@@ -144,9 +146,9 @@ def _lj(args, reg: LineRegistry):
     if args.d < 2:
         raise CliError("lj needs --d >= 2", 1)
     if args.unit:
-        return lj_u(reg, *_unit_params(args.unit), args.d)
+        return lj_u(reg, *_unit_params(args.unit, reg), args.d)
     if args.expand_u:
-        v = expand_u(*_unit_params(args.expand_u))
+        v = expand_u(*_unit_params(args.expand_u, reg))
     elif args.expr:
         v = parse_virtual(args.expr, reg, 1)
     else:
@@ -156,8 +158,10 @@ def _lj(args, reg: LineRegistry):
 
 def _enumerate(args, reg: LineRegistry) -> list[Multisegment]:
     m = _label(args, reg, args.expr)
-    step = m.segments[0].step if m.segments else 1
-    found = enumerate_multisegments(m.support(), step=step, limit=args.limit)
+    steps = sorted({s.step for s in m.segments}) or [1]
+    if len(steps) > 1:  # the support would be enumerated at one step only
+        raise CliError(f"enumerate needs a label of one step, got steps {', '.join(map(str, steps))}", 1)
+    found = enumerate_multisegments(m.support(), step=steps[0], limit=args.limit)
     return sorted(found, key=Multisegment.sort_key)
 
 
@@ -173,7 +177,7 @@ def _global_check(args, reg: LineRegistry):
 COMMANDS = {
     "dual": lambda args, reg: dual_irr(_label(args, reg, args.expr)),
     "order": lambda args, reg: is_lower(_label(args, reg, args.a), _label(args, reg, args.b)),
-    "expand-u": lambda args, reg: expand_u(*_unit_params(args.params)),
+    "expand-u": lambda args, reg: expand_u(*_unit_params(args.params, reg)),
     "expand-ubar": _expand_ubar,
     "lj": _lj,
     "recognize": lambda args, reg: recognize_unitary(_label(args, reg, args.expr)),

@@ -9,14 +9,15 @@ equality and hashing are O(1) dictionary operations.
 Two segments on the same line and step with starts congruent mod step live
 on the same *effective line* ``(line, step, offset_class)``; only such
 segments can ever be linked.  ``Segment`` alone maps an exponent to its
-integer position there: linkage, the order (rank tables on each effective
-line), enumeration and duality compare positions ``first..last`` and build
-segments back with ``Segment.from_positions``.  Equality and the canonical
-order read one tuple of line, step, offset class and integer positions fixed
-at construction, never the Fraction ``start``; a segment's hash is computed
-once from the integer fields of that tuple, and a multisegment hashes once,
-from its segments' hashes.  The ``repr`` of a segment or multisegment is its
-canonical text form, the one ``dsl`` parses; ``to_json()`` is its JSON form.
+integer position there: linkage, the order (one signed rank table keyed by
+effective line and positions), enumeration and duality compare positions
+``first..last`` and build segments back with ``Segment.from_positions``.
+Equality and the canonical order read one tuple of line, step, offset class
+and integer positions fixed at construction, never the Fraction ``start``;
+a segment's hash is computed once from the integer fields of that tuple, and
+a multisegment hashes once, from its segments' hashes.  The ``repr`` of a
+segment or multisegment is its canonical text form, the one ``dsl`` parses;
+``to_json()`` is its JSON form.
 """
 
 from __future__ import annotations
@@ -328,39 +329,30 @@ def rigid_decomposition(m: Multisegment) -> list[Multisegment]:
 def is_lower(ma: Multisegment, mb: Multisegment) -> bool:
     """True iff ``ma`` is reachable from ``mb`` by >= 0 elementary operations.
 
-    Elementary operations preserve the cuspidal support and never mix
-    effective lines, so the test decomposes over the rigid parts and applies
-    the rank criterion inside each part.
+    Elementary operations never mix effective lines, so one signed table,
+    ``(effective line, first, last)`` -> count in ``ma`` minus count in ``mb``,
+    decides the order by the rank criterion (Zelevinsky 1980; Abeasis-Del
+    Fra-Kraft 1981).  With r(i, j) = the signed number of segments containing
+    positions ``i..j`` of a line, ``ma`` lies below ``mb`` iff r(i, j) >= 0 for
+    all i < j and r(i, i) = 0, the diagonal being the support on that line.
     """
     if ma == mb:
         return True
-    if ma.support() != mb.support():
-        return False
-    parts_a = {p.segments[0].effective_line(): p for p in rigid_decomposition(ma)}
-    parts_b = {p.segments[0].effective_line(): p for p in rigid_decomposition(mb)}
-    if parts_a.keys() != parts_b.keys():
-        return False
-    return all(_reachable(parts_b[key], target) for key, target in parts_a.items())
-
-
-def _reachable(source: Multisegment, target: Multisegment) -> bool:
-    """``target`` lies below ``source`` on one effective line, by the rank criterion.
-
-    With r(i, j) = #{segments containing [i, j]} on integer positions, that is
-    r_target >= r_source for all i <= j (Zelevinsky 1980; Abeasis-Del Fra-Kraft
-    1981).  A point's multiplicity is the sum of r(i, i) over the parts, so after
-    the support check in ``is_lower`` this forces equal supports part by part.
-    """
-    net: Counter = Counter()  # (first, last) position -> target count minus source count
-    for part, sign in ((target, 1), (source, -1)):
-        for s in part.segments:
-            net[s.first, s.last] += sign
-    lo, hi = min(first for first, _ in net), max(last for _, last in net)
-    for i in range(lo, hi + 1):
-        for j in range(i, hi + 1):
-            rank = sum(c for (first, last), c in net.items() if first <= i and j <= last)
-            if rank < 0:
-                return False
+    net: Counter = Counter()
+    for m, sign in ((ma, 1), (mb, -1)):
+        for s in m.segments:
+            net[s.effective_line(), s.first, s.last] += sign
+    lines: dict[tuple, list] = {}  # effective line -> its entries that do not cancel
+    for (eff, first, last), c in net.items():
+        if c:
+            lines.setdefault(eff, []).append((first, last, c))
+    for entries in lines.values():
+        lo, hi = min(e[0] for e in entries), max(e[1] for e in entries)
+        for i in range(lo, hi + 1):
+            for j in range(i, hi + 1):
+                rank = sum(c for first, last, c in entries if first <= i and j <= last)
+                if rank < 0 or (rank and i == j):
+                    return False
     return True
 
 
@@ -400,8 +392,10 @@ def enumerate_multisegments(
     """All partitions of a support multiset into step-``step`` segments.
 
     The support splits into effective lines (line plus offset class mod
-    step); partitions are enumerated independently per class and combined.
-    Raises LimitExceeded when the support has more than ``limit`` points.
+    step), and each line's positions split at their gaps, since no segment
+    spans a gap; partitions are enumerated independently per gap-free block
+    and combined.  Raises LimitExceeded when the support has more than
+    ``limit`` points.
     """
     cnt = +Counter(support)
     total = sum(cnt.values())
@@ -413,17 +407,28 @@ def enumerate_multisegments(
         point = Segment(line, exp, 1, step)
         classes.setdefault(point.effective_line(), Counter())[point.first] = mult
 
-    per_class = [
+    per_block = [
         [
             [Segment.from_positions(eff, first, first + n - 1) for first, n in part]
-            for part in _integer_partitions(positions)
+            for part in _integer_partitions(block)
         ]
         for eff, positions in classes.items()
+        for block in _gap_free_blocks(positions)
     ]
     return {
         Multisegment(itertools.chain.from_iterable(choice))
-        for choice in itertools.product(*per_class)
+        for choice in itertools.product(*per_block)
     }
+
+
+def _gap_free_blocks(positions: Counter) -> list[Counter]:
+    """The multiset of integer positions cut at every gap, in increasing order."""
+    blocks: list[Counter] = []
+    for p in sorted(positions):
+        if not blocks or p - 1 not in blocks[-1]:
+            blocks.append(Counter())
+        blocks[-1][p] = positions[p]
+    return blocks
 
 
 def _integer_partitions(positions: Counter) -> set[tuple[tuple[int, int], ...]]:

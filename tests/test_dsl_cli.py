@@ -204,6 +204,18 @@ def test_cli_enumerate(capsys):
     assert "{rho:[0,0], rho:[1,1], rho:[1,1]}" in lines
 
 
+def test_cli_enumerate_refuses_a_label_of_two_steps(capsys):
+    # the support would be enumerated at one step, so the input label could be lost
+    code, out, err = run_cli(capsys, "enumerate", "--d", "2", "{rho:[0,0], rho':[1,3]}")
+    assert (code, out) == (1, "")
+    assert err == "error: enumerate needs a label of one step, got steps 1, 2\n"
+
+
+def test_cli_unit_commands_check_the_line(capsys):
+    for argv in (["expand-u", "l=1", "k=2", "line=xi"], ["lj", "--d", "2", "--u", "l=1", "k=2", "line=xi"]):
+        assert run_cli(capsys, *argv) == (1, "", "error: unknown line: 'xi'\n")
+
+
 def test_cli_json_output(capsys):
     code, out, _ = run_cli(capsys, "dual", "--json", "{rho:[0,1]}")
     assert code == 0

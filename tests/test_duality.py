@@ -14,7 +14,7 @@ from segcalc import (
     unitary_esi,
 )
 from segcalc.selfcheck import window_corpus
-from strategies import labels_with_repeats
+from strategies import labels, labels_with_repeats
 
 F = Fraction
 
@@ -100,6 +100,14 @@ def test_dual_does_not_reverse_the_order():
 def test_dual_splits_across_rigid_parts():
     m = ms(seg(0, 1), seg(F(1, 2), F(1, 2)))
     assert dual_irr(m) == ms(seg(0, 0), seg(1, 1), seg(F(1, 2), F(1, 2)))
+
+
+@given(labels())
+def test_dual_irr_is_a_support_preserving_involution_on_generated_labels(m):
+    # steps 1-3 and fractional offsets, several rigid parts per label
+    d = dual_irr(m)
+    assert d.support() == m.support()
+    assert dual_irr(d) == m
 
 
 # -- raw dual on the standard lattice ---------------------------------------------------

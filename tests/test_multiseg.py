@@ -1,3 +1,4 @@
+import itertools
 import pickle
 from collections import Counter
 from fractions import Fraction
@@ -23,7 +24,7 @@ from segcalc import (
     segment_relation,
     stats,
 )
-from segcalc.multiseg import descendants
+from segcalc.multiseg import _gap_free_blocks, _integer_partitions, descendants
 from segcalc.selfcheck import window_corpus
 from strategies import labels
 
@@ -109,6 +110,12 @@ def test_is_lower_different_support():
     # equal total support and rigid parts, but the step-1 and step-2 parts trade a point
     a, b = ms(seg(0, 0), seg(2, 2, step=2)), ms(seg(2, 2), seg(0, 0, step=2))
     assert not is_lower(a, b) and not is_lower(b, a)
+
+
+def test_is_lower_needs_equal_support_on_each_line():
+    # every rank off the diagonal is >= 0, but a has one point more than b
+    assert not is_lower(ms(seg(0, 0), seg(1, 1)), ms(seg(0, 0)))
+    assert not is_lower(ms(seg(0, 0)), ms(seg(0, 0), seg(1, 1)))
 
 
 def test_is_lower_decides_the_20_point_chain():
@@ -344,6 +351,24 @@ def test_enumerate_singleton():
 
 def test_enumerate_does_not_span_gaps():
     assert enumerate_multisegments([pt(0), pt(2)]) == {ms(seg(0, 0), seg(2, 2))}
+
+
+def test_enumerate_splits_2000_isolated_points_into_one_label():
+    points = [pt(2 * i) for i in range(2000)]
+    assert enumerate_multisegments(points, limit=5000) == {ms(*(seg(2 * i, 2 * i) for i in range(2000)))}
+
+
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=9))
+def test_gap_free_blocks_partition_as_the_whole_multiset(points):
+    # repeats and gaps both occur; a partition of the whole is one per block, concatenated
+    positions = Counter(points)
+    blocks = _gap_free_blocks(positions)
+    assert sum(blocks, Counter()) == positions
+    split = {
+        tuple(itertools.chain.from_iterable(choice))
+        for choice in itertools.product(*map(_integer_partitions, blocks))
+    }
+    assert split == _integer_partitions(positions)
 
 
 def test_enumerate_limit():
