@@ -34,13 +34,8 @@ from .gkring import (
     UnitaryProduct,
     VirtualRep,
     expand_u,
-    expand_u_prime,
-    expand_ubar,
     expand_unit_product,
-    pi_u_alpha,
     recognize_unitary,
-    speh_u,
-    speh_u_prime,
     speh_ubar,
     ubar_factor,
 )
@@ -74,7 +69,6 @@ from .globalrep import (
     GlobalAlgebra,
     GlobalCheck,
     GlobalCuspidalData,
-    d_compatible_mw,
     g_inverse,
     g_map,
     global_check,

@@ -14,7 +14,7 @@ import sys
 from .core import LineRegistry, RegistryError, s_invariant
 from .duality import dual_irr
 from .dsl import ParseError, parse_multisegment, parse_virtual
-from .gkring import UnitaryProduct, VirtualRep, expand_u, expand_ubar, recognize_unitary
+from .gkring import UnitaryProduct, VirtualRep, expand_u, expand_unit_product, recognize_unitary, ubar_factor
 from .globalrep import (
     GlobalAlgebra,
     GlobalCuspidalData,
@@ -139,7 +139,7 @@ def _expand_ubar(args, reg: LineRegistry) -> VirtualRep:
     l, line, k = _unit_params(args.params, reg)
     if args.d < 2:
         raise CliError("expand-ubar needs --d >= 2", 1)
-    return expand_ubar(unitary_esi(line, l, s_invariant(reg[line].p, args.d)), k, args.d)
+    return expand_unit_product(ubar_factor(unitary_esi(line, l, s_invariant(reg[line].p, args.d)), k), args.d)
 
 
 def _lj(args, reg: LineRegistry):

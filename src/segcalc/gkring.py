@@ -4,14 +4,14 @@
 one Grothendieck-group element per basis tag, with a side tag ``d`` (1 for
 the split side).  Induction products are bilinear multiset unions.
 
-Speh units are stored centered with an explicit twist: the label of
-``u(sigma, k)`` is a parallelogram of k parallel copies of sigma whose
-centers form an arithmetic progression of difference step(sigma) symmetric
-around the twist.  A pair pi(u, alpha) is its two halves nu^(+-alpha) u;
-``SpehUnit.half_twists`` is the one place that rule is written, and the
-centers, expansions, transfers and recognition read it from there.  The
-expansion formulas below write plain units on the standard basis as
-alternating sums over restricted permutation sets.
+``SpehUnit`` is the one model of u(sigma, k), u'(sigma', k) and pi(u, alpha):
+k parallel copies of a centered base, their centers stepping by step(sigma)
+symmetrically around a twist.  A unit's label is ``.multisegment()``, a
+product's expansion is ``expand_unit_product``, and ``expand_u`` is the split
+entry the CLI calls.  ``SpehUnit.half_twists`` is the one statement of
+pi(u, alpha) = nu^alpha u x nu^-alpha u.  ubar(sigma', k), whose copies step
+by plain nu, is no unit: ``speh_ubar`` writes its label and ``ubar_factor``
+its u' factors.  The expansions are alternating sums over W_k^l.
 """
 
 from __future__ import annotations
@@ -245,25 +245,10 @@ class UnitaryProduct:
 # -- unit constructors ----------------------------------------------------
 
 
-def speh_u(sigma_len: int, line: str, k: int, twist: ExponentLike = 0) -> Multisegment:
-    """Label of u(sigma, k), sigma the length-``sigma_len`` split esi on ``line``."""
-    return SpehUnit(unitary_esi(line, sigma_len, 1), k, frac(twist)).multisegment()
-
-
-def speh_u_prime(sigma: Segment, k: int, twist: ExponentLike = 0) -> Multisegment:
-    """Label of u'(sigma', k): copies step by nu_sigma' = nu^step."""
-    return SpehUnit(sigma, k, frac(twist)).multisegment()
-
-
 def speh_ubar(sigma: Segment, k: int, twist: ExponentLike = 0) -> Multisegment:
     """Label of ubar(sigma', k): copies step by plain nu (one exponent unit)."""
     t = frac(twist)
     return Multisegment(sigma.shifted(t + Fraction(k - 1, 2) - i) for i in range(k))
-
-
-def pi_u_alpha(u: SpehUnit, alpha: ExponentLike) -> Multisegment:
-    """Label of pi(u, alpha) = nu^alpha u x nu^-alpha u, 0 < alpha < 1/2."""
-    return SpehUnit(u.base, u.count, u.twist, alpha).multisegment()
 
 
 def _two_block_product(s: int, b: int, wide: tuple, narrow: Optional[tuple]) -> UnitaryProduct:
@@ -360,32 +345,23 @@ def expand_u(l: int, line: str, k: int, twist: ExponentLike = 0) -> VirtualRep:
     return _tadic_sum(line, l, k, 1, frac(twist), 1)
 
 
-def expand_u_prime(sigma: Segment, k: int, d: int, twist: ExponentLike = 0) -> VirtualRep:
-    """u'(sigma', k) on the inner-form standard basis, steps of nu_sigma'."""
-    return _tadic_sum(sigma.line, sigma.length, k, sigma.step, frac(twist), d)
-
-
-def expand_unit(unit: SpehUnit, d: int) -> VirtualRep:
-    """Standard-basis expansion of one unit: the product of its halves' expansions."""
-    return reduce(VirtualRep.__mul__, (expand_u_prime(h.base, h.count, d, h.twist) for h in unit.halves()))
-
-
 def expand_unit_product(up: UnitaryProduct, d: int) -> VirtualRep:
-    out = VirtualRep.one(d)
-    for u in up.units:
-        out = out * expand_unit(u, d)
-    return out
-
-
-def expand_ubar(sigma: Segment, k: int, d: int) -> VirtualRep:
-    """ubar(sigma', k) on the standard basis, via its u'-factorization."""
-    return expand_unit_product(ubar_factor(sigma, k), d)
+    """Standard-basis expansion of a unitary product: one W_k^l sum per plain half of each unit."""
+    parts = [
+        _tadic_sum(h.base.line, h.base.length, h.count, h.step, h.twist, d)
+        for u in up.units
+        for h in u.halves()
+    ]
+    return reduce(VirtualRep.__mul__, parts) if parts else VirtualRep.one(d)
 
 
 # -- recognition -----------------------------------------------------------
 
 
-def recognize_unitary(m: Multisegment, limit: int = 10_000) -> Optional[UnitaryProduct]:
+RECOGNITION_LIMIT = 10_000  # largest total segment length recognize_unitary accepts
+
+
+def recognize_unitary(m: Multisegment) -> Optional[UnitaryProduct]:
     """Factor a label into twist-0 units and pi(u, alpha) pairs, if possible.
 
     Within each (effective line, segment length) group the centers must
@@ -394,8 +370,8 @@ def recognize_unitary(m: Multisegment, limit: int = 10_000) -> Optional[UnitaryP
     with alpha in (0, 1/2) (a pi(u, alpha)).  The shape of the progression
     containing the maximal center is forced, so extraction is greedy.
     """
-    if sum(s.length for s in m.segments) > limit:
-        raise LimitExceeded(f"label exceeds recognition limit {limit}")
+    if sum(s.length for s in m.segments) > RECOGNITION_LIMIT:
+        raise LimitExceeded(f"label exceeds recognition limit {RECOGNITION_LIMIT}")
     # group by (line, step, length) but NOT by offset class: the two halves of
     # a pi(u, alpha) pair land on mirrored offset classes and must pair up
     groups: dict[tuple, list[Segment]] = {}

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .core import LineRegistry, RegistryError, frac, json_field
-from .multiseg import Multisegment, Segment
+from .multiseg import Multisegment, Segment, unitary_esi
 from .gkring import SpehUnit, UnitaryProduct
 from .transfer import SignedUnitaryProduct, generic_data, lj_generic, s_gamma_d
 
@@ -58,9 +58,6 @@ class GlobalAlgebra:
         places = json_field(data, "places", list)
         return cls.of({json_field(p, "name"): json_field(p, "d_v", int) for p in places})
 
-    def to_json(self) -> dict:
-        return {"places": [{"name": v, "d_v": dv} for v, dv in self.places]}
-
 
 LocalDatum = tuple[Segment, Fraction]
 
@@ -97,8 +94,7 @@ class GlobalCuspidalData:
                 length = json_field(e, "len", int)
                 line = json_field(e, "line") if "line" in e else base
                 registry[line]
-                seg = Segment(line, -Fraction(length - 1, 2), length, 1)
-                gamma.append((seg, _twist(e.get("e", 0))))
+                gamma.append((unitary_esi(line, length), _twist(e.get("e", 0))))
             mapping[place] = gamma
         return cls.of(base, mapping)
 
@@ -138,12 +134,6 @@ def s_rho_d(registry: LineRegistry, data: GlobalCuspidalData, alg: GlobalAlgebra
     for v in alg.ramified_places():
         out = math.lcm(out, s_gamma_d(registry, data.local_data(v), alg.d_at(v)))
     return out
-
-
-def d_compatible_mw(
-    registry: LineRegistry, data: GlobalCuspidalData, k: int, alg: GlobalAlgebra
-) -> bool:
-    return k % s_rho_d(registry, data, alg) == 0
 
 
 def g_inverse(
@@ -218,11 +208,10 @@ def global_check(
 ) -> GlobalCheck:
     """The bookkeeping of MW(rho, k) at every place of the cuspidal data."""
     s = s_rho_d(registry, data, alg)
-    compatible = d_compatible_mw(registry, data, k, alg)
     components = [
         (v, alg.d_at(v), local_component(registry, data, k, v, alg)) for v, _ in data.locals
     ]
-    return GlobalCheck(s, k, compatible, components)
+    return GlobalCheck(s, k, k % s == 0, components)
 
 
 # -- support matching ---------------------------------------------------------

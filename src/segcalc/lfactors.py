@@ -67,11 +67,6 @@ class EpsilonFactor:
     def of(cls, pairs: Iterable[tuple[str, Fraction]], psi: str = "psi") -> "EpsilonFactor":
         return cls(tuple(sorted((t, frac(a)) for t, a in pairs)), psi)
 
-    def __mul__(self, other: "EpsilonFactor") -> "EpsilonFactor":
-        if self.psi != other.psi:
-            raise ValueError("epsilon factors with different psi tags")
-        return EpsilonFactor(tuple(sorted(self.shifts + other.shifts)), self.psi)
-
     def __repr__(self) -> str:
         if not self.shifts:
             return "1"

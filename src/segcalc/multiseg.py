@@ -219,9 +219,6 @@ class Multisegment:
     def empty(cls) -> "Multisegment":
         return cls(())
 
-    def __iter__(self) -> Iterator[Segment]:
-        return iter(self.segments)
-
     def __len__(self) -> int:
         return len(self.segments)
 
@@ -335,6 +332,8 @@ def is_lower(ma: Multisegment, mb: Multisegment) -> bool:
     Fra-Kraft 1981).  With r(i, j) = the signed number of segments containing
     positions ``i..j`` of a line, ``ma`` lies below ``mb`` iff r(i, j) >= 0 for
     all i < j and r(i, i) = 0, the diagonal being the support on that line.
+    r changes only where i reaches a ``first`` or j passes a ``last``, so it is
+    read there: r(i, j) at firsts i <= lasts j, r(i, i) at firsts and lasts + 1.
     """
     if ma == mb:
         return True
@@ -347,11 +346,13 @@ def is_lower(ma: Multisegment, mb: Multisegment) -> bool:
         if c:
             lines.setdefault(eff, []).append((first, last, c))
     for entries in lines.values():
-        lo, hi = min(e[0] for e in entries), max(e[1] for e in entries)
-        for i in range(lo, hi + 1):
-            for j in range(i, hi + 1):
-                rank = sum(c for first, last, c in entries if first <= i and j <= last)
-                if rank < 0 or (rank and i == j):
+        firsts, lasts = {e[0] for e in entries}, {e[1] for e in entries}
+        for i in firsts | {j + 1 for j in lasts}:
+            if sum(c for first, last, c in entries if first <= i <= last):
+                return False
+        for i in firsts:
+            for j in lasts:
+                if i <= j and sum(c for first, last, c in entries if first <= i and j <= last) < 0:
                     return False
     return True
 

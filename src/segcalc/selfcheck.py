@@ -27,9 +27,7 @@ from .gkring import (
     UnitaryProduct,
     VirtualRep,
     expand_u,
-    expand_ubar,
     expand_unit_product,
-    speh_u,
     speh_ubar,
     ubar_factor,
 )
@@ -74,7 +72,8 @@ def suite_duality_involution(width: int = 4, max_points: int = 5) -> tuple[bool,
 def suite_speh_dual(bound: int = 4) -> tuple[bool, str]:
     for k in range(1, bound + 1):
         for l in range(1, bound + 1):
-            if dual_irr(speh_u(l, "rho", k)) != speh_u(k, "rho", l):
+            u, dual = SpehUnit(unitary_esi("rho", l), k), SpehUnit(unitary_esi("rho", k), l)
+            if dual_irr(u.multisegment()) != dual.multisegment():
                 return False, f"u({l},{k}) dual mismatch"
     return True, f"grid {bound}x{bound}"
 
@@ -90,7 +89,7 @@ def suite_transfer_identity(
         for l0 in range(1, bound + 1):
             for k in range(1, (kmax or bound * s) + 1):
                 got = lj_std(REG, expand_u(l0 * s, "rho", k), s)
-                if got != expand_ubar(unitary_esi("rho", l0, s), k, s):
+                if got != expand_unit_product(ubar_factor(unitary_esi("rho", l0, s), k), s):
                     return False, f"s={s} l={l0 * s} k={k}"
                 checked += 1
         for l in range(1, bound + 1):

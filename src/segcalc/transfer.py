@@ -162,24 +162,19 @@ def lj_u(registry: LineRegistry, l: int, line: str, k: int, d: int) -> SignedUni
     return SignedUnitaryProduct(sign, _two_block_product(s, b, wide, narrow))
 
 
-def lj_unit(registry: LineRegistry, unit: SpehUnit, d: int) -> SignedUnitaryProduct:
-    """Transfer of one plain split unit, its twist carried through."""
-    if unit.step != 1:
-        raise NotTransferable("lj_unit expects a split-side unit")
-    return lj_u(registry, unit.base.length, unit.base.line, unit.count, d).twisted(unit.twist)
-
-
 def lj_unitary_product(registry: LineRegistry, up: UnitaryProduct, d: int) -> SignedUnitaryProduct:
-    """Transfer of a split unitary product: the product of its units' halves' transfers."""
+    """Transfer of a split unitary product: the product of ``lj_u`` over its units' twisted halves."""
+    if any(u.step != 1 for u in up.units):  # before any transfer can vanish
+        raise NotTransferable("lj_unitary_product expects split-side units")
     sign = 1
     units: list[SpehUnit] = []
     for u in up.units:
         for half in u.halves():
-            t = lj_unit(registry, half, d)
+            t = lj_u(registry, half.base.length, half.base.line, half.count, d)
             if t.sign == 0:
                 return ZERO_TRANSFER
             sign *= t.sign
-            units.extend(t.product)
+            units.extend(t.twisted(half.twist).product)
     return SignedUnitaryProduct(sign, UnitaryProduct(units))
 
 
@@ -231,12 +226,10 @@ def _flatten(up: UnitaryProduct) -> Counter:
     return Counter(_unit_key(half) for u in up.units for half in u.halves())
 
 
-def in_image_lju(
-    registry: LineRegistry,
-    target: UnitaryProduct,
-    d: int,
-    limit: int = 4096,
-) -> Optional[UnitaryProduct]:
+IMAGE_LIMIT = 4096  # largest target support in_image_lju searches
+
+
+def in_image_lju(registry: LineRegistry, target: UnitaryProduct, d: int) -> Optional[UnitaryProduct]:
     """Search for a split unitary product transferring onto ``target``.
 
     Any preimage factors into split units whose individual transfers cover
@@ -255,8 +248,8 @@ def in_image_lju(
     sizes: Counter = Counter()
     for (line, length, step, count, _), mult in want.items():
         sizes[line] += length * step * count * mult
-    if sum(sizes.values()) > limit:
-        raise LimitExceeded(f"target support {sum(sizes.values())} exceeds limit {limit}")
+    if sum(sizes.values()) > IMAGE_LIMIT:
+        raise LimitExceeded(f"target support {sum(sizes.values())} exceeds limit {IMAGE_LIMIT}")
 
     shapes = {key[:4] for key in want}
     twists = sorted({key[4] for key in want})

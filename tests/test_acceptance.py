@@ -14,6 +14,7 @@ from segcalc import (
     LineRegistry,
     Multisegment,
     Segment,
+    SpehUnit,
     VirtualRep,
     c_map,
     dual_irr,
@@ -25,7 +26,6 @@ from segcalc import (
     l_irr,
     lj_std,
     lj_u,
-    speh_u,
     speh_ubar,
     stats,
     unitary_esi,
@@ -227,7 +227,7 @@ def test_criterion_09_l_and_eps_suite():
                 t = lj_u(REG, l, "rho", k, s)
                 if t.sign == 0:
                     continue
-                u_label = speh_u(l, "rho", k)
+                u_label = SpehUnit(unitary_esi("rho", l), k).multisegment()
                 assert eps_irr(REG, u_label) == eps_irr(REG, t.multisegment()), (s, l, k)
                 if l % s:
                     if l_irr(REG, u_label) != l_irr(REG, t.multisegment()):

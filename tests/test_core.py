@@ -4,10 +4,21 @@ import pytest
 
 from segcalc import (
     CuspidalPoint,
+    DiscreteSeriesLabel,
     LineRegistry,
+    NotTransferable,
     RegistryError,
+    Segment,
+    SignedUnitaryProduct,
+    SpehUnit,
+    UnitaryProduct,
+    frac,
+    lj_u,
     s_invariant,
+    ubar_factor,
+    unitary_esi,
 )
+from segcalc.transfer import lj_unitary_product
 
 
 def test_register_defaults_to_self_dual():
@@ -122,3 +133,48 @@ def test_contragredient_is_involution(paired_registry):
     ]
     for pt in pts:
         assert reg.contragredient_point(reg.contragredient_point(pt)) == pt
+
+
+
+# -- refusals ------------------------------------------------------------------------
+
+REG = LineRegistry.standard()
+SIGMA = unitary_esi("rho", 1, 2)
+
+
+@pytest.mark.parametrize(
+    "call,exc,message",
+    [
+        pytest.param(lambda: SpehUnit(Segment("rho", 5, 2, 2), 2), ValueError,
+                     "unit base must be centered at exponent 0", id="unit-off-center"),
+        pytest.param(lambda: SpehUnit(SIGMA, 0), ValueError, "unit multiplicity must be >= 1", id="unit-count-0"),
+        pytest.param(lambda: Segment("rho", 0, 1, 0), ValueError, "segment step must be >= 1, got 0",
+                     id="segment-step-0"),
+        pytest.param(lambda: Segment("rho", 0, 0, 1), ValueError, "segment length must be >= 1, got 0",
+                     id="segment-length-0"),
+        pytest.param(lambda: frac(0.5), TypeError, "not an exact rational: 0.5", id="frac-float"),
+        pytest.param(lambda: s_invariant(0, 1), ValueError, "p and d must be positive", id="s-invariant-p-0"),
+        pytest.param(lambda: lj_u(REG, 0, "rho", 1, 2), ValueError, "l and k must be >= 1", id="lj-u-l-0"),
+        pytest.param(lambda: ubar_factor(SIGMA, 0), ValueError, "k must be >= 1", id="ubar-k-0"),
+        pytest.param(lambda: SignedUnitaryProduct(2, UnitaryProduct.empty()), ValueError,
+                     "sign must be -1, 0 or +1", id="sign-2"),
+        pytest.param(lambda: DiscreteSeriesLabel("x", "rho", 1), ValueError,
+                     "side must be 'split' or 'inner'", id="label-side"),
+        pytest.param(lambda: DiscreteSeriesLabel("split", "rho", 0), ValueError, "k must be >= 1", id="label-k-0"),
+        pytest.param(lambda: LineRegistry().register("xi", 0), ValueError, "p must be >= 1, got 0",
+                     id="register-p-0"),
+        pytest.param(lambda: LineRegistry().register("xi", 1, dual="nope"), RegistryError,
+                     "dual line not registered: 'nope'", id="register-unknown-dual"),
+        pytest.param(lambda: lj_unitary_product(REG, UnitaryProduct([SpehUnit(SIGMA, 1)]), 2), NotTransferable,
+                     "lj_unitary_product expects split-side units", id="transfer-inner-unit"),
+        # u(rho, 1) transfers to 0 at d = 2 and sorts first; the inner-form unit is still refused
+        pytest.param(lambda: lj_unitary_product(REG, UnitaryProduct([SpehUnit(unitary_esi("rho", 1), 1),
+                                                                     SpehUnit(SIGMA, 1)]), 2),
+                     NotTransferable, "lj_unitary_product expects split-side units",
+                     id="transfer-inner-unit-after-a-vanishing-one"),
+    ],
+)
+def test_invalid_arguments_raise_their_exception(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc and str(info.value) == message

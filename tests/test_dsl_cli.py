@@ -332,6 +332,13 @@ def _global(algebra, cuspidal):
         (_global(ALGEBRA, {"line": "rho", "locals": {"v0": [{"len": 1}]}}), 1),
         # the split place v0 gets the generic checks too: |e| = 3 is not below 1/2
         (_global(ALGEBRA, {"line": "rho", "locals": {"v1": [{"len": 1}], "v0": [{"len": 2, "e": 3}]}}), 1),
+        # malformed expressions: no input, bad numbers, a non-integer coefficient, a bad line, trailing input
+        (["lj", "--d", "2"], 2),
+        (["dual", "{rho:[x,1]}"], 2),
+        (["dual", "{rho:[1/x,2]}"], 2),
+        (["lj", "--d", "2", "1/2*{rho:[0,1]}"], 2),
+        (["dual", "{1:[0,0]}"], 2),
+        (["dual", "{rho:[0,0]}}"], 2),
     ],
 )
 def test_cli_refuses_malformed_unit_and_file_inputs(argv, code, tmp_path, capsys):
@@ -346,6 +353,11 @@ def test_cli_refuses_malformed_unit_and_file_inputs(argv, code, tmp_path, capsys
     assert got == code
     assert out == "" and err.startswith(("error:", "parse error:"))
     assert "Traceback" not in err
+
+
+def test_cli_recognize_refuses_a_label_over_the_limit(capsys):
+    code, out, err = run_cli(capsys, "recognize", "{rho:[0,10000]}")
+    assert (code, out, err) == (1, "", "error: label exceeds recognition limit 10000\n")
 
 
 @pytest.mark.parametrize(

@@ -14,13 +14,8 @@ from segcalc import (
     UnitaryProduct,
     VirtualRep,
     expand_u,
-    expand_u_prime,
-    expand_ubar,
     expand_unit_product,
-    pi_u_alpha,
     recognize_unitary,
-    speh_u,
-    speh_u_prime,
     speh_ubar,
     ubar_factor,
     unitary_esi,
@@ -72,21 +67,21 @@ def test_side_mismatch_rejected():
 
 
 def test_speh_u_square():
-    assert speh_u(2, "rho", 2) == ms(seg(-1, 0), seg(0, 1))
+    assert SpehUnit(unitary_esi("rho", 2), 2).multisegment() == ms(seg(-1, 0), seg(0, 1))
 
 
 def test_speh_u_single_copy():
     for l in range(1, 6):
-        assert speh_u(l, "rho", 1) == ms(seg(-F(l - 1, 2), F(l - 1, 2)))
+        assert SpehUnit(unitary_esi("rho", l), 1).multisegment() == ms(seg(-F(l - 1, 2), F(l - 1, 2)))
 
 
 def test_speh_u_cuspidal_column():
-    assert speh_u(1, "rho", 3) == ms(seg(-1, -1), seg(0, 0), seg(1, 1))
+    assert SpehUnit(unitary_esi("rho", 1), 3).multisegment() == ms(seg(-1, -1), seg(0, 0), seg(1, 1))
 
 
 def test_speh_u_prime_steps_by_s():
     sigma = unitary_esi("rho", 1, 2)
-    assert speh_u_prime(sigma, 2) == ms(seg(-1, -1, step=2), seg(1, 1, step=2))
+    assert SpehUnit(sigma, 2).multisegment() == ms(seg(-1, -1, step=2), seg(1, 1, step=2))
 
 
 def test_speh_ubar_steps_by_one():
@@ -106,7 +101,7 @@ def test_speh_ubar_single_copy():
 
 def test_pi_u_alpha_splits_centers():
     u = SpehUnit(unitary_esi("rho", 2), 1)
-    assert pi_u_alpha(u, F(1, 4)) == ms(
+    assert SpehUnit(u.base, u.count, u.twist, F(1, 4)).multisegment() == ms(
         seg(F(-3, 4), F(1, 4)), seg(F(-1, 4), F(3, 4))
     )
 
@@ -114,14 +109,14 @@ def test_pi_u_alpha_splits_centers():
 def test_pi_u_alpha_boundary_rejected():
     u = SpehUnit(unitary_esi("rho", 2), 1)
     with pytest.raises(ValueError):
-        pi_u_alpha(u, 0)
+        SpehUnit(u.base, u.count, u.twist, 0).multisegment()
     with pytest.raises(ValueError):
-        pi_u_alpha(u, F(1, 2))
+        SpehUnit(u.base, u.count, u.twist, F(1, 2)).multisegment()
 
 
 def test_pi_u_alpha_on_column():
     u = SpehUnit(unitary_esi("rho", 1), 2)
-    got = pi_u_alpha(u, F(1, 3))
+    got = SpehUnit(u.base, u.count, u.twist, F(1, 3)).multisegment()
     centers = sorted(s.center for s in got.segments)
     assert centers == sorted(
         [F(-1, 2) - F(1, 3), F(-1, 2) + F(1, 3), F(1, 2) - F(1, 3), F(1, 2) + F(1, 3)]
@@ -219,7 +214,7 @@ def test_expand_u_leading_term():
     for l in range(1, 4):
         for k in range(1, 4):
             v = expand_u(l, "rho", k)
-            lead = speh_u(l, "rho", k)
+            lead = SpehUnit(unitary_esi("rho", l), k).multisegment()
             assert v.terms[lead] == 1
             for label in v.terms:
                 if label != lead:
@@ -228,7 +223,7 @@ def test_expand_u_leading_term():
 
 def test_expand_u_prime_cuspidal_pair():
     sigma = unitary_esi("rho", 1, 2)
-    got = expand_u_prime(sigma, 2, 2)
+    got = expand_unit_product(UnitaryProduct([SpehUnit(sigma, 2)]), 2)
     want = VirtualRep(
         2,
         {
@@ -241,13 +236,13 @@ def test_expand_u_prime_cuspidal_pair():
 
 def test_expand_u_prime_single_copy():
     sigma = unitary_esi("rho", 3, 2)
-    assert expand_u_prime(sigma, 1, 2) == VirtualRep.of(ms(sigma), 1, 2)
+    assert expand_unit_product(UnitaryProduct([SpehUnit(sigma, 1)]), 2) == VirtualRep.of(ms(sigma), 1, 2)
 
 
 def test_expand_u_prime_mirrors_split_case():
     # same alternating structure as the split expansion, stretched by s
     split = expand_u(2, "rho", 2)
-    inner = expand_u_prime(unitary_esi("rho", 2, 2), 2, 2)
+    inner = expand_unit_product(UnitaryProduct([SpehUnit(unitary_esi("rho", 2, 2), 2)]), 2)
     stretch = {
         Multisegment(
             Segment("rho", 2 * s.start, s.length, 2) for s in label.segments
@@ -259,12 +254,12 @@ def test_expand_u_prime_mirrors_split_case():
 
 def test_expand_ubar_single_copy():
     sigma = unitary_esi("rho", 1, 2)
-    assert expand_ubar(sigma, 1, 2) == VirtualRep.of(ms(sigma), 1, 2)
+    assert expand_unit_product(ubar_factor(sigma, 1), 2) == VirtualRep.of(ms(sigma), 1, 2)
 
 
 def test_expand_ubar_is_product_of_unit_expansions():
     sigma = unitary_esi("rho", 1, 2)
-    got = expand_ubar(sigma, 4, 2)
+    got = expand_unit_product(ubar_factor(sigma, 4), 2)
     want = expand_unit_product(ubar_factor(sigma, 4), 2)
     assert got == want
     lead = speh_ubar(sigma, 4)
@@ -275,14 +270,14 @@ def test_expand_ubar_is_product_of_unit_expansions():
 
 
 def test_recognize_single_unit():
-    m = speh_u(2, "rho", 2)
+    m = SpehUnit(unitary_esi("rho", 2), 2).multisegment()
     got = recognize_unitary(m)
     assert got == UnitaryProduct([SpehUnit(unitary_esi("rho", 2), 2)])
 
 
 def test_recognize_alpha_pair():
     u = SpehUnit(unitary_esi("rho", 1), 1)
-    m = pi_u_alpha(u, F(1, 4))
+    m = SpehUnit(u.base, u.count, u.twist, F(1, 4)).multisegment()
     got = recognize_unitary(m)
     assert got == UnitaryProduct([SpehUnit(unitary_esi("rho", 1), 1, 0, F(1, 4))])
 

@@ -12,13 +12,13 @@ from segcalc import (
     GlobalCuspidalData,
     Multisegment,
     SignedUnitaryProduct,
-    d_compatible_mw,
     g_inverse,
     g_map,
     interval_decomposition,
     levi_conjugate_count,
     local_component,
     match_discrete_products,
+    global_check,
     s_rho_d,
     unitary_esi,
 )
@@ -68,9 +68,9 @@ def test_d_compatible_mw(registry):
     alg = GlobalAlgebra.of({"v1": 2})
     data = cuspidal_data({"v1": 1})
     s = s_rho_d(registry, data, alg)
-    assert d_compatible_mw(registry, data, s, alg)
-    assert not d_compatible_mw(registry, data, 1, alg) or s == 1
-    assert d_compatible_mw(registry, data, 2 * s, alg)
+    assert global_check(registry, data, s, alg).compatible
+    assert not global_check(registry, data, 1, alg).compatible or s == 1
+    assert global_check(registry, data, 2 * s, alg).compatible
 
 
 # -- the global correspondence on labels ---------------------------------------------

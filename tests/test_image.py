@@ -9,10 +9,11 @@ so it is the oracle the prune must agree with, witness for witness.
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from segcalc import LineRegistry, SpehUnit, UnitaryProduct, s_invariant, ubar_factor, unitary_esi
+from segcalc import LimitExceeded, LineRegistry, SpehUnit, UnitaryProduct, s_invariant, ubar_factor, unitary_esi
 from segcalc import transfer
 from segcalc.transfer import _flatten, in_image_lju, lj_u, lj_unitary_product
 
@@ -135,6 +136,12 @@ def test_a_lone_twisted_cuspidal_is_outside_the_image():
     target = UnitaryProduct([SpehUnit(unitary_esi("rho", 1, 2), 1, F(1, 4))])
     assert in_image_lju(REG, target, 2) is None
     assert all_candidates_image(REG, target, 2) is None
+
+
+def test_a_target_over_the_support_limit_is_refused():
+    target = UnitaryProduct([SpehUnit(unitary_esi("rho", 2500, 2), 1)])
+    with pytest.raises(LimitExceeded, match="^target support 5000 exceeds limit 4096$"):
+        in_image_lju(REG, target, 2)
 
 
 def criterion8_targets():

@@ -18,7 +18,17 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from segcalc import Multisegment, Segment, VirtualRep, expand_u, expand_u_prime, raw_dual_std, unitary_esi
+from segcalc import (
+    Multisegment,
+    Segment,
+    SpehUnit,
+    UnitaryProduct,
+    VirtualRep,
+    expand_u,
+    expand_unit_product,
+    raw_dual_std,
+    unitary_esi,
+)
 from segcalc.duality import segment_cut_expansion
 from segcalc.gkring import _tadic_sum
 from strategies import admissible_permutations, labels, labels_with_repeats, virtual_reps
@@ -103,7 +113,8 @@ def test_tadic_sum_equals_oracle_on_every_small_shape():
 def test_expand_u_and_expand_u_prime_equal_the_oracle(l, k, step, twist):
     assert expand_u(l, "chi", k, twist) == tadic_sum_oracle("chi", l, k, 1, twist, 1)
     sigma = unitary_esi("rho", l, step)
-    assert expand_u_prime(sigma, k, 2, twist) == tadic_sum_oracle("rho", l, k, step, twist, 2)
+    got = expand_unit_product(UnitaryProduct([SpehUnit(sigma, k, twist)]), 2)
+    assert got == tadic_sum_oracle("rho", l, k, step, twist, 2)
 
 
 # -- cuts and the raw dual --------------------------------------------------------------
@@ -149,7 +160,7 @@ def test_raw_dual_equals_oracle_on_repeats_and_two_lines():
        st.one_of(labels(5), labels_with_repeats(4)), st.one_of(labels(5), labels_with_repeats(4)))
 def test_producers_without_a_sort_make_canonical_labels(l, k, step, twist, a, b):
     assert_canonical(expand_u(l, "rho", k, twist))
-    assert_canonical(expand_u_prime(unitary_esi("chi", l, step), k, 2, twist))
+    assert_canonical(expand_unit_product(UnitaryProduct([SpehUnit(unitary_esi("chi", l, step), k, twist)]), 2))
     assert_canonical(raw_dual_std(VirtualRep.of(a) - 2 * VirtualRep.of(b)))
     for m in (a | b, b | a, a | a, a | Multisegment.empty(), Multisegment.empty() | b):
         assert_canonical(VirtualRep.of(m))

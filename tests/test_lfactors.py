@@ -13,7 +13,6 @@ from segcalc import (
     lj_u,
     normalizing_factor,
     rs_lg,
-    speh_u,
     unitary_esi,
 )
 from segcalc.gkring import SpehUnit
@@ -129,7 +128,7 @@ def test_eps_invariant_under_factorwise_correspondence(registry):
 
 def test_eps_preserved_but_l_changes_in_dual_case(registry):
     # transfer of u(cuspidal, 2) at d = 2: the eps' factor survives, L does not
-    u_label = speh_u(1, "rho", 2)
+    u_label = SpehUnit(unitary_esi("rho", 1), 2).multisegment()
     t = lj_u(registry, 1, "rho", 2, 2)
     assert eps_irr(registry, u_label) == eps_irr(registry, t.multisegment())
     assert l_irr(registry, u_label) != l_irr(registry, t.multisegment())

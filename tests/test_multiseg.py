@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -126,6 +127,13 @@ def test_is_lower_decides_the_20_point_chain():
     near = ms(seg(0, 1), *(seg(i, i) for i in range(2, 20)))
     assert is_lower(deep, top)
     assert not is_lower(top, near)
+
+
+def test_is_lower_reads_a_long_span_at_its_endpoints():
+    # a 5001-position line with four distinct endpoints: the ranks are read at those only
+    start = time.perf_counter()
+    assert is_lower(ms(seg(0, 5000)), ms(seg(0, 0), seg(1, 5000)))
+    assert time.perf_counter() - start < 1
 
 
 def _family(data, top, max_points):
