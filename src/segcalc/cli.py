@@ -25,7 +25,6 @@ from .globalrep import (
 from .lfactors import eps_irr, l_irr
 from .multiseg import LimitExceeded, Multisegment, enumerate_multisegments, is_lower, unitary_esi
 from .transfer import NotTransferable, lj_std, lj_u
-from . import selfcheck
 
 
 class CliError(Exception):
@@ -210,8 +209,12 @@ def _json(value):
 
 
 def run(args) -> int:
+    if args.d < 1:
+        raise CliError("--d must be >= 1", 1)
     reg = _registry(args)
     if args.command == "selfcheck":  # reports suite by suite, as text only
+        from . import selfcheck  # imported here: no other command needs it
+
         return 0 if selfcheck.run_all() else 1
     value = COMMANDS[args.command](args, reg)
     print(json.dumps(_json(value), indent=2, sort_keys=True) if args.as_json else _text(value))

@@ -15,9 +15,9 @@ floating point is allowed anywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional, Union
 
 ExponentLike = Union[Fraction, int, str]
@@ -54,8 +54,45 @@ def json_field(entry, key: str, kind: type = str):
     return value
 
 
-@dataclass(frozen=True)
-class LineInfo:
+class Record:
+    """An immutable value whose fields are its class's ``__slots__``, in that order.
+
+    Equality is type-strict and the hash is ``hash(tuple of the fields)``.  A
+    subclass validates in ``__init__``, then sets each field once through
+    ``object.__setattr__``; pickling calls ``__init__`` again with the fields.
+    The default ``repr`` is ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        get = attrgetter(*cls.__slots__)  # of one name, it returns the bare value
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class LineInfo(Record):
     """One registered cuspidal line.
 
     ``p`` is the size of the group carrying the base cuspidal; ``dual`` is
@@ -64,10 +101,14 @@ class LineInfo:
     character (used by the L-factor module only).
     """
 
-    name: str
-    p: int
-    dual: str
-    unramified: bool = False
+    __slots__ = ("name", "p", "dual", "unramified")
+
+    def __init__(self, name: str, p: int, dual: str, unramified: bool = False):
+        put = object.__setattr__
+        put(self, "name", name)
+        put(self, "p", p)
+        put(self, "dual", dual)
+        put(self, "unramified", unramified)
 
 
 class CuspidalPoint(NamedTuple):
@@ -121,7 +162,10 @@ class LineRegistry:
                 raise RegistryError(f"line {x.name!r} is already paired")
         if other.p != info.p:
             raise ValueError("dual lines must share the same p")
-        return replace(info, dual=dual), replace(other, dual=info.name)
+        return (
+            LineInfo(info.name, info.p, dual, info.unramified),
+            LineInfo(other.name, other.p, info.name, other.unramified),
+        )
 
     def __contains__(self, name: str) -> bool:
         return name in self._lines

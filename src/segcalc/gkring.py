@@ -16,12 +16,11 @@ its u' factors.  The expansions are alternating sums over W_k^l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from .core import ExponentLike, frac
+from .core import ExponentLike, Record, frac
 from .multiseg import LimitExceeded, Multisegment, Segment, unitary_esi
 
 
@@ -36,7 +35,9 @@ class VirtualRep:
 
     def __init__(self, d: int = 1, terms: Optional[dict[Multisegment, int]] = None):
         self.d = d
-        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
+        self.terms = dict(terms or {})
+        if 0 in self.terms.values():
+            self.terms = {m: c for m, c in self.terms.items() if c != 0}
 
     @classmethod
     def zero(cls, d: int = 1) -> "VirtualRep":
@@ -118,8 +119,7 @@ class VirtualRep:
 # -- Speh units ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpehUnit:
+class SpehUnit(Record):
     """u(sigma, k) placed by a twist; ``alpha`` marks a pi(u, alpha) pair.
 
     ``base`` is the unitary essentially-square-integrable label (a segment
@@ -128,22 +128,25 @@ class SpehUnit:
     with alpha in (0, 1/2) measured in nu_sigma-units.
     """
 
-    base: Segment
-    count: int
-    twist: Fraction = Fraction(0)
-    alpha: Optional[Fraction] = None
+    __slots__ = ("base", "count", "twist", "alpha")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "twist", frac(self.twist))
-        if self.count < 1:
+    def __init__(
+        self, base: Segment, count: int, twist: ExponentLike = Fraction(0), alpha: Optional[ExponentLike] = None
+    ):
+        twist = frac(twist)
+        if count < 1:
             raise ValueError("unit multiplicity must be >= 1")
-        if self.base.center != 0:
+        if base.center != 0:
             raise ValueError("unit base must be centered at exponent 0")
-        if self.alpha is not None:
-            a = frac(self.alpha)
-            if not (0 < a < Fraction(1, 2)):
-                raise ValueError(f"alpha must lie in (0, 1/2), got {a}")
-            object.__setattr__(self, "alpha", a)
+        if alpha is not None:
+            alpha = frac(alpha)
+            if not (0 < alpha < Fraction(1, 2)):
+                raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+        put = object.__setattr__
+        put(self, "base", base)
+        put(self, "count", count)
+        put(self, "twist", twist)
+        put(self, "alpha", alpha)
 
     @property
     def step(self) -> int:
@@ -207,14 +210,13 @@ class SpehUnit:
         return out
 
 
-@dataclass(frozen=True)
-class UnitaryProduct:
+class UnitaryProduct(Record):
     """A multiset of Speh units; its label is the union of the factors'."""
 
-    units: tuple[SpehUnit, ...] = ()
+    __slots__ = ("units",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "units", tuple(sorted(self.units, key=SpehUnit.sort_key)))
+    def __init__(self, units: Iterable[SpehUnit] = ()):
+        object.__setattr__(self, "units", tuple(sorted(units, key=SpehUnit.sort_key)))
 
     @classmethod
     def empty(cls) -> "UnitaryProduct":

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import LineRegistry, RegistryError, frac, json_field
+from .core import LineRegistry, Record, RegistryError, frac, json_field
 from .multiseg import Multisegment, Segment, unitary_esi
 from .gkring import SpehUnit, UnitaryProduct
 from .transfer import SignedUnitaryProduct, generic_data, lj_generic, s_gamma_d
@@ -26,11 +25,13 @@ class IncompatibleLabel(ValueError):
     """Raised when a label is transferred without the required divisibility."""
 
 
-@dataclass(frozen=True)
-class GlobalAlgebra:
+class GlobalAlgebra(Record):
     """Map ramified-place name -> d_v (>= 2); split places are omitted."""
 
-    places: tuple[tuple[str, int], ...]
+    __slots__ = ("places",)
+
+    def __init__(self, places: tuple[tuple[str, int], ...]):
+        object.__setattr__(self, "places", places)
 
     @classmethod
     def of(cls, mapping: dict[str, int]) -> "GlobalAlgebra":
@@ -62,12 +63,14 @@ class GlobalAlgebra:
 LocalDatum = tuple[Segment, Fraction]
 
 
-@dataclass(frozen=True)
-class GlobalCuspidalData:
+class GlobalCuspidalData(Record):
     """Base line plus per-ramified-place generic local data."""
 
-    line: str
-    locals: tuple[tuple[str, tuple[LocalDatum, ...]], ...]
+    __slots__ = ("line", "locals")
+
+    def __init__(self, line: str, locals: tuple[tuple[str, tuple[LocalDatum, ...]], ...]):
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "locals", locals)
 
     @classmethod
     def of(cls, line: str, mapping: dict[str, list[tuple[Segment, Fraction]]]) -> "GlobalCuspidalData":
@@ -109,19 +112,23 @@ def _twist(value) -> Fraction:
         raise RegistryError(f"'e' is not an exact rational: {value!r}") from None
 
 
-@dataclass(frozen=True)
-class DiscreteSeriesLabel:
-    """MW(rho, k) on the split side or MW'(rho', k) on the inner side."""
+class DiscreteSeriesLabel(Record):
+    """MW(rho, k) on the split side or MW'(rho', k) on the inner side.
 
-    side: str  # "split" | "inner"
-    rho: str  # name of the underlying cuspidal datum
-    k: int
+    ``side`` is ``"split"`` or ``"inner"``; ``rho`` names the underlying cuspidal datum.
+    """
 
-    def __post_init__(self) -> None:
-        if self.side not in ("split", "inner"):
+    __slots__ = ("side", "rho", "k")
+
+    def __init__(self, side: str, rho: str, k: int):
+        if side not in ("split", "inner"):
             raise ValueError("side must be 'split' or 'inner'")
-        if self.k < 1:
+        if k < 1:
             raise ValueError("k must be >= 1")
+        put = object.__setattr__
+        put(self, "side", side)
+        put(self, "rho", rho)
+        put(self, "k", k)
 
     @property
     def cuspidal(self) -> bool:

@@ -15,20 +15,21 @@ Steinberg representations in every block size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import LineRegistry, frac
+from .core import LineRegistry, Record, frac
 from .multiseg import Multisegment, Segment
 from .transfer import c_inv
 
 
-@dataclass(frozen=True)
-class FormalLFactor:
+class FormalLFactor(Record):
     """Multiset of shifts a in prod (1 - q^(-s-a))^(-1); empty means 1."""
 
-    shifts: tuple[Fraction, ...] = ()
+    __slots__ = ("shifts",)
+
+    def __init__(self, shifts: tuple[Fraction, ...] = ()):
+        object.__setattr__(self, "shifts", shifts)
 
     @classmethod
     def one(cls) -> "FormalLFactor":
@@ -56,12 +57,14 @@ def _signed(a: Fraction) -> str:
     return f"-{a}" if a > 0 else f"+{-a}"
 
 
-@dataclass(frozen=True)
-class EpsilonFactor:
+class EpsilonFactor(Record):
     """Multiset of (line tag, shift) pairs: prod eps'(s + shift, tag, psi)."""
 
-    shifts: tuple[tuple[str, Fraction], ...] = ()
-    psi: str = "psi"
+    __slots__ = ("shifts", "psi")
+
+    def __init__(self, shifts: tuple[tuple[str, Fraction], ...] = (), psi: str = "psi"):
+        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "psi", psi)
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[str, Fraction]], psi: str = "psi") -> "EpsilonFactor":
@@ -105,11 +108,13 @@ def eps_irr(registry: LineRegistry, m: Multisegment, psi: str = "psi") -> Epsilo
 # -- Rankin-Selberg shift maps ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormalRSProduct:
+class FormalRSProduct(Record):
     """Map shift -> integer exponent over an opaque Rankin-Selberg base L(z + shift)."""
 
-    powers: tuple[tuple[Fraction, int], ...] = ()
+    __slots__ = ("powers",)
+
+    def __init__(self, powers: tuple[tuple[Fraction, int], ...] = ()):
+        object.__setattr__(self, "powers", powers)
 
     @classmethod
     def of(cls, powers: dict) -> "FormalRSProduct":

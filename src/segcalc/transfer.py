@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .core import ExponentLike, LineRegistry, frac, s_invariant
+from .core import ExponentLike, LineRegistry, Record, frac, s_invariant
 from .gkring import SpehUnit, UnitaryProduct, VirtualRep, _two_block_product
 from .multiseg import LimitExceeded, Multisegment, Segment, is_lower, unitary_esi
 
@@ -39,18 +38,18 @@ class NotTransferable(ValueError):
     """The esi correspondence is undefined on this input (distinct from 0)."""
 
 
-@dataclass(frozen=True)
-class SignedUnitaryProduct:
+class SignedUnitaryProduct(Record):
     """A unitary product with a transfer sign; sign 0 means the transfer vanishes."""
 
-    sign: int
-    product: UnitaryProduct
+    __slots__ = ("sign", "product")
 
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
+    def __init__(self, sign: int, product: UnitaryProduct):
+        if sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
-        if self.sign == 0 and len(self.product) != 0:
+        if sign == 0 and len(product) != 0:
             raise ValueError("vanishing transfer must carry the empty product")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "product", product)
 
     def multisegment(self) -> Multisegment:
         return self.product.multisegment()

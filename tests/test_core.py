@@ -1,4 +1,10 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +24,9 @@ from segcalc import (
     ubar_factor,
     unitary_esi,
 )
+from segcalc.core import LineInfo
+from segcalc.globalrep import GlobalAlgebra, GlobalCuspidalData
+from segcalc.lfactors import EpsilonFactor, FormalLFactor, FormalRSProduct
 from segcalc.transfer import lj_unitary_product
 
 
@@ -178,3 +187,57 @@ def test_invalid_arguments_raise_their_exception(call, exc, message):
     with pytest.raises(exc) as info:
         call()
     assert type(info.value) is exc and str(info.value) == message
+
+
+# -- value records -------------------------------------------------------------------
+
+UNIT = SpehUnit(unitary_esi("rho", 2), 3, Fraction(1, 2), Fraction(1, 4))
+
+# (value, its field names in declaration order, its repr or None where the class writes its own)
+RECORDS = [
+    pytest.param(LineInfo("chi", 2, "chiv"), ("name", "p", "dual", "unramified"),
+                 "LineInfo(name='chi', p=2, dual='chiv', unramified=False)", id="LineInfo"),
+    pytest.param(UNIT, ("base", "count", "twist", "alpha"), None, id="SpehUnit"),
+    pytest.param(UnitaryProduct([UNIT, SpehUnit(unitary_esi("rho", 1), 1)]), ("units",), None,
+                 id="UnitaryProduct"),
+    pytest.param(GlobalAlgebra.of({"v2": 3, "v1": 2}), ("places",),
+                 "GlobalAlgebra(places=(('v1', 2), ('v2', 3)))", id="GlobalAlgebra"),
+    pytest.param(GlobalCuspidalData.of("rho", {"v1": [(unitary_esi("rho", 2), Fraction(1, 4))]}), ("line", "locals"),
+                 "GlobalCuspidalData(line='rho', locals=(('v1', ((rho:[-1/2,1/2], Fraction(1, 4)),)),))",
+                 id="GlobalCuspidalData"),
+    pytest.param(DiscreteSeriesLabel("split", "rho", 2), ("side", "rho", "k"),
+                 "DiscreteSeriesLabel(side='split', rho='rho', k=2)", id="DiscreteSeriesLabel"),
+    pytest.param(FormalLFactor(()), ("shifts",), None, id="FormalLFactor"),
+    pytest.param(EpsilonFactor.of([("rho", 1)], "psi0"), ("shifts", "psi"), None, id="EpsilonFactor"),
+    pytest.param(FormalRSProduct(()), ("powers",), None, id="FormalRSProduct"),
+    pytest.param(SignedUnitaryProduct(-1, UnitaryProduct([UNIT])), ("sign", "product"), None,
+                 id="SignedUnitaryProduct"),
+]
+
+
+@pytest.mark.parametrize("x,fields,text", RECORDS)
+def test_value_records_keep_their_contract(x, fields, text):
+    values = tuple(getattr(x, f) for f in fields)
+    # equality is type-strict: an equal-looking value of another type, or the bare fields, differ
+    others = [(), values, FormalRSProduct(()) if isinstance(x, FormalLFactor) else FormalLFactor(())]
+    assert all(x != y and not x == y for y in others)
+    assert hash(x) == hash(values)
+    for act in (lambda: setattr(x, fields[0], None), lambda: delattr(x, fields[0])):
+        with pytest.raises(AttributeError):
+            act()
+    assert tuple(getattr(x, f) for f in fields) == values
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is type(x) and y == x and hash(y) == hash(x)
+    if text is not None:
+        assert repr(x) == text
+
+
+def test_cli_import_leaves_heavy_and_unused_modules_out():
+    src = str(Path(sys.modules["segcalc"].__file__).resolve().parents[1])
+    unwanted = ("dataclasses", "inspect", "segcalc.selfcheck")
+    probe = f"import sys, segcalc.cli; print(*[m for m in {unwanted!r} if m in sys.modules])"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, cwd=src,
+    ).stdout
+    assert out == "\n"

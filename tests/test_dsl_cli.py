@@ -339,6 +339,13 @@ def _global(algebra, cuspidal):
         (["lj", "--d", "2", "1/2*{rho:[0,1]}"], 2),
         (["dual", "{1:[0,0]}"], 2),
         (["dual", "{rho:[0,0]}}"], 2),
+        # a non-positive inner-form index is refused before any command runs
+        (["dual", "--d", "0", "{rho:[0,0]}"], 1),
+        (["lfun", "--d", "0", "{rho:[0,0]}"], 1),
+        (["eps", "--d", "-2", "{rho:[0,0]}"], 1),
+        (["dual", "--d", "-2", "{rho':[0,0]}"], 1),
+        (["expand-u", "--d", "0", "l=1", "k=1"], 1),
+        (["selfcheck", "--d", "0"], 1),
     ],
 )
 def test_cli_refuses_malformed_unit_and_file_inputs(argv, code, tmp_path, capsys):
@@ -353,6 +360,12 @@ def test_cli_refuses_malformed_unit_and_file_inputs(argv, code, tmp_path, capsys
     assert got == code
     assert out == "" and err.startswith(("error:", "parse error:"))
     assert "Traceback" not in err
+
+
+def test_cli_checks_the_inner_form_index_before_the_command(capsys):
+    assert run_cli(capsys, "lj", "--d", "-2", "{rho:[0,0]}") == (1, "", "error: --d must be >= 1\n")
+    assert run_cli(capsys, "lj", "--d", "1", "{rho:[0,0]}") == (1, "", "error: lj needs --d >= 2\n")
+    assert run_cli(capsys, "expand-ubar", "--d", "1", "l=1", "k=2") == (1, "", "error: expand-ubar needs --d >= 2\n")
 
 
 def test_cli_recognize_refuses_a_label_over_the_limit(capsys):

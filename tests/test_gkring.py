@@ -56,6 +56,17 @@ def test_product_is_bilinear():
     assert (a - b) * c == a * c - b * c
 
 
+def test_virtual_rep_drops_zero_coefficients_and_owns_its_terms():
+    a, b = ms(seg(0, 0)), ms(seg(0, 1))
+    assert VirtualRep(1, {a: 2, b: 0}).terms == {a: 2}
+    terms = {a: 2}
+    v = VirtualRep(1, terms)
+    terms[a], terms[b] = 5, 1
+    assert v.terms == {a: 2}
+    assert VirtualRep.of(a) - VirtualRep.of(a) == VirtualRep.zero() and VirtualRep(1, {a: 0}).is_zero()
+    assert (VirtualRep.of(a) + VirtualRep.of(b)) * VirtualRep.of(b, 0) == VirtualRep.zero()
+
+
 def test_side_mismatch_rejected():
     from segcalc.gkring import SideMismatch
 
