@@ -1,11 +1,12 @@
 """Duality on irreducible labels and a raw dual on the standard lattice.
 
-``mw_dual`` runs the chain-extraction algorithm on a rigid multisegment:
-repeatedly peel one cuspidal point off a maximal chain of segments whose
-endings decrease by one step and whose begins strictly decrease, always
-preferring the shortest eligible segment.  The peeled endings form one
-segment of the dual; the involution extends to arbitrary labels one rigid
-part at a time because it commutes with induction products.
+``dual_irr`` runs the chain-extraction algorithm on the integer positions
+of each effective line: repeatedly peel one cuspidal point off a maximal
+chain of segments whose endings decrease by one step and whose begins
+strictly decrease, always preferring the shortest eligible segment (the one
+with the largest begin).  The peeled endings form one segment of the dual.
+The involution commutes with induction products, so it acts on each rigid
+part (effective line) alone; ``mw_dual`` is its rigid-input case.
 
 ``raw_dual_std`` is the signed cut-expansion dual on the standard basis: on
 one segment of length n it is the alternating sum over the 2^(n-1) ways to
@@ -32,41 +33,41 @@ labels go through the sorting constructor.
 from __future__ import annotations
 
 from .gkring import VirtualRep
-from .multiseg import Multisegment, Segment, rigid_decomposition
+from .multiseg import Multisegment, Segment
 
 
 def mw_dual(m: Multisegment) -> Multisegment:
     """Dual of a rigid multisegment (single effective line)."""
-    if not m:
-        return m
-    lines = {s.effective_line() for s in m.segments}
-    if len(lines) != 1:
+    if len({s.effective_line() for s in m.segments}) > 1:
         raise ValueError("mw_dual requires a rigid multisegment (one effective line)")
-    (line,) = lines
-    work = [(s.first, s.last) for s in m.segments]  # (begin, end) positions on the line
-    out: list[Segment] = []
-    while work:
-        e = max(end for _, end in work)
-        chain: list[tuple[int, int]] = []
-        while True:
-            bound = chain[-1][0] if chain else e + 1  # begins strictly decrease
-            candidates = [seg for seg in work if seg[1] == e - len(chain) and seg[0] < bound]
-            if not candidates:
-                break
-            chosen = min(candidates, key=lambda seg: (seg[1] - seg[0], seg[0]))
-            work.remove(chosen)
-            chain.append(chosen)
-        out.append(Segment.from_positions(line, e - len(chain) + 1, e))
-        work += [(begin, end - 1) for begin, end in chain if end > begin]
-    return Multisegment(out)
+    return dual_irr(m)
 
 
 def dual_irr(m: Multisegment) -> Multisegment:
-    """Dual of any label: mw_dual on each rigid part, recombined."""
-    out = Multisegment.empty()
-    for part in rigid_decomposition(m):
-        out = out | mw_dual(part)
-    return out
+    """Dual of any label: the chain extraction on each effective line's positions.
+
+    The effective line leads the canonical sort key, so the lines come out of
+    the label in sorted order; with each line's output sorted, the result is canonical.
+    """
+    lines: dict[tuple, list[tuple[int, int]]] = {}
+    for s in m.segments:
+        lines.setdefault(s.effective_line(), []).append((s.first, s.last))
+    out: list[Segment] = []
+    for eff, work in lines.items():
+        peeled = []
+        while work:
+            top = end = max(last for _, last in work)
+            chain: list[tuple[int, int]] = []
+            bound = top + 1  # begins strictly decrease
+            while begins := [first for first, last in work if last == end and first < bound]:
+                bound = max(begins)
+                work.remove((bound, end))
+                chain.append((bound, end))
+                end -= 1
+            peeled.append((end + 1, top))
+            work += [(first, last - 1) for first, last in chain if last > first]
+        out.extend(Segment.from_positions(eff, a, b) for a, b in sorted(peeled))
+    return Multisegment._canonical(tuple(out))
 
 
 def segment_cut_expansion(seg: Segment) -> list[tuple[int, tuple[Segment, ...]]]:

@@ -16,6 +16,7 @@ its u' factors.  The expansions are alternating sums over W_k^l.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Iterable, Iterator, Optional
@@ -366,11 +367,14 @@ RECOGNITION_LIMIT = 10_000  # largest total segment length recognize_unitary acc
 def recognize_unitary(m: Multisegment) -> Optional[UnitaryProduct]:
     """Factor a label into twist-0 units and pi(u, alpha) pairs, if possible.
 
-    Within each (effective line, segment length) group the centers must
-    split into arithmetic progressions of difference step that are either
+    Within each (line, step, segment length) group the centers must split
+    into arithmetic progressions of difference step that are either
     symmetric around 0 (a unit u(sigma, k)) or mirror pairs at +-alpha*step
-    with alpha in (0, 1/2) (a pi(u, alpha)).  The shape of the progression
-    containing the maximal center is forced, so extraction is greedy.
+    with alpha in (0, 1/2) (a pi(u, alpha)), so a group's centers sum to 0.
+    After the limit check, a group whose doubled centers ``step * (2 first +
+    length - 1) + 2 offset_class`` do not sum to 0 rejects the label.  The
+    shape of the progression containing the maximal center is forced, so
+    extraction is greedy.
     """
     if sum(s.length for s in m.segments) > RECOGNITION_LIMIT:
         raise LimitExceeded(f"label exceeds recognition limit {RECOGNITION_LIMIT}")
@@ -379,15 +383,14 @@ def recognize_unitary(m: Multisegment) -> Optional[UnitaryProduct]:
     groups: dict[tuple, list[Segment]] = {}
     for s in m.segments:
         groups.setdefault((s.line, s.step, s.length), []).append(s)
+    for (_, step, length), segs in groups.items():
+        if step * sum(2 * s.first + length - 1 for s in segs) + 2 * sum(s.offset_class for s in segs):
+            return None
 
     units: list[SpehUnit] = []
-    for _, segs in sorted(groups.items()):
-        proto = segs[0]
-        s = proto.step
-        centers: dict[Fraction, int] = {}
-        for seg in segs:
-            centers[seg.center] = centers.get(seg.center, 0) + 1
-        base = unitary_esi(proto.line, proto.length, s)
+    for (line, s, length), segs in sorted(groups.items()):
+        centers = Counter(seg.center for seg in segs)
+        base = unitary_esi(line, length, s)
         while centers:
             c = max(centers)
             # the unique k with beta = c - s(k-1)/2 in [0, s/2): a unit when beta = 0
@@ -396,20 +399,9 @@ def recognize_unitary(m: Multisegment) -> Optional[UnitaryProduct]:
                 return None
             beta = c - Fraction(s * (k - 1), 2)
             alpha = beta / s if beta else None
-            if not _consume(centers, SpehUnit.layout(k, s, Fraction(0), alpha)):
+            need = Counter(SpehUnit.layout(k, s, Fraction(0), alpha))
+            if need - centers:  # a center of the layout is missing
                 return None
+            centers -= need
             units.append(SpehUnit(base, k, Fraction(0), alpha))
     return UnitaryProduct(units)
-
-
-def _consume(centers: dict[Fraction, int], need: list[Fraction]) -> bool:
-    taken: dict[Fraction, int] = {}
-    for c in need:
-        if centers.get(c, 0) - taken.get(c, 0) <= 0:
-            return False
-        taken[c] = taken.get(c, 0) + 1
-    for c, n in taken.items():
-        centers[c] -= n
-        if centers[c] == 0:
-            del centers[c]
-    return True

@@ -16,11 +16,11 @@ Steinberg representations in every block size.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .core import LineRegistry, Record, frac
 from .multiseg import Multisegment, Segment
-from .transfer import c_inv
 
 
 class FormalLFactor(Record):
@@ -79,30 +79,42 @@ class EpsilonFactor(Record):
         return {"psi": self.psi, "shifts": [{"tag": t, "shift": str(a)} for t, a in self.shifts]}
 
 
+def _flat_start(seg: Segment) -> tuple[int, int]:
+    """``start - (step - 1)/2``, where the flattened support starts, as (num, den) in lowest terms."""
+    den = seg.start.denominator
+    flat = Fraction(2 * seg.start.numerator - (seg.step - 1) * den, 2 * den)
+    return flat.numerator, flat.denominator
+
+
 def l_esi(registry: LineRegistry, seg: Segment) -> FormalLFactor:
     """L-factor of one esi label; nonempty only over unramified size-1 lines."""
-    info = registry[seg.line]
-    if not (info.unramified and info.p == 1):
-        return FormalLFactor.one()
-    return FormalLFactor.of(c_inv(seg).end)
+    return l_irr(registry, Multisegment((seg,)))
 
 
 def l_irr(registry: LineRegistry, m: Multisegment) -> FormalLFactor:
-    """Product of the esi L-factors over the label's segments."""
-    out = FormalLFactor.one()
+    """Product of the esi L-factors: the top of each flattened support over an unramified size-1 line."""
+    shifts = []
     for seg in m.segments:
-        out = out * l_esi(registry, seg)
-    return out
+        info = registry[seg.line]
+        if info.unramified and info.p == 1:
+            num, den = _flat_start(seg)
+            shifts.append(Fraction(num + (seg.length * seg.step - 1) * den, den))
+    return FormalLFactor(tuple(sorted(shifts)))
 
 
 def eps_irr(registry: LineRegistry, m: Multisegment, psi: str = "psi") -> EpsilonFactor:
-    """epsilon'-factor: one term per point of the flattened cuspidal support."""
-    pairs = []
+    """epsilon'-factor: one term per point of the flattened cuspidal support.
+
+    The points of each segment are ``(num + j * den) / den`` from its
+    ``_flat_start``; they are sorted as integers over one common denominator.
+    """
+    flats = []
     for seg in m.segments:
         registry[seg.line]  # validate the line exists
-        for pt in c_inv(seg).points():
-            pairs.append((pt.line, pt.exp))
-    return EpsilonFactor.of(pairs, psi)
+        flats.append((seg.line, *_flat_start(seg), seg.length * seg.step))
+    big = lcm(*(den for _, _, den, _ in flats))
+    points = sorted((line, (num + j * den) * (big // den)) for line, num, den, n in flats for j in range(n))
+    return EpsilonFactor(tuple((line, Fraction(k, big)) for line, k in points), psi)
 
 
 # -- Rankin-Selberg shift maps ------------------------------------------------

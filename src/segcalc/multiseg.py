@@ -373,11 +373,12 @@ def descendants(m: Multisegment) -> set[Multisegment]:
 
 
 def hermitian_dual(m: Multisegment, registry: LineRegistry) -> Multisegment:
-    """[line: a..b] -> [dual(line): -b..-a], same step."""
+    """[line: a..b] -> [dual(line): -b..-a]: positions -last..-first of (dual, step, -offset_class)."""
     out = []
     for s in m.segments:
-        dual = registry[s.line].dual
-        out.append(Segment(dual, -s.end, s.length, s.step))
+        line, step, offset, first, length = s._order
+        eff = (registry[line].dual, step, -offset)
+        out.append(Segment.from_positions(eff, -(first + length - 1), -first))
     return Multisegment(out)
 
 

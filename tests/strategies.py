@@ -1,7 +1,7 @@
 """Hypothesis strategies and oracles shared by the property tests."""
 
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Optional
 
 from hypothesis import strategies as st
 
@@ -42,13 +42,56 @@ def virtual_reps(draw, d=1, label=labels()):
 
 
 @st.composite
-def unitary_products(draw, lines=("rho", "chi")):
-    """At most two split factors, each a twist-0 unit or a pi(u, alpha) pair, with l and k <= 3."""
+def unitary_products(draw, lines=("rho", "chi"), steps=(1,)):
+    """At most two factors, each a twist-0 unit or a pi(u, alpha) pair, with l and k <= 3.
+
+    The bases are split by default.  On an inner-form step s the pair halves
+    sit at +-alpha*s, so steps 2 and 3 give offsets in eighths, quarters,
+    halves and thirds.
+    """
     units = []
     for _ in range(draw(st.integers(0, 2))):
-        base = unitary_esi(draw(st.sampled_from(lines)), draw(st.integers(1, 3)))
+        base = unitary_esi(draw(st.sampled_from(lines)), draw(st.integers(1, 3)), draw(st.sampled_from(steps)))
         alpha = draw(st.sampled_from([None, None, Fraction(1, 8), Fraction(1, 4), Fraction(1, 3)]))
         units.append(SpehUnit(base, draw(st.integers(1, 3)), Fraction(0), alpha))
+    return UnitaryProduct(units)
+
+
+def recognize_unitary_greedy(m: Multisegment) -> Optional[UnitaryProduct]:
+    """The greedy extraction alone, with no center-sum rejection: the oracle for ``recognize_unitary``.
+
+    Centers are Fractions read through ``Segment.center``, and a layout is
+    taken out of the remaining centers only when all of it is there.
+    """
+    groups: dict[tuple, list[Segment]] = {}
+    for s in m.segments:
+        groups.setdefault((s.line, s.step, s.length), []).append(s)
+    units: list[SpehUnit] = []
+    for _, segs in sorted(groups.items()):
+        proto = segs[0]
+        s = proto.step
+        centers: dict[Fraction, int] = {}
+        for seg in segs:
+            centers[seg.center] = centers.get(seg.center, 0) + 1
+        base = unitary_esi(proto.line, proto.length, s)
+        while centers:
+            c = max(centers)
+            k = 2 * c // s + 1
+            if k < 1:
+                return None
+            beta = c - Fraction(s * (k - 1), 2)
+            alpha = beta / s if beta else None
+            need = SpehUnit.layout(k, s, Fraction(0), alpha)
+            taken: dict[Fraction, int] = {}
+            for x in need:
+                if centers.get(x, 0) - taken.get(x, 0) <= 0:
+                    return None
+                taken[x] = taken.get(x, 0) + 1
+            for x, n in taken.items():
+                centers[x] -= n
+                if centers[x] == 0:
+                    del centers[x]
+            units.append(SpehUnit(base, k, Fraction(0), alpha))
     return UnitaryProduct(units)
 
 

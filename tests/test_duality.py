@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from segcalc import (
     Multisegment,
@@ -10,6 +11,7 @@ from segcalc import (
     dual_irr,
     mw_dual,
     raw_dual_std,
+    rigid_decomposition,
     speh_ubar,
     unitary_esi,
 )
@@ -100,6 +102,40 @@ def test_dual_does_not_reverse_the_order():
 def test_dual_splits_across_rigid_parts():
     m = ms(seg(0, 1), seg(F(1, 2), F(1, 2)))
     assert dual_irr(m) == ms(seg(0, 0), seg(1, 1), seg(F(1, 2), F(1, 2)))
+
+
+def mw_dual_oracle(m):
+    """The chain loop on one rigid part as a Multisegment: pick the shortest candidate, then sort."""
+    (line,) = {s.effective_line() for s in m.segments}
+    work = [(s.first, s.last) for s in m.segments]
+    out = []
+    while work:
+        e = max(end for _, end in work)
+        chain = []
+        while True:
+            bound = chain[-1][0] if chain else e + 1
+            candidates = [x for x in work if x[1] == e - len(chain) and x[0] < bound]
+            if not candidates:
+                break
+            chosen = min(candidates, key=lambda x: (x[1] - x[0], x[0]))
+            work.remove(chosen)
+            chain.append(chosen)
+        out.append(Segment.from_positions(line, e - len(chain) + 1, e))
+        work += [(begin, end - 1) for begin, end in chain if end > begin]
+    return Multisegment(out)
+
+
+@given(st.one_of(labels(), labels_with_repeats()))
+def test_dual_irr_equals_the_union_of_mw_dual_over_rigid_parts(m):
+    parts = rigid_decomposition(m)
+    want = Multisegment.empty()
+    for part in parts:
+        assert mw_dual(part) == mw_dual_oracle(part)
+        want = want | mw_dual_oracle(part)
+    assert dual_irr(m).segments == want.segments
+    if len(parts) > 1:
+        with pytest.raises(ValueError, match="rigid"):
+            mw_dual(m)
 
 
 @given(labels())

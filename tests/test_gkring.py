@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from segcalc import (
+    LimitExceeded,
     Multisegment,
     Segment,
     SpehUnit,
@@ -20,7 +21,15 @@ from segcalc import (
     ubar_factor,
     unitary_esi,
 )
-from strategies import admissible_permutations, count_admissible, labels, labels_with_repeats, unitary_products
+from segcalc.gkring import RECOGNITION_LIMIT
+from strategies import (
+    admissible_permutations,
+    count_admissible,
+    labels,
+    labels_with_repeats,
+    recognize_unitary_greedy,
+    unitary_products,
+)
 
 
 def seg(a, b, line="rho", step=1):
@@ -337,9 +346,37 @@ def test_recognize_round_trips_products():
     assert got == up
 
 
-@given(unitary_products())
+@given(unitary_products(steps=(1, 2, 3)))
 def test_recognize_inverts_multisegment_on_generated_products(up):
     assert recognize_unitary(up.multisegment()) == up
+
+
+@given(st.one_of(labels(), labels_with_repeats(), unitary_products(steps=(1, 2, 3)).map(UnitaryProduct.multisegment)))
+def test_recognize_equals_the_greedy_oracle_on_generated_labels(m):
+    assert recognize_unitary(m) == recognize_unitary_greedy(m)
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [F(1, 3), F(1, 4), F(1, 6)])
+def test_recognize_equals_the_greedy_oracle_on_mirrored_pair_halves(step, alpha):
+    pair = SpehUnit(unitary_esi("rho", 2, step), 2, 0, alpha)
+    up, dn = (h.multisegment() for h in pair.halves())
+    assert {s.offset_class for s in (up | dn).segments} == {(alpha * step) % step, (-alpha * step) % step}
+    for m, want in ((up | dn, UnitaryProduct([pair])), (up, None), (dn, None)):
+        assert recognize_unitary(m) == recognize_unitary_greedy(m) == want
+
+
+def test_recognize_rejects_a_third_offset_and_a_zero_center_sum_left_to_the_greedy():
+    third = ms(seg(F(1, 3), F(1, 3)), seg(F(-2, 3), F(-2, 3)))  # centers sum to -1/3
+    split_pair = ms(seg(1, 1), seg(-1, -1))  # centers sum to 0, but no unit has centers {1, -1}
+    for m in (third, split_pair):
+        assert recognize_unitary(m) is recognize_unitary_greedy(m) is None
+
+
+def test_recognize_checks_the_limit_before_the_center_sum():
+    m = ms(Segment("rho", 1, RECOGNITION_LIMIT + 1))  # its one center is far from 0
+    with pytest.raises(LimitExceeded, match=f"^label exceeds recognition limit {RECOGNITION_LIMIT}$"):
+        recognize_unitary(m)
 
 
 def test_unit_layout_is_its_halves():

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
+from hypothesis import given
+
 from segcalc import (
     EpsilonFactor,
     FormalLFactor,
     LineRegistry,
     Multisegment,
     Segment,
+    c_inv,
     c_map,
     eps_irr,
     l_esi,
@@ -17,6 +20,7 @@ from segcalc import (
 )
 from segcalc.gkring import SpehUnit
 from segcalc.lfactors import FormalRSProduct, mw_normalizer_quotient
+from strategies import labels
 
 F = Fraction
 
@@ -95,6 +99,42 @@ def test_unflagged_label_has_empty_l_but_full_eps():
     label = Multisegment([Segment("chi", 0, 2)])
     assert l_irr(reg, label) == FormalLFactor.one()
     assert eps_irr(reg, label) == EpsilonFactor.of([("chi", F(0)), ("chi", F(1))])
+
+
+def _assert_l_and_eps_equal_the_c_inv_oracle(m):
+    # rho counts for L; chi (p = 2) and a ramified rho count only for eps
+    for unramified in (True, False):
+        reg = LineRegistry()
+        reg.register("rho", 1, unramified=unramified)
+        reg.register("chi", 2, unramified=True)
+        want_l = FormalLFactor.one()
+        for s in m.segments:
+            want_l = want_l * l_esi(reg, s)
+            top = (c_inv(s).end,) if unramified and s.line == "rho" else ()
+            assert l_esi(reg, s) == FormalLFactor.of(*top)
+        want_eps = EpsilonFactor.of((pt.line, pt.exp) for s in m.segments for pt in c_inv(s).points())
+        got_l, got_eps = l_irr(reg, m), eps_irr(reg, m)
+        assert (got_l, got_eps) == (want_l, want_eps)
+        assert (repr(got_l), repr(got_eps)) == (repr(want_l), repr(want_eps))
+        assert all(type(a) is Fraction for a in got_l.shifts + tuple(a for _, a in got_eps.shifts))
+
+
+@given(labels())
+def test_l_and_eps_equal_the_c_inv_oracle_on_generated_labels(m):
+    _assert_l_and_eps_equal_the_c_inv_oracle(m)
+
+
+def test_l_and_eps_equal_the_c_inv_oracle_on_mixed_flat_denominators():
+    # flat starts with denominators 1, 2, 4 and 6 interleave on one line
+    for line in ("rho", "chi"):
+        m = ms(
+            Segment(line, 0, 2),
+            Segment(line, 0, 2, 2),
+            Segment(line, F(1, 4), 1),
+            Segment(line, F(-1, 2), 2, 3),
+            Segment(line, F(1, 3), 1, 2),
+        )
+        _assert_l_and_eps_equal_the_c_inv_oracle(m)
 
 
 def test_render_forms(registry):

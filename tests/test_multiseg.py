@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from segcalc import (
     CuspidalPoint,
     LimitExceeded,
+    LineRegistry,
     Multisegment,
     Segment,
     SegmentRelation,
@@ -342,6 +343,19 @@ def test_hermitian_involution_and_commutation(registry):
         assert hermitian_dual(h, registry) == m
         lhs = {hermitian_dual(x, registry) for x in elementary_successors(m)}
         assert lhs == elementary_successors(h)
+
+
+@given(labels())
+def test_hermitian_dual_equals_the_exponent_oracle_and_is_an_involution(m):
+    # steps 1-3 and offsets in halves and quarters; chi is self-dual, then swapped with rho
+    for dual in (None, "rho"):
+        reg = LineRegistry()
+        reg.register("rho", 1)
+        reg.register("chi", 1, dual)
+        h = hermitian_dual(m, reg)
+        want = Multisegment(Segment(reg[s.line].dual, -s.end, s.length, s.step) for s in m.segments)
+        assert h.segments == want.segments
+        assert hermitian_dual(h, reg) == m
 
 
 # -- enumeration --------------------------------------------------------------------
