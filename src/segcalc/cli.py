@@ -33,13 +33,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lines", metavar="FILE", help="line registry JSON file")
-    parser.add_argument("--d", type=int, default=1, help="inner-form index (1 = split)")
-    parser.add_argument("--json", action="store_true", dest="as_json")
-    parser.add_argument("--limit", type=int, default=10, help="search cap for enumeration")
-
-
 def _registry(args) -> LineRegistry:
     if args.lines:
         return LineRegistry.load(args.lines)
@@ -72,60 +65,53 @@ def _unit_params(params: list[str], reg: LineRegistry) -> tuple[int, str, int]:
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="segcalc", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the options every command takes
+    common.add_argument("--lines", metavar="FILE", help="line registry JSON file")
+    common.add_argument("--d", type=int, default=1, help="inner-form index (1 = split)")
+    common.add_argument("--json", action="store_true", dest="as_json")
+    common.add_argument("--limit", type=int, default=10, help="search cap for enumeration")
 
-    p = sub.add_parser("dual", help="duality on an irreducible label")
-    _common(p)
+    p = sub.add_parser("dual", parents=[common], help="duality on an irreducible label")
     p.add_argument("expr")
 
-    p = sub.add_parser("order", help="is A below B in the multisegment order?")
-    _common(p)
+    p = sub.add_parser("order", parents=[common], help="is A below B in the multisegment order?")
     p.add_argument("a")
     p.add_argument("b")
 
-    p = sub.add_parser("expand-u", help="standard-basis expansion of u(Z(rho,l),k)")
-    _common(p)
+    p = sub.add_parser("expand-u", parents=[common], help="standard-basis expansion of u(Z(rho,l),k)")
     p.add_argument("params", nargs="+", metavar="key=value", help="l=, k=, [line=]")
 
-    p = sub.add_parser("expand-ubar", help="expansion of ubar over the inner form")
-    _common(p)
+    p = sub.add_parser("expand-ubar", parents=[common], help="expansion of ubar over the inner form")
     p.add_argument("params", nargs="+", metavar="key=value", help="l=, k=, [line=]")
 
-    p = sub.add_parser("lj", help="Jacquet-Langlands transfer to the inner form")
-    _common(p)
+    p = sub.add_parser("lj", parents=[common], help="Jacquet-Langlands transfer to the inner form")
     p.add_argument("expr", nargs="?", help="virtual representation to transfer")
     p.add_argument("--expand-u", nargs="+", dest="expand_u", metavar="key=value")
     p.add_argument("--u", nargs="+", dest="unit", metavar="key=value",
                    help="closed-form transfer of u(Z(rho,l),k)")
 
-    p = sub.add_parser("recognize", help="factor a label into unitary units")
-    _common(p)
+    p = sub.add_parser("recognize", parents=[common], help="factor a label into unitary units")
     p.add_argument("expr")
 
-    p = sub.add_parser("lfun", help="formal L-function of a label")
-    _common(p)
+    p = sub.add_parser("lfun", parents=[common], help="formal L-function of a label")
     p.add_argument("expr")
 
-    p = sub.add_parser("eps", help="formal epsilon'-factor of a label")
-    _common(p)
+    p = sub.add_parser("eps", parents=[common], help="formal epsilon'-factor of a label")
     p.add_argument("expr")
 
-    p = sub.add_parser("enumerate", help="all multisegments on the support of EXPR")
-    _common(p)
+    p = sub.add_parser("enumerate", parents=[common], help="all multisegments on the support of EXPR")
     p.add_argument("expr")
 
-    p = sub.add_parser("global-check", help="global discrete-series bookkeeping")
-    _common(p)
+    p = sub.add_parser("global-check", parents=[common], help="global discrete-series bookkeeping")
     p.add_argument("--algebra", required=True, metavar="FILE")
     p.add_argument("--cuspidal", required=True, metavar="FILE")
     p.add_argument("--k", type=int, default=1)
 
-    p = sub.add_parser("count-levi", help="conjugates of the equal-blocks Levi")
-    _common(p)
+    p = sub.add_parser("count-levi", parents=[common], help="conjugates of the equal-blocks Levi")
     p.add_argument("n", type=int)
     p.add_argument("l", type=int)
 
-    p = sub.add_parser("selfcheck", help="run the built-in verification suites")
-    _common(p)
+    sub.add_parser("selfcheck", parents=[common], help="run the built-in verification suites")
 
     return top
 

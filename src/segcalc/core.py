@@ -205,7 +205,7 @@ class LineRegistry:
         # mutual dual references may appear in any order
         for e in data:
             name, p = json_field(e, "name"), json_field(e, "p", int)
-            reg.register(name, p, None, bool(e.get("unramified", False)))
+            reg.register(name, p, None, "unramified" in e and json_field(e, "unramified", bool))
         for e in data:
             dual = None if e.get("dual") is None else json_field(e, "dual")
             if dual is not None and dual != e["name"]:

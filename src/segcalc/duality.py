@@ -32,6 +32,8 @@ labels go through the sorting constructor.
 
 from __future__ import annotations
 
+import itertools
+
 from .gkring import VirtualRep
 from .multiseg import Multisegment, Segment
 
@@ -46,14 +48,13 @@ def mw_dual(m: Multisegment) -> Multisegment:
 def dual_irr(m: Multisegment) -> Multisegment:
     """Dual of any label: the chain extraction on each effective line's positions.
 
-    The effective line leads the canonical sort key, so the lines come out of
-    the label in sorted order; with each line's output sorted, the result is canonical.
+    The effective line leads the canonical sort key, so each line's segments
+    are one run of the label and the runs come in sorted order; with each
+    line's output sorted, the result is canonical.
     """
-    lines: dict[tuple, list[tuple[int, int]]] = {}
-    for s in m.segments:
-        lines.setdefault(s.effective_line(), []).append((s.first, s.last))
     out: list[Segment] = []
-    for eff, work in lines.items():
+    for eff, run in itertools.groupby(m.segments, Segment.effective_line):
+        work = [(s.first, s.last) for s in run]
         peeled = []
         while work:
             top = end = max(last for _, last in work)

@@ -80,10 +80,10 @@ class EpsilonFactor(Record):
 
 
 def _flat_start(seg: Segment) -> tuple[int, int]:
-    """``start - (step - 1)/2``, where the flattened support starts, as (num, den) in lowest terms."""
-    den = seg.start.denominator
-    flat = Fraction(2 * seg.start.numerator - (seg.step - 1) * den, 2 * den)
-    return flat.numerator, flat.denominator
+    """``start - (step - 1)/2``, the flattened support's first point, as (num, den) over 2 * den(offset)."""
+    offset, step = seg.offset_class, seg.step
+    den = offset.denominator
+    return 2 * (offset.numerator + seg.first * step * den) - (step - 1) * den, 2 * den
 
 
 def l_esi(registry: LineRegistry, seg: Segment) -> FormalLFactor:

@@ -12,12 +12,12 @@ segments can ever be linked.  ``Segment`` alone maps an exponent to its
 integer position there: linkage, the order (one signed rank table keyed by
 effective line and positions), enumeration and duality compare positions
 ``first..last`` and build segments back with ``Segment.from_positions``.
-Equality and the canonical order read one tuple of line, step, offset class
-and integer positions fixed at construction, never the Fraction ``start``;
-a segment's hash is computed once from the integer fields of that tuple, and
-a multisegment hashes once, from its segments' hashes.  The ``repr`` of a
-segment or multisegment is its canonical text form, the one ``dsl`` parses;
-``to_json()`` is its JSON form.
+A segment stores positions only; its Fraction ``start`` is derived on
+demand.  Equality and the canonical order read one stored tuple of line,
+step, offset class and integer positions; a segment's hash is computed once
+from the integer fields of that tuple, and a multisegment hashes once, from
+its segments' hashes.  The ``repr`` of a segment or multisegment is its
+canonical text form, the one ``dsl`` parses; ``to_json()`` is its JSON form.
 """
 
 from __future__ import annotations
@@ -39,24 +39,23 @@ class LimitExceeded(ValueError):
 class Segment:
     """Positions ``first..last`` of the effective line ``(line, step, offset_class)``.
 
-    ``start = offset_class + first * step`` with ``0 <= offset_class < step``; all
-    three are fixed at construction, ``offset_class`` as an int when integral and
-    as a Fraction otherwise.  One stored tuple ``(line, step, offset_class, first,
-    length)`` decides equality and the canonical order (``sort_key()``); the hash
-    is computed once, from the integer fields ``(line, step, numerator,
-    denominator of offset_class, first, length)``, so equal segments hash
-    equally whichever constructor built them.
+    A segment stores positions only: ``offset_class`` (``0 <= offset_class <
+    step``, an int when integral and a Fraction otherwise) and ``first``, set
+    once by ``_fix``, the one normalizing path of both constructors.  ``start =
+    offset_class + first * step`` is derived on demand.  One stored tuple
+    ``(line, step, offset_class, first, length)`` decides equality and the
+    canonical order (``sort_key()``); the hash is computed once, from the
+    integer fields ``(line, step, numerator, denominator of offset_class,
+    first, length)``, so equal segments hash equally whichever constructor
+    built them.
     """
 
-    __slots__ = ("line", "step", "start", "length", "first", "_order", "_hash")
+    __slots__ = ("line", "step", "length", "first", "_order", "_hash")
 
     def __init__(self, line: str, start: ExponentLike, length: int, step: int = 1):
         if step < 1:
             raise ValueError(f"segment step must be >= 1, got {step}")
-        start = frac(start)
-        den = start.denominator
-        first, num = divmod(start.numerator, den * step)
-        self._fix(line, step, num if den == 1 else Fraction(num, den), num, den, first, length, start)
+        self._fix(line, step, frac(start), 0, length)
 
     @classmethod
     def from_positions(cls, effective_line: tuple, first: int, last: int) -> "Segment":
@@ -64,25 +63,22 @@ class Segment:
 
         Segments built from one ``effective_line`` tuple share its offset object.
         """
-        line, step, offset = effective_line
+        seg = cls.__new__(cls)
+        seg._fix(*effective_line, first, last - first + 1)
+        return seg
+
+    def _fix(self, line, step, offset, first, length) -> None:
+        """Set every slot once, moving ``offset`` into ``[0, step)`` and ``first`` with it."""
+        if length < 1:
+            raise ValueError(f"segment length must be >= 1, got {length}")
         num, den = offset.numerator, offset.denominator
         shift, num = divmod(num, den * step)
         if shift or den == 1:  # an int offset, or one outside [0, step) moved into its class
             offset = num if den == 1 else Fraction(num, den)
-        first, length = first + shift, last - first + 1
-        start = Fraction(num + first * step) if den == 1 else Fraction(num + first * step * den, den)
-        seg = cls.__new__(cls)
-        seg._fix(line, step, offset, num, den, first, length, start)
-        return seg
-
-    def _fix(self, line, step, offset, num, den, first, length, start) -> None:
-        """Set every slot once."""
-        if length < 1:
-            raise ValueError(f"segment length must be >= 1, got {length}")
+        first += shift
         put = object.__setattr__
         put(self, "line", line)
         put(self, "step", step)
-        put(self, "start", start)
         put(self, "length", length)
         put(self, "first", first)
         put(self, "_order", (line, step, offset, first, length))
@@ -105,6 +101,13 @@ class Segment:
     @property
     def offset_class(self):
         return self._order[2]
+
+    @property
+    def start(self) -> Fraction:
+        """``offset_class + first * step``, built from the offset's numerator and denominator."""
+        offset = self._order[2]
+        den = offset.denominator
+        return Fraction(offset.numerator + self.first * self.step * den, den)
 
     @property
     def last(self) -> int:
@@ -316,11 +319,13 @@ def elementary_successors(m: Multisegment) -> set[Multisegment]:
 
 
 def rigid_decomposition(m: Multisegment) -> list[Multisegment]:
-    """Partition into rigid parts, one per effective line, in canonical order."""
-    groups: dict[tuple, list[Segment]] = {}
-    for s in m.segments:
-        groups.setdefault(s.effective_line(), []).append(s)
-    return [Multisegment(groups[k]) for k in sorted(groups)]
+    """Partition into rigid parts, one per effective line, in canonical order.
+
+    The canonical order keeps each effective line's segments contiguous and
+    the lines sorted, so the parts are the label's runs.
+    """
+    runs = itertools.groupby(m.segments, Segment.effective_line)
+    return [Multisegment._canonical(tuple(run)) for _, run in runs]
 
 
 def is_lower(ma: Multisegment, mb: Multisegment) -> bool:

@@ -1,9 +1,12 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segcalc import LineRegistry, Multisegment, Segment, VirtualRep, expand_u, s_invariant
@@ -346,6 +349,8 @@ def _global(algebra, cuspidal):
         (["dual", "--d", "-2", "{rho':[0,0]}"], 1),
         (["expand-u", "--d", "0", "l=1", "k=1"], 1),
         (["selfcheck", "--d", "0"], 1),
+        # a flag is a JSON bool, not a string or number read by its truthiness
+        (["lfun", "--lines", ("lines.json", [{"name": "rho", "p": 1, "unramified": "false"}]), "{rho:[0,0]}"], 1),
     ],
 )
 def test_cli_refuses_malformed_unit_and_file_inputs(argv, code, tmp_path, capsys):
@@ -360,6 +365,92 @@ def test_cli_refuses_malformed_unit_and_file_inputs(argv, code, tmp_path, capsys
     assert got == code
     assert out == "" and err.startswith(("error:", "parse error:"))
     assert "Traceback" not in err
+
+
+# -- structured fuzz of the file and unit inputs ------------------------------------
+
+
+def _objects(fields):
+    """JSON objects holding any subset of ``fields``, each value drawn from its pool."""
+    return st.fixed_dictionaries({}, optional={k: st.sampled_from(v) for k, v in fields.items()})
+
+
+def _valid_or_broken(valid, broken):
+    """One of the ``valid`` JSON values, a generated malformed one or a value that is no object."""
+    return st.one_of(st.sampled_from(valid), broken, st.sampled_from([5, "rho", [], None]))
+
+
+_LINES_FILES = _valid_or_broken(
+    [[{"name": "rho", "p": 1, "unramified": True}, {"name": "chi", "p": 2}],
+     [{"name": "rho", "p": 1, "dual": "chi"}, {"name": "chi", "p": 1, "unramified": False}]],
+    st.lists(_objects({"name": ["rho", "chi", "zz", 5], "p": [1, 2, 0, "1", 1.5, True],
+                       "dual": [None, "rho", "chi", "zz", ["chi"]], "unramified": [True, False, "false", 0, None]}),
+             max_size=3),
+)
+_ALGEBRA_FILES = _valid_or_broken(
+    [{"places": [{"name": "v1", "d_v": 2}]}, {"places": [{"name": "v1", "d_v": 2}, {"name": "v2", "d_v": 3}]}],
+    _objects({"places": [[{"name": "v1", "d_v": 1}], [{"name": 1, "d_v": 2}], [{"name": "v1", "d_v": "2"}],
+                         [{"name": "v1"}], ["v1"], {}]}),
+)
+_BAD_LOCALS = (
+    [{"v1": [{"len": 1, "e": e}]} for e in (0, "1/4", "1/2", "x", "1/0", 0.5, True)]
+    + [{"v1": [{"len": n, "line": line}]} for n in (0, -1, "2", 3) for line in ("chi", "zz", 5)]
+    + [{"v1": 5}, []]
+)
+_CUSPIDAL_FILES = _valid_or_broken(
+    [{"line": "rho", "locals": {"v1": [{"len": 1}]}},
+     {"line": "rho", "locals": {"v1": [{"len": 2}], "v2": [{"len": 1}]}}],
+    _objects({"line": ["rho", "chi", "zz", 5], "locals": _BAD_LOCALS}),
+)
+# l and k stay at most 4: the unit expansions have no budget yet
+_UNIT_PARAMS = st.one_of(
+    st.sampled_from([["l=1", "k=2"], ["l=2", "k=2", "line=rho"], ["l=4", "k=4"], ["l=3", "k=1", "line=chi"]]),
+    st.lists(st.one_of(
+        st.builds("{}={}".format, st.sampled_from(["l", "k"]), st.sampled_from(["-1", "0", "2", "x", "1/2", ""])),
+        st.builds("line={}".format, st.sampled_from(["rho", "chi", "zz", ""])),
+        st.sampled_from(["l", "=", "k:2"]),
+    ), min_size=1, max_size=4),
+)
+_LABELS = st.sampled_from([
+    "{rho:[0,1]}", "{chi:[0,0], rho:[1/2,1/2]}", "{rho':[0,1]}", "{chi':[-1/2,1/2]}", "{zz:[0,0]}", "{}", "{rho:[0,",
+])
+
+
+@st.composite
+def cli_invocations(draw):
+    """argv of one command, with JSON files given as (name, data) pairs and a small --d."""
+    command = draw(st.sampled_from(["dual", "recognize", "lfun", "eps", "enumerate", "order", "expand-u",
+                                    "expand-ubar", "lj", "global-check"]))
+    argv = [command, "--d", draw(st.sampled_from(["1", "2", "4", "0"]))]
+    if draw(st.booleans()):
+        argv += ["--lines", ("lines.json", draw(_LINES_FILES))]
+    if command in ("expand-u", "expand-ubar"):
+        argv += draw(_UNIT_PARAMS)
+    elif command == "lj":
+        argv += [draw(st.sampled_from(["--u", "--expand-u"])), *draw(_UNIT_PARAMS)]
+    elif command == "global-check":
+        argv += ["--algebra", ("alg.json", draw(_ALGEBRA_FILES)), "--cuspidal", ("cusp.json", draw(_CUSPIDAL_FILES)),
+                 "--k", str(draw(st.integers(1, 4)))]
+    else:
+        argv += [draw(_LABELS) for _ in range(2 if command == "order" else 1)]
+    return argv
+
+
+@given(cli_invocations())
+@settings(max_examples=150)
+def test_cli_fuzzed_files_and_unit_parameters_exit_0_1_or_2_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+        for a in argv:
+            if isinstance(a, tuple):
+                Path(tmp, a[0]).write_text(json.dumps(a[1]))
+        try:
+            code = main([str(Path(tmp, a[0])) if isinstance(a, tuple) else a for a in argv])
+        except SystemExit as e:  # argparse refuses the command line
+            code = e.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert (out.getvalue() != "") == (code == 0), (argv, err.getvalue())
 
 
 def test_cli_checks_the_inner_form_index_before_the_command(capsys):

@@ -125,6 +125,26 @@ def mw_dual_oracle(m):
     return Multisegment(out)
 
 
+def rigid_parts_by_dict(m):
+    """The parts grouped through a dict keyed by effective line, in sorted line order: the oracle for the runs."""
+    groups = {}
+    for s in m.segments:
+        groups.setdefault(s.effective_line(), []).append(s)
+    return [Multisegment(groups[k]) for k in sorted(groups)]
+
+
+@given(st.one_of(labels(), labels_with_repeats(), st.builds(Multisegment.__or__, labels(), labels())))
+def test_the_canonical_runs_group_effective_lines_as_a_dict_does(m):
+    # two labels joined: two lines, steps 1-3 and two offset shifts, so several offsets per (line, step)
+    parts = rigid_parts_by_dict(m)
+    assert [p.segments for p in rigid_decomposition(m)] == [p.segments for p in parts]
+    assert [hash(p) for p in rigid_decomposition(m)] == [hash(p) for p in parts]
+    want = Multisegment.empty()
+    for part in parts:
+        want = want | mw_dual_oracle(part)
+    assert dual_irr(m).segments == want.segments
+
+
 @given(st.one_of(labels(), labels_with_repeats()))
 def test_dual_irr_equals_the_union_of_mw_dual_over_rigid_parts(m):
     parts = rigid_decomposition(m)

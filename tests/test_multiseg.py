@@ -1,3 +1,4 @@
+import copy
 import itertools
 import pickle
 import time
@@ -247,6 +248,28 @@ def test_equal_segments_hash_equally_from_either_constructor(a, b):
             assert type(t.offset_class) is (int if s.start.denominator == 1 else Fraction), t
     rebuilt = Multisegment(Segment(s.line, s.start, s.length, s.step) for s in reversed(a.segments))
     assert rebuilt == a and hash(rebuilt) == hash(a)
+
+
+def test_a_segment_has_no_start_slot():
+    assert "start" not in Segment.__slots__
+
+
+@given(labels(), st.integers(-2, 2), st.integers(-3, 3), st.integers(0, 3))
+def test_a_segment_stores_positions_and_derives_its_exponents(m, turns, a, n):
+    for s in m.segments:
+        offset, step = s.offset_class, s.step
+        assert 0 <= offset < step
+        assert s.start == offset + s.first * step and type(s.start) is Fraction
+        assert s.end == s.start + (s.length - 1) * step
+        assert s.center == (s.start + s.end) / 2
+        assert hash(s) == hash((s.line, step, offset.numerator, offset.denominator, s.first, s.length))
+        for t in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+            assert t == s and hash(t) == hash(s) and repr(t) == repr(s)
+        # an offset outside [0, step) moves into its class: hermitian_dual passes -offset
+        for moved in (-offset, offset + turns * step):
+            if not 0 <= moved < step:
+                want = Segment(s.line, moved + a * step, n + 1, step)
+                assert Segment.from_positions((s.line, step, moved), a, a + n) == want
 
 
 @given(labels(), labels())
