@@ -12,6 +12,9 @@ segments can ever be linked.  ``Segment`` alone maps an exponent to its
 integer position there: linkage, the order (one signed rank table keyed by
 effective line and positions), enumeration and duality compare positions
 ``first..last`` and build segments back with ``Segment.from_positions``.
+``elementary_successors`` scans each segment's later neighbours on its
+effective line only, and ``enumerate_multisegments`` builds each distinct
+run once and its labels already in canonical order.
 A segment stores positions only; its Fraction ``start`` is derived on
 demand.  Equality and the canonical order read one stored tuple of line,
 step, offset class and integer positions; a segment's hash is computed once
@@ -27,13 +30,18 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import CuspidalPoint, ExponentLike, LineRegistry, frac
 
 
 class LimitExceeded(ValueError):
     """A bounded search was asked to exceed its configured limit."""
+
+
+# Segment(...)'s non-integral offset classes, each value in [0, step) met once: equal
+# offsets are one object, so order tuples compare them by identity, not Fraction.__eq__
+_OFFSETS: dict[Fraction, Fraction] = {}
 
 
 class Segment:
@@ -55,7 +63,7 @@ class Segment:
     def __init__(self, line: str, start: ExponentLike, length: int, step: int = 1):
         if step < 1:
             raise ValueError(f"segment step must be >= 1, got {step}")
-        self._fix(line, step, frac(start), 0, length)
+        self._fix(line, step, frac(start), 0, length, True)
 
     @classmethod
     def from_positions(cls, effective_line: tuple, first: int, last: int) -> "Segment":
@@ -67,7 +75,7 @@ class Segment:
         seg._fix(*effective_line, first, last - first + 1)
         return seg
 
-    def _fix(self, line, step, offset, first, length) -> None:
+    def _fix(self, line, step, offset, first, length, intern=False) -> None:
         """Set every slot once, moving ``offset`` into ``[0, step)`` and ``first`` with it."""
         if length < 1:
             raise ValueError(f"segment length must be >= 1, got {length}")
@@ -75,6 +83,8 @@ class Segment:
         shift, num = divmod(num, den * step)
         if shift or den == 1:  # an int offset, or one outside [0, step) moved into its class
             offset = num if den == 1 else Fraction(num, den)
+        if intern and den != 1:
+            offset = _OFFSETS.setdefault(offset, offset)
         first += shift
         put = object.__setattr__
         put(self, "line", line)
@@ -172,14 +182,6 @@ def segment_relation(s1: Segment, s2: Segment) -> SegmentRelation:
     return SegmentRelation.LINKED_OVERLAPPING
 
 
-def _union_intersection(s1: Segment, s2: Segment) -> tuple[Segment, Optional[Segment]]:
-    """Union and intersection of two linked segments (intersection may be None)."""
-    line = s1.effective_line()
-    union = Segment.from_positions(line, min(s1.first, s2.first), max(s1.last, s2.last))
-    lo, hi = max(s1.first, s2.first), min(s1.last, s2.last)
-    return union, Segment.from_positions(line, lo, hi) if lo <= hi else None
-
-
 _ORDER = attrgetter("_order")
 _HASH = attrgetter("_hash")
 
@@ -190,7 +192,8 @@ class Multisegment:
     The order and the hash are read from the segments' stored keys; the hash
     is computed once, at construction.  A producer that builds its segments
     already in canonical order makes its labels with ``_canonical``, which
-    skips the sort.
+    skips the sort: ``|`` on labels that do not interleave, ``rigid_decomposition``,
+    ``enumerate_multisegments``, ``dual_irr``, ``raw_dual_std`` and ``_tadic_sum``.
     """
 
     __slots__ = ("segments", "_hash")
@@ -302,19 +305,27 @@ def elementary_successors(m: Multisegment) -> set[Multisegment]:
 
     For every unordered pair of linked segments, replace the pair by union
     plus intersection (overlapping case) or by the union alone (adjacent
-    case).  The results are canonicalized and de-duplicated.
+    case).  In canonical order an effective line's segments are contiguous
+    and sorted by ``(first, length)``, so segment i (positions a1..b1) is
+    linked to a later j (a2..b2) iff j is on its line, a2 <= b1 + 1, a2 != a1
+    and b2 > b1; the union is a1..b2 and the intersection a2..b1.
     """
     out: set[Multisegment] = set()
     segs = m.segments
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            rel = segment_relation(segs[i], segs[j])
-            if rel not in (SegmentRelation.LINKED_ADJACENT, SegmentRelation.LINKED_OVERLAPPING):
-                continue
-            union, inter = _union_intersection(segs[i], segs[j])
-            rest = segs[:i] + segs[i + 1 : j] + segs[j + 1 :]
-            new = (union,) if inter is None else (union, inter)
-            out.add(Multisegment(rest + new))
+    keys = [s._order for s in segs]
+    for i, (line, step, offset, a1, n1) in enumerate(keys):
+        eff, b1 = (line, step, offset), a1 + n1 - 1
+        for j in range(i + 1, len(keys)):
+            key = keys[j]
+            a2 = key[3]
+            if a2 > b1 + 1 or key[:3] != eff:  # tuple != checks identity first
+                break
+            b2 = a2 + key[4] - 1
+            if a2 == a1 or b2 <= b1:
+                continue  # nested
+            union = Segment.from_positions(eff, a1, b2)
+            new = (union,) if a2 > b1 else (union, Segment.from_positions(eff, a2, b1))
+            out.add(Multisegment(segs[:i] + segs[i + 1 : j] + segs[j + 1 :] + new))
     return out
 
 
@@ -401,8 +412,10 @@ def enumerate_multisegments(
     The support splits into effective lines (line plus offset class mod
     step), and each line's positions split at their gaps, since no segment
     spans a gap; partitions are enumerated independently per gap-free block
-    and combined.  Raises LimitExceeded when the support has more than
-    ``limit`` points.
+    and combined.  Each distinct run of a block is one ``Segment``, shared by
+    its labels; lines in canonical order, blocks by increasing position and
+    sorted partitions make every label canonical without a sort.  Raises
+    LimitExceeded when the support has more than ``limit`` points.
     """
     cnt = +Counter(support)
     total = sum(cnt.values())
@@ -414,16 +427,15 @@ def enumerate_multisegments(
         point = Segment(line, exp, 1, step)
         classes.setdefault(point.effective_line(), Counter())[point.first] = mult
 
-    per_block = [
-        [
-            [Segment.from_positions(eff, first, first + n - 1) for first, n in part]
-            for part in _integer_partitions(block)
-        ]
-        for eff, positions in classes.items()
-        for block in _gap_free_blocks(positions)
-    ]
+    per_block = []
+    for eff in sorted(classes):  # effective lines in canonical order
+        for block in _gap_free_blocks(classes[eff]):
+            parts = _integer_partitions(block)
+            made = {(a, n): Segment.from_positions(eff, a, a + n - 1)  # one segment per distinct run
+                    for a, n in set(itertools.chain.from_iterable(parts))}
+            per_block.append([tuple(map(made.__getitem__, part)) for part in parts])
     return {
-        Multisegment(itertools.chain.from_iterable(choice))
+        Multisegment._canonical(tuple(itertools.chain.from_iterable(choice)))
         for choice in itertools.product(*per_block)
     }
 
@@ -439,14 +451,14 @@ def _gap_free_blocks(positions: Counter) -> list[Counter]:
 
 
 def _integer_partitions(positions: Counter) -> set[tuple[tuple[int, int], ...]]:
-    """Partitions of an integer multiset into runs, as ((start, length), ...).
+    """Partitions of an integer multiset into runs, as sorted ((start, length), ...).
 
     A partition takes a run from the smallest position p and partitions the
     rest.  The reachable states (remaining multisets) are collected first,
     then solved smallest first, so no step recurses however deep the
     support.
     """
-    runs: dict[tuple, tuple[int, list]] = {}  # state -> (p, [(run length, rest)])
+    runs: dict[tuple, list] = {}  # state -> [((p, run length), rest)]
     todo = [tuple(sorted(positions.items()))]
     root = todo[0]
     while todo:
@@ -464,11 +476,13 @@ def _integer_partitions(positions: Counter) -> set[tuple[tuple[int, int], ...]]:
                 d2[q] -= 1
                 if d2[q] == 0:
                     del d2[q]
-            children.append((length, tuple(sorted(d2.items()))))
-        runs[cnt] = (p, children)
+            children.append(((p, length), tuple(sorted(d2.items()))))
+        runs[cnt] = children
         todo.extend(rest for _, rest in children)
     memo: dict[tuple, set] = {(): {()}}
     for cnt in sorted(runs, key=lambda c: sum(n for _, n in c)):
-        p, children = runs[cnt]
-        memo[cnt] = {tuple(sorted(part + ((p, length),))) for length, rest in children for part in memo[rest]}
+        memo[cnt] = {  # the rest starts at p or later, so run sorts first unless p repeats
+            (run,) + part if not part or run <= part[0] else tuple(sorted(part + (run,)))
+            for run, rest in runs[cnt] for part in memo[rest]
+        }
     return memo[root]

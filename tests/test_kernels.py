@@ -1,36 +1,47 @@
-"""The expansion kernels against the per-term constructions they replace.
+"""The expansion and order kernels against the per-term constructions they replace.
 
 ``_tadic_sum`` walks W_k^l depth first and ``segment_cut_expansion`` builds
 each cut onto a shared prefix; both hand finished prefixes to
 ``Multisegment._canonical`` without a sort, and ``raw_dual_std`` and ``|``
-skip the sort where the pieces cannot interleave.  The oracles below keep
-the constructions these replaced: one sorted label per admissible
-permutation, one ``itertools.combinations`` cut list with a bounds tuple per
-cut, and a fold that sorts every partial label.  The kernels must agree with
+skip the sort where the pieces cannot interleave.  ``enumerate_multisegments``
+builds each distinct run once and its labels through ``_canonical`` too, and
+``elementary_successors`` reads only the linked pairs off the canonical
+order.  The oracles below keep the constructions these replaced: one sorted
+label per admissible permutation, one ``itertools.combinations`` cut list
+with a bounds tuple per cut, a fold that sorts every partial label, one new
+segment per run of every partition, and every index pair classified by
+``segment_relation`` and joined as point sets.  The kernels must agree with
 them term for term, produce labels exactly as the sorting constructor
 would, and run in a stack depth that does not grow with k or n.
 """
 
 import itertools
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from segcalc import (
+    CuspidalPoint,
     Multisegment,
     Segment,
+    SegmentRelation,
     SpehUnit,
     UnitaryProduct,
     VirtualRep,
+    elementary_successors,
+    enumerate_multisegments,
     expand_u,
     expand_unit_product,
     raw_dual_std,
+    segment_relation,
     unitary_esi,
 )
 from segcalc.duality import segment_cut_expansion
 from segcalc.gkring import _tadic_sum
+from segcalc.multiseg import _integer_partitions
 from strategies import admissible_permutations, labels, labels_with_repeats, virtual_reps
 
 F = Fraction
@@ -79,9 +90,48 @@ def raw_dual_oracle(x):
     return VirtualRep(x.d, terms)
 
 
-def assert_canonical(v):
+def partitions_oracle(positions):
+    """Every sorted tuple of runs (start, length) covering ``positions``, by plain recursion."""
+    if not positions:
+        return {()}
+    p, out, length = min(positions), set(), 1
+    while positions[p + length - 1]:
+        rest = positions - Counter(range(p, p + length))
+        out |= {tuple(sorted(part + ((p, length),))) for part in partitions_oracle(rest)}
+        length += 1
+    return out
+
+
+def enumerate_oracle(support, step):
+    """One new segment per run of every partition of each effective line, sorted by the constructor."""
+    lines = {}
+    for (line, exp), mult in Counter(support).items():
+        point = Segment(line, exp, 1, step)
+        lines.setdefault(point.effective_line(), Counter())[point.first] += mult
+    per_line = [
+        [[Segment.from_positions(eff, a, a + n - 1) for a, n in part] for part in partitions_oracle(positions)]
+        for eff, positions in lines.items()
+    ]
+    return {Multisegment(itertools.chain.from_iterable(choice)) for choice in itertools.product(*per_line)}
+
+
+def successors_oracle(m):
+    """Every index pair that ``segment_relation`` calls linked, replaced by its point-set union and intersection."""
+    out = set()
+    segs = m.segments
+    for i, j in itertools.combinations(range(len(segs)), 2):
+        s1, s2 = segs[i], segs[j]
+        if segment_relation(s1, s2) not in (SegmentRelation.LINKED_ADJACENT, SegmentRelation.LINKED_OVERLAPPING):
+            continue
+        p1, p2 = ({s.start + k * s.step for k in range(s.length)} for s in (s1, s2))
+        new = [Segment(s1.line, min(p), len(p), s1.step) for p in (p1 | p2, p1 & p2) if p]
+        out.add(Multisegment([s for k, s in enumerate(segs) if k not in (i, j)] + new))
+    return out
+
+
+def assert_canonical(ms):
     """Every label is exactly what the sorting constructor makes of its segments."""
-    for m in v.terms:
+    for m in ms:
         sorted_m = Multisegment(m.segments)
         assert m.segments == sorted_m.segments, m
         assert hash(m) == hash(sorted_m), m
@@ -159,12 +209,66 @@ def test_raw_dual_equals_oracle_on_repeats_and_two_lines():
 @given(st.integers(1, 3), st.integers(1, 5), st.sampled_from([1, 2, 3]), TWISTS,
        st.one_of(labels(5), labels_with_repeats(4)), st.one_of(labels(5), labels_with_repeats(4)))
 def test_producers_without_a_sort_make_canonical_labels(l, k, step, twist, a, b):
-    assert_canonical(expand_u(l, "rho", k, twist))
-    assert_canonical(expand_unit_product(UnitaryProduct([SpehUnit(unitary_esi("chi", l, step), k, twist)]), 2))
-    assert_canonical(raw_dual_std(VirtualRep.of(a) - 2 * VirtualRep.of(b)))
-    for m in (a | b, b | a, a | a, a | Multisegment.empty(), Multisegment.empty() | b):
-        assert_canonical(VirtualRep.of(m))
+    assert_canonical(expand_u(l, "rho", k, twist).terms)
+    assert_canonical(expand_unit_product(UnitaryProduct([SpehUnit(unitary_esi("chi", l, step), k, twist)]), 2).terms)
+    assert_canonical(raw_dual_std(VirtualRep.of(a) - 2 * VirtualRep.of(b)).terms)
+    assert_canonical((a | b, b | a, a | a, a | Multisegment.empty(), Multisegment.empty() | b))
     assert a | b == b | a == Multisegment(a.segments + b.segments)
+
+
+@given(st.sampled_from([1, 2, 3]), st.data())
+def test_enumeration_is_canonical_and_equals_the_per_run_oracle(s, data):
+    # two lines, several offset classes per line, repeated points
+    m = data.draw(st.one_of(labels(5, steps=(s,)), labels_with_repeats(4)))
+    support = m.support()
+    got = enumerate_multisegments(support, step=s)
+    assert got == enumerate_oracle(support, s)
+    assert_canonical(got)
+    assert all(x.support() == support for x in got)
+
+
+def test_enumeration_builds_each_distinct_segment_once():
+    got = enumerate_multisegments([CuspidalPoint("rho", Fraction(i)) for i in range(12)], limit=12)
+    assert len(got) == 2**11
+    assert len({id(s) for m in got for s in m.segments}) == 12 * 13 // 2  # the distinct runs
+
+
+def test_integer_partitions_equal_the_recursive_oracle_on_repeats():
+    # every multiset of at most 7 points in 0..4: repeats, gaps, and runs that sort after the rest
+    for size in range(1, 8):
+        for combo in itertools.combinations_with_replacement(range(5), size):
+            positions = Counter(combo)
+            assert _integer_partitions(positions) == partitions_oracle(positions), combo
+    assert ((0, 1), (0, 2)) in _integer_partitions(Counter([0, 0, 1]))  # the run (0, 2) after (0, 1)
+
+
+@given(st.one_of(labels(), labels_with_repeats()))
+def test_successors_equal_the_all_pairs_oracle_on_whole_labels(m):
+    assert elementary_successors(m) == successors_oracle(m)
+
+
+def test_successors_equal_the_all_pairs_oracle_on_every_kind_of_pair():
+    m = Multisegment(Segment(*x) for x in (  # (line, start, length, step)
+        ("rho", 0, 3, 1), ("rho", 0, 3, 1),  # equal
+        ("rho", 1, 1, 1), ("rho", 0, 2, 1),  # nested in [0, 2]
+        ("rho", 3, 2, 1), ("rho", 2, 3, 1),  # adjacent to and overlapping [0, 2]
+        ("chi", 1, 2, 1), ("rho", F(1, 2), 2, 1), ("rho", 1, 2, 2), ("rho", 2, 1, 2),  # other lines
+    ))
+    pairs = {segment_relation(a, b) for a, b in itertools.combinations(m.segments, 2)}
+    assert pairs == set(SegmentRelation)
+    got = elementary_successors(m)
+    assert got == successors_oracle(m)
+    assert len(got) == 4  # [0,1]+[2,4], [0,2]+[3,4], [0,2]+[2,4] and [1,1]+[2,4]; the equal [0,2] give one
+    assert_canonical(got)
+
+
+def test_equal_offsets_are_one_object_and_keep_their_value_order():
+    a, b = Segment("rho", F(1, 2), 1), Segment("rho", F(5, 2), 2)
+    assert a.offset_class is b.offset_class == F(1, 2)
+    assert Segment("rho", F(1, 2), 1, 2).offset_class is a.offset_class
+    assert Segment("rho", F(-3, 2), 1, 2).offset_class is a.offset_class
+    m = Multisegment([Segment("rho", 1, 1, 2), Segment("rho", F(1, 2), 1, 2)])
+    assert repr(m) == "{rho':[1/2,1/2], rho':[1,1]}"
 
 
 # -- stack depth ----------------------------------------------------------------------------
