@@ -27,7 +27,10 @@ placed before it, so the partial label plus its cut is a label as it
 stands, made by ``Multisegment._canonical`` without a sort.  Only the
 pieces of a further segment on the same effective line (a repeat, or an
 overlapping or later one) can interleave with earlier pieces, and those
-labels go through the sorting constructor.
+labels are sorted.  A label's hash is the sum of its segments' hashes, so
+each cut carries the sum of its pieces' hashes, and a term's hash is the
+partial label's plus its cut's, whether the term is sorted or not: no
+term hashes its segments again.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import itertools
 
 from .gkring import VirtualRep
-from .multiseg import Multisegment, Segment
+from .multiseg import _HASH, _ORDER, Multisegment, Segment
 
 
 def mw_dual(m: Multisegment) -> Multisegment:
@@ -68,25 +71,31 @@ def dual_irr(m: Multisegment) -> Multisegment:
             peeled.append((end + 1, top))
             work += [(first, last - 1) for first, last in chain if last > first]
         out.extend(Segment.from_positions(eff, a, b) for a, b in sorted(peeled))
-    return Multisegment._canonical(tuple(out))
+    out = tuple(out)
+    return Multisegment._canonical(out, sum(map(_HASH, out)))
 
 
-def segment_cut_expansion(seg: Segment) -> list[tuple[int, tuple[Segment, ...]]]:
-    """(sign, pieces) over all cuts of ``seg`` into consecutive subsegments.
+def segment_cut_expansion(seg: Segment) -> list[tuple[int, tuple[Segment, ...], int]]:
+    """(sign, pieces, hash) over all cuts of ``seg`` into consecutive subsegments.
 
     Each of the n(n+1)/2 distinct pieces is built once and shared by every cut
     that uses it.  The cuts of positions 0..hi are the cuts of 0..lo-1 for
     each lo <= hi, every one extended by the piece lo..hi, so each cut is one
-    tuple concatenation onto a shared prefix and the sign (-1)^(n - #pieces)
-    flips once per piece; no recursion, no cut-position tuples.  Pieces
-    start at increasing positions of one effective line, so every ``pieces``
-    tuple is already in canonical order.
+    tuple concatenation onto a shared prefix, the sign (-1)^(n - #pieces)
+    flips once per piece and the hash, the sum of the pieces' hashes, adds
+    the piece's; no recursion, no cut-position tuples.  Pieces start at
+    increasing positions of one effective line, so every ``pieces`` tuple is
+    already in canonical order.
     """
     n, line, first = seg.length, seg.effective_line(), seg.first
-    ending = [[(-1 if n % 2 else 1, ())]]  # ending[hi]: the cuts of positions 0..hi-1
+    ending = [[(-1 if n % 2 else 1, (), 0)]]  # ending[hi]: the cuts of positions 0..hi-1
     for hi in range(n):
         piece = [Segment.from_positions(line, first + lo, first + hi) for lo in range(hi + 1)]
-        ending.append([(-sign, pre + (piece[lo],)) for lo in range(hi + 1) for sign, pre in ending[lo]])
+        ending.append([
+            (-sign, pre + (p,), h + p._hash)
+            for lo, p in enumerate(piece)
+            for sign, pre, h in ending[lo]
+        ])
     return ending[n]
 
 
@@ -110,15 +119,15 @@ def raw_dual_std(x: VirtualRep) -> VirtualRep:
             if seg.effective_line() != line:
                 line = seg.effective_line()
                 partial = {
-                    canonical(m.segments + pieces): sign * c
+                    canonical(m.segments + pieces, m._hash + h): sign * c
                     for m, c in partial.items()
-                    for sign, pieces in cuts
+                    for sign, pieces, h in cuts
                 }
             else:
                 folded: dict[Multisegment, int] = {}
                 for m, c in partial.items():
-                    for sign, pieces in cuts:
-                        key = Multisegment(m.segments + pieces)
+                    for sign, pieces, h in cuts:
+                        key = canonical(tuple(sorted(m.segments + pieces, key=_ORDER)), m._hash + h)
                         folded[key] = folded.get(key, 0) + sign * c
                 partial = folded
         if terms:

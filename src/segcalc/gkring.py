@@ -292,8 +292,9 @@ def _tadic_sum(
 
     W_k^l is walked depth first with an explicit stack, never by recursion.
     An entry holds the next position i, the bitmask of the values already
-    placed, the label prefix of factors 1..i-1 and its sign; each child
-    extends that shared prefix tuple by one factor, and placing v flips the
+    placed, the label prefix of factors 1..i-1, its hash (the sum of its
+    factors' hashes) and its sign; each child extends that shared prefix
+    tuple by one factor and its hash by the factor's, and placing v flips the
     sign once per unused value below v.  Value i - l fits no later position,
     so while it is unused it is the only child: every entry completes.  The
     last two positions take the two values left in both orders at once.
@@ -304,33 +305,40 @@ def _tadic_sum(
     """
     if l < 1 or k < 1:
         raise ValueError("l and k must be >= 1")
-    # factor[i][m] is () for m = 0, else the 1-tuple of the factor covering positions
-    # i..i+m-1 (from the recentered origin) of one effective line; each is built once
     origin = Segment(line, twist - Fraction(k + l, 2) * step, 1, step)
     eff, base = origin.effective_line(), origin.first
+
+    def piece(first: int, m: int) -> tuple[tuple, int]:
+        seg = Segment.from_positions(eff, first, first + m - 1)
+        return (seg,), seg._hash
+
+    # factor[i][m] is ((), 0) for m = 0, else the 1-tuple of the factor covering positions
+    # i..i+m-1 (from the recentered origin) of one effective line and its hash; each is built once
     factor = [()] + [
-        [()] + [(Segment.from_positions(eff, base + i, base + i + m - 1),) for m in range(1, k + l - i + 1)]
+        [((), 0)] + [piece(base + i, m) for m in range(1, k + l - i + 1)]
         for i in range(1, k + 1)
     ]
     canonical = Multisegment._canonical
     if k == 1:
-        return VirtualRep(d, {canonical(factor[1][l]): 1})
+        return VirtualRep(d, {canonical(*factor[1][l]): 1})
     terms: dict[Multisegment, int] = {}
     last, values = factor[k], (1 << k + 1) - 2  # bits 1..k
-    stack = [(1, 0, (), 1)]
+    stack = [(1, 0, (), 0, 1)]
     while stack:
-        i, used, prefix, sign = stack.pop()
+        i, used, prefix, h, sign = stack.pop()
         row = factor[i]
         if i == k - 1:  # a < b are left: (a, b) always fits, (b, a) unless a = k - 1 - l
             rest = values ^ used
             a, b = (rest & -rest).bit_length() - 1, rest.bit_length() - 1
-            terms[canonical(prefix + row[a + l - i] + last[b + l - k])] = sign
+            (fa, ha), (fb, hb) = row[a + l - i], last[b + l - k]
+            terms[canonical(prefix + fa + fb, h + ha + hb)] = sign
             if a + l != i:
-                terms[canonical(prefix + row[b + l - i] + last[a + l - k])] = -sign
+                (fa, ha), (fb, hb) = row[b + l - i], last[a + l - k]
+                terms[canonical(prefix + fa + fb, h + ha + hb)] = -sign
             continue
         lo = i - l
         if lo >= 1 and not used >> lo & 1:
-            stack.append((i + 1, used | 1 << lo, prefix, sign))
+            stack.append((i + 1, used | 1 << lo, prefix, h, sign))
             continue
         # push the unused values from the largest down, so the smallest is popped first;
         # all k - i + 1 unused values are >= lo, and the largest passes k - i of them
@@ -338,7 +346,8 @@ def _tadic_sum(
             sign = -sign
         for v in range(k, max(lo, 1) - 1, -1):
             if not used >> v & 1:
-                stack.append((i + 1, used | 1 << v, prefix + row[v + l - i], sign))
+                f, hf = row[v + l - i]
+                stack.append((i + 1, used | 1 << v, prefix + f, h + hf, sign))
                 sign = -sign
     return VirtualRep(d, terms)
 

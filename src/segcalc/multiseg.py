@@ -18,15 +18,20 @@ run once and its labels already in canonical order.
 A segment stores positions only; its Fraction ``start`` is derived on
 demand.  Equality and the canonical order read one stored tuple of line,
 step, offset class and integer positions; a segment's hash is computed once
-from the integer fields of that tuple, and a multisegment hashes once, from
-its segments' hashes.  The ``repr`` of a segment or multisegment is its
-canonical text form, the one ``dsl`` parses; ``to_json()`` is its JSON form.
+from the integer fields of that tuple, xorshifted and cut to 40 bits.  A
+multisegment's hash is the plain sum of its segments' hashes, an additive
+multiset hash: a label made of a shared prefix plus a few pieces hashes in
+O(1) from the prefix's hash.  ``|``, ``elementary_successors``, the cut
+expansion and ``raw_dual_std`` (``duality``) and ``_tadic_sum`` (``gkring``)
+carry it so.  The ``repr`` of a segment or multisegment is its canonical
+text form, the one ``dsl`` parses; ``to_json()`` is its JSON form.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from operator import attrgetter
@@ -43,6 +48,9 @@ class LimitExceeded(ValueError):
 # offsets are one object, so order tuples compare them by identity, not Fraction.__eq__
 _OFFSETS: dict[Fraction, Fraction] = {}
 
+# a segment hash is 40 bits, so a label's hash (the sum of its segments') stays one machine word
+_HASH_MASK = (1 << 40) - 1
+
 
 class Segment:
     """Positions ``first..last`` of the effective line ``(line, step, offset_class)``.
@@ -55,7 +63,9 @@ class Segment:
     canonical order (``sort_key()``); the hash is computed once, from the
     integer fields ``(line, step, numerator, denominator of offset_class,
     first, length)``, so equal segments hash equally whichever constructor
-    built them.
+    built them.  With ``h`` the tuple's hash it is ``(h ^ h >> 29) & (2**40 -
+    1)``: without the xorshift, sums of the hashes of related segments
+    collide, and 40 bits keep a label's sum one machine word.
     """
 
     __slots__ = ("line", "step", "length", "first", "_order", "_hash")
@@ -66,13 +76,14 @@ class Segment:
         self._fix(line, step, frac(start), 0, length, True)
 
     @classmethod
-    def from_positions(cls, effective_line: tuple, first: int, last: int) -> "Segment":
+    def from_positions(cls, effective_line: tuple, first: int, last: int, intern: bool = False) -> "Segment":
         """The segment covering positions ``first..last`` of an effective line.
 
-        Segments built from one ``effective_line`` tuple share its offset object.
+        Segments built from one ``effective_line`` tuple share its offset object;
+        ``intern`` shares a newly computed offset with ``Segment(...)``'s instead.
         """
         seg = cls.__new__(cls)
-        seg._fix(*effective_line, first, last - first + 1)
+        seg._fix(*effective_line, first, last - first + 1, intern)
         return seg
 
     def _fix(self, line, step, offset, first, length, intern=False) -> None:
@@ -92,7 +103,8 @@ class Segment:
         put(self, "length", length)
         put(self, "first", first)
         put(self, "_order", (line, step, offset, first, length))
-        put(self, "_hash", hash((line, step, num, den, first, length)))
+        h = hash((line, step, num, den, first, length))
+        put(self, "_hash", (h ^ h >> 29) & _HASH_MASK)  # the xorshift keeps sums of hashes apart
 
     def __setattr__(self, *_):  # pragma: no cover
         raise AttributeError("Segment is immutable")
@@ -189,11 +201,15 @@ _HASH = attrgetter("_hash")
 class Multisegment:
     """A multiset of segments in canonical order (hashable, immutable).
 
-    The order and the hash are read from the segments' stored keys; the hash
-    is computed once, at construction.  A producer that builds its segments
+    The order is read from the segments' stored keys.  The hash is the sum of
+    the segments' hashes, fixed at construction, so it does not depend on
+    the order and adds under ``|``.  A producer that builds its segments
     already in canonical order makes its labels with ``_canonical``, which
-    skips the sort: ``|`` on labels that do not interleave, ``rigid_decomposition``,
-    ``enumerate_multisegments``, ``dual_irr``, ``raw_dual_std`` and ``_tadic_sum``.
+    skips the sort and takes the hash sum from the caller:
+    ``rigid_decomposition``, ``enumerate_multisegments`` and ``dual_irr`` sum
+    their segments' hashes, while ``|`` (which sorts only labels that
+    interleave), ``elementary_successors``, ``raw_dual_std`` and
+    ``_tadic_sum`` carry the sum of a shared prefix and add the new pieces'.
     """
 
     __slots__ = ("segments", "_hash")
@@ -201,18 +217,18 @@ class Multisegment:
     def __init__(self, segments: Iterable[Segment] = ()):
         segs = tuple(sorted(segments, key=_ORDER))
         _SET_SEGMENTS(self, segs)
-        _SET_HASH(self, hash(tuple(map(_HASH, segs))))
+        _SET_HASH(self, sum(map(_HASH, segs)))
 
     @classmethod
-    def _canonical(cls, segs: tuple) -> "Multisegment":
-        """The label of a tuple already in canonical order, which is not checked.
+    def _canonical(cls, segs: tuple, h: int) -> "Multisegment":
+        """The label of a tuple already in canonical order, with ``h`` the sum of its segments' hashes.
 
-        It hashes as ``__init__`` does; only a producer that builds its segments
-        in canonical order may call it.
+        Neither the order nor ``h`` is checked: only a producer that builds its
+        segments in canonical order and carries their hash sum may call it.
         """
         m = object.__new__(cls)
         _SET_SEGMENTS(m, segs)
-        _SET_HASH(m, hash(tuple(map(_HASH, segs))))
+        _SET_HASH(m, h)
         return m
 
     def __setattr__(self, *_):  # pragma: no cover
@@ -248,17 +264,18 @@ class Multisegment:
         return tuple(map(_ORDER, self.segments))
 
     def __or__(self, other: "Multisegment") -> "Multisegment":
-        """Multiset union; two labels that do not interleave are joined without a sort."""
+        """Multiset union: the hashes add; two labels that do not interleave are joined without a sort."""
         a, b = self.segments, other.segments
         if not b:
             return self
         if not a:
             return other
+        h = self._hash + other._hash
         if a[-1]._order <= b[0]._order:
-            return Multisegment._canonical(a + b)
+            return Multisegment._canonical(a + b, h)
         if b[-1]._order <= a[0]._order:
-            return Multisegment._canonical(b + a)
-        return Multisegment(a + b)
+            return Multisegment._canonical(b + a, h)
+        return Multisegment._canonical(tuple(sorted(a + b, key=_ORDER)), h)
 
     def shifted(self, delta: ExponentLike) -> "Multisegment":
         d = frac(delta)
@@ -309,10 +326,15 @@ def elementary_successors(m: Multisegment) -> set[Multisegment]:
     and sorted by ``(first, length)``, so segment i (positions a1..b1) is
     linked to a later j (a2..b2) iff j is on its line, a2 <= b1 + 1, a2 != a1
     and b2 > b1; the union is a1..b2 and the intersection a2..b1.
+
+    The union sorts after segment i and the intersection before segment j,
+    so each goes in by bisection between them, and a successor's hash is
+    ``m``'s minus the pair's plus the new segments'.
     """
     out: set[Multisegment] = set()
     segs = m.segments
     keys = [s._order for s in segs]
+    canonical = Multisegment._canonical
     for i, (line, step, offset, a1, n1) in enumerate(keys):
         eff, b1 = (line, step, offset), a1 + n1 - 1
         for j in range(i + 1, len(keys)):
@@ -324,8 +346,15 @@ def elementary_successors(m: Multisegment) -> set[Multisegment]:
             if a2 == a1 or b2 <= b1:
                 continue  # nested
             union = Segment.from_positions(eff, a1, b2)
-            new = (union,) if a2 > b1 else (union, Segment.from_positions(eff, a2, b1))
-            out.add(Multisegment(segs[:i] + segs[i + 1 : j] + segs[j + 1 :] + new))
+            h = m._hash - segs[i]._hash - segs[j]._hash + union._hash
+            u = bisect_right(keys, union._order, i + 1, j)
+            head = segs[:i] + segs[i + 1 : u] + (union,)
+            if a2 > b1:  # adjacent: the union alone
+                out.add(canonical(head + segs[u:j] + segs[j + 1 :], h))
+                continue
+            inter = Segment.from_positions(eff, a2, b1)
+            x = bisect_right(keys, inter._order, u, j)
+            out.add(canonical(head + segs[u:x] + (inter,) + segs[x:j] + segs[j + 1 :], h + inter._hash))
     return out
 
 
@@ -335,8 +364,8 @@ def rigid_decomposition(m: Multisegment) -> list[Multisegment]:
     The canonical order keeps each effective line's segments contiguous and
     the lines sorted, so the parts are the label's runs.
     """
-    runs = itertools.groupby(m.segments, Segment.effective_line)
-    return [Multisegment._canonical(tuple(run)) for _, run in runs]
+    runs = [tuple(run) for _, run in itertools.groupby(m.segments, Segment.effective_line)]
+    return [Multisegment._canonical(run, sum(map(_HASH, run))) for run in runs]
 
 
 def is_lower(ma: Multisegment, mb: Multisegment) -> bool:
@@ -434,10 +463,8 @@ def enumerate_multisegments(
             made = {(a, n): Segment.from_positions(eff, a, a + n - 1)  # one segment per distinct run
                     for a, n in set(itertools.chain.from_iterable(parts))}
             per_block.append([tuple(map(made.__getitem__, part)) for part in parts])
-    return {
-        Multisegment._canonical(tuple(itertools.chain.from_iterable(choice)))
-        for choice in itertools.product(*per_block)
-    }
+    labels = (tuple(itertools.chain.from_iterable(choice)) for choice in itertools.product(*per_block))
+    return {Multisegment._canonical(segs, sum(map(_HASH, segs))) for segs in labels}
 
 
 def _gap_free_blocks(positions: Counter) -> list[Counter]:

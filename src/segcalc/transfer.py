@@ -75,20 +75,35 @@ def d_cuspidal(registry: LineRegistry, line: str, d: int, center: ExponentLike =
     return Segment(line, frac(center), 1, s)
 
 
+def _plus_halves(offset, n: int):
+    """``offset + n/2`` from the offset's numerator and denominator: an int when integral."""
+    num, den = 2 * offset.numerator + n * offset.denominator, 2 * offset.denominator
+    return Fraction(num, den) if num % den else num // den
+
+
 def c_map(registry: LineRegistry, seg: Segment, d: int) -> Segment:
-    """Regroup a split segment into s-blocks; requires s | length."""
+    """Regroup a split segment into s-blocks; requires s | length.
+
+    The image starts at ``start + (s-1)/2 = offset_class + (s-1)/2 + r + q*s``
+    with ``q, r = divmod(first, s)``: positions ``q..`` of the step-s line
+    with that offset.
+    """
     if seg.step != 1:
         raise NotTransferable("c_map expects a split-side segment (step 1)")
     s = s_invariant(registry[seg.line].p, d)
     if seg.length % s:
         raise NotTransferable(f"segment length {seg.length} not divisible by s = {s}")
-    return Segment(seg.line, seg.start + Fraction(s - 1, 2), seg.length // s, s)
+    q, r = divmod(seg.first, s)
+    eff = (seg.line, s, _plus_halves(seg.offset_class, s - 1 + 2 * r))
+    return Segment.from_positions(eff, q, q + seg.length // s - 1, intern=True)
 
 
 def c_inv(seg: Segment) -> Segment:
-    """Flatten an inner-form segment back to its split support."""
+    """Flatten an inner-form segment back to its split support: ``start - (s-1)/2``, step 1."""
     s = seg.step
-    return Segment(seg.line, seg.start - Fraction(s - 1, 2), seg.length * s, 1)
+    first = seg.first * s
+    eff = (seg.line, 1, _plus_halves(seg.offset_class, 1 - s))
+    return Segment.from_positions(eff, first, first + seg.length * s - 1, intern=True)
 
 
 def is_d_compatible(registry: LineRegistry, x: Union[Segment, Multisegment], d: int) -> bool:

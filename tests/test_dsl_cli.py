@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -506,6 +509,40 @@ def test_cli_matches_recorded_table(entry, capsys, monkeypatch):
     except SystemExit as e:  # argparse refusals
         code = e.code
     assert (code, capsys.readouterr().out) == (entry["exit"], entry["stdout"])
+
+
+HASH_SEED_ARGVS = [
+    ["enumerate", "{rho:[0,3], rho:[1,2], rho:[1/2,3/2]}"],
+    ["enumerate", "--json", "{rho:[0,2], rho:[1,1], rho:[-1/2,1/2]}"],
+    ["order", "{rho:[0,0], rho:[1,1], rho:[2,3]}", "{rho:[0,3]}"],
+    ["dual", "{rho:[0,2], rho:[1,3], rho:[1/2,3/2], rho:[2,2]}"],
+    ["expand-u", "l=3", "k=4"],
+    ["expand-u", "--json", "l=2", "k=3"],
+    ["lj", "--d", "2", "--expand-u", "l=2", "k=4"],
+    ["lj", "--d", "2", "{rho:[0,1], rho:[1/2,3/2]} - 2 * {rho:[0,3], rho:[-1/2,1/2]}"],
+]
+
+
+def test_cli_stdout_does_not_depend_on_the_hash_seed():
+    """Label hashes, and so set and dict iteration orders, change with PYTHONHASHSEED; no output follows them.
+
+    One interpreter per seed runs ``segcalc.cli.main`` on every argv in turn.
+    """
+    script = (
+        "import json, sys\n"
+        "from segcalc.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    print('exit', main(argv), flush=True)\n"
+    )
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", script, json.dumps(HASH_SEED_ARGVS)], capture_output=True, text=True,
+            check=True, cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0].count("exit 0\n") == len(HASH_SEED_ARGVS)
+    assert outs[0] == outs[1]
 
 
 def test_cli_global_check(tmp_path, capsys):

@@ -130,7 +130,11 @@ def successors_oracle(m):
 
 
 def assert_canonical(ms):
-    """Every label is exactly what the sorting constructor makes of its segments."""
+    """Every label is exactly what the sorting constructor makes of its segments.
+
+    The constructor sums its segments' hashes anew, so a producer that
+    carries a wrong hash sum fails here.
+    """
     for m in ms:
         sorted_m = Multisegment(m.segments)
         assert m.segments == sorted_m.segments, m
@@ -175,7 +179,8 @@ def test_segment_cut_expansion_equals_combinations_oracle(n, step, start, line):
     seg = Segment(line, start, n, step)
     got = segment_cut_expansion(seg)
     assert len(got) == 2 ** (n - 1)
-    assert sorted(got, key=cut_key) == sorted(cut_expansion_oracle(seg), key=cut_key)
+    assert sorted((cut[:2] for cut in got), key=cut_key) == sorted(cut_expansion_oracle(seg), key=cut_key)
+    assert all(h == hash(Multisegment(pieces)) for _, pieces, h in got)  # the carried hash
 
 
 @given(st.one_of(labels(), labels_with_repeats()))
@@ -214,6 +219,41 @@ def test_producers_without_a_sort_make_canonical_labels(l, k, step, twist, a, b)
     assert_canonical(raw_dual_std(VirtualRep.of(a) - 2 * VirtualRep.of(b)).terms)
     assert_canonical((a | b, b | a, a | a, a | Multisegment.empty(), Multisegment.empty() | b))
     assert a | b == b | a == Multisegment(a.segments + b.segments)
+    assert_canonical((expand_u(l, "rho", k, twist) * (VirtualRep.of(a) - VirtualRep.of(b))).terms)
+    assert_canonical(elementary_successors(a) | elementary_successors(a | b))
+
+
+def test_interleaving_union_and_products_carry_the_hash_sum():
+    a = Multisegment([Segment("rho", 0, 2), Segment("rho", 3, 2)])
+    b = Multisegment([Segment("rho", 1, 3), Segment("chi", 0, 1)])
+    assert not (a.segments[-1].sort_key() <= b.segments[0].sort_key()
+                or b.segments[-1].sort_key() <= a.segments[0].sort_key())  # they interleave
+    assert_canonical((a | b, b | a, a | a))
+    x = expand_u(2, "rho", 3) + VirtualRep.of(b)
+    assert_canonical((x * x).terms)
+    assert_canonical((x * expand_u(1, "chi", 3, F(1, 2))).terms)
+
+
+def test_label_hashes_do_not_collide_on_large_families():
+    """The hash of a label is the sum of its segments'; on these families every label hashes apart.
+
+    Summing the segments' tuple hashes without the xorshift gave
+    ``expand_u(3, 7)``'s 1536 labels only 163 distinct sums in one run.
+    """
+    def dual(*segs):  # (line, start, length[, step])
+        return raw_dual_std(VirtualRep.of(Multisegment(Segment(*x) for x in segs))).terms
+
+    families = [expand_u(l, "rho", k).terms for l, k in ((3, 7), (4, 6), (2, 8), (5, 6), (3, 8))]
+    families += [
+        expand_u(3, "rho", 8, F(1, 2)).terms,
+        dual(("rho", 0, 12)),
+        dual(("rho", 0, 12, 2)),
+        dual(("rho", 0, 6), ("rho", 3, 7)),
+        dual(("rho", 0, 4), ("rho", 2, 4), ("chi", 0, 4), ("chi", F(1, 2), 5)),
+    ]
+    sizes = [len(f) for f in families]
+    assert sizes == [1536, 600, 1458, 720, 6144, 6144, 2048, 2048, 1792, 7680]
+    assert [len(set(map(hash, f))) for f in families] == sizes
 
 
 @given(st.sampled_from([1, 2, 3]), st.data())

@@ -81,6 +81,31 @@ def test_c_map_preserves_support(registry):
     assert list(c_inv(inner).points()) == list(split.points())
 
 
+def test_c_map_and_c_inv_on_positions_equal_the_exponent_formulas(registry):
+    """Against ``Segment(line, start +- (s-1)/2, ...)``: value, hash, start, repr and the offset object."""
+    def same(got, want):
+        assert (got, hash(got), got.start, repr(got)) == (want, hash(want), want.start, repr(want))
+        if got.offset_class.denominator == 1:
+            assert type(got.offset_class) is int
+        else:  # interned as Segment(...) interns it
+            assert got.offset_class is want.offset_class
+
+    for s in range(1, 7):  # the line rho has p = 1, so s = d
+        for offset in (F(0), F(1, 2), F(1, 3), F(2, 3)):
+            for first in range(-2 * s, 2 * s + 1):
+                for blocks in (1, 2, 3):
+                    split = Segment("rho", offset + first, blocks * s)
+                    inner = c_map(registry, split, s)
+                    same(inner, Segment("rho", split.start + F(s - 1, 2), blocks, s))
+                    same(c_inv(inner), split)
+                    other = Segment("rho", offset + first, blocks, s)  # any offset class of step s
+                    same(c_inv(other), Segment("rho", other.start - F(s - 1, 2), blocks * s, 1))
+    with pytest.raises(NotTransferable, match=r"^c_map expects a split-side segment \(step 1\)$"):
+        c_map(registry, seg(0, 2, step=2), 2)
+    with pytest.raises(NotTransferable, match=r"^segment length 3 not divisible by s = 2$"):
+        c_map(registry, seg(0, 2), 2)
+
+
 # -- compatibility ------------------------------------------------------------------
 
 
