@@ -11,20 +11,13 @@ import argparse
 import json
 import sys
 
-from .core import LineRegistry, RegistryError, s_invariant
+from .core import LineRegistry, load_json, s_invariant
 from .duality import dual_irr
 from .dsl import ParseError, parse_multisegment, parse_virtual
 from .gkring import UnitaryProduct, VirtualRep, expand_u, expand_unit_product, recognize_unitary, ubar_factor
-from .globalrep import (
-    GlobalAlgebra,
-    GlobalCuspidalData,
-    IncompatibleLabel,
-    global_check,
-    levi_conjugate_count,
-)
-from .lfactors import eps_irr, l_irr
-from .multiseg import LimitExceeded, Multisegment, enumerate_multisegments, is_lower, unitary_esi
-from .transfer import NotTransferable, lj_std, lj_u
+from .multiseg import Multisegment, enumerate_multisegments, is_lower, unitary_esi
+
+# the handlers that use transfer, lfactors, globalrep or selfcheck import it: no parse path needs them
 
 
 class CliError(Exception):
@@ -128,6 +121,8 @@ def _expand_ubar(args, reg: LineRegistry) -> VirtualRep:
 
 
 def _lj(args, reg: LineRegistry):
+    from .transfer import lj_std, lj_u
+
     if args.d < 2:
         raise CliError("lj needs --d >= 2", 1)
     if args.unit:
@@ -150,12 +145,30 @@ def _enumerate(args, reg: LineRegistry) -> list[Multisegment]:
     return sorted(found, key=Multisegment.sort_key)
 
 
+def _lfun(args, reg: LineRegistry):
+    from .lfactors import l_irr
+
+    return l_irr(reg, _label(args, reg, args.expr))
+
+
+def _eps(args, reg: LineRegistry):
+    from .lfactors import eps_irr
+
+    return eps_irr(reg, _label(args, reg, args.expr))
+
+
 def _global_check(args, reg: LineRegistry):
-    with open(args.algebra) as fh:
-        alg = GlobalAlgebra.from_json(json.load(fh))
-    with open(args.cuspidal) as fh:
-        data = GlobalCuspidalData.from_json(json.load(fh), reg)
+    from .globalrep import GlobalAlgebra, GlobalCuspidalData, global_check
+
+    alg = GlobalAlgebra.from_json(load_json(args.algebra))
+    data = GlobalCuspidalData.from_json(load_json(args.cuspidal), reg)
     return global_check(reg, data, args.k, alg)
+
+
+def _count_levi(args, reg: LineRegistry) -> int:
+    from .globalrep import levi_conjugate_count
+
+    return levi_conjugate_count(args.n, args.l)
 
 
 # command -> (args, registry) -> value; ``run`` writes the value
@@ -166,11 +179,11 @@ COMMANDS = {
     "expand-ubar": _expand_ubar,
     "lj": _lj,
     "recognize": lambda args, reg: recognize_unitary(_label(args, reg, args.expr)),
-    "lfun": lambda args, reg: l_irr(reg, _label(args, reg, args.expr)),
-    "eps": lambda args, reg: eps_irr(reg, _label(args, reg, args.expr)),
+    "lfun": _lfun,
+    "eps": _eps,
     "enumerate": _enumerate,
     "global-check": _global_check,
-    "count-levi": lambda args, reg: levi_conjugate_count(args.n, args.l),
+    "count-levi": _count_levi,
 }
 
 # ``--json`` prints an object: a value whose JSON is a list or a scalar goes under
@@ -199,7 +212,7 @@ def run(args) -> int:
         raise CliError("--d must be >= 1", 1)
     reg = _registry(args)
     if args.command == "selfcheck":  # reports suite by suite, as text only
-        from . import selfcheck  # imported here: no other command needs it
+        from . import selfcheck
 
         return 0 if selfcheck.run_all() else 1
     value = COMMANDS[args.command](args, reg)
@@ -218,9 +231,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (
-        RegistryError, NotTransferable, LimitExceeded, IncompatibleLabel, ValueError, OSError
-    ) as e:
+    except (ValueError, OSError) as e:  # RegistryError, LimitExceeded and the like are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 1
 

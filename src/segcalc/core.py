@@ -54,6 +54,15 @@ def json_field(entry, key: str, kind: type = str):
     return value
 
 
+def load_json(path: str):
+    """The parsed JSON file at ``path``; nesting too deep to parse raises RegistryError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise RegistryError(f"JSON nested too deeply in {path}") from None
+
+
 class Record:
     """An immutable value whose fields are its class's ``__slots__``, in that order.
 
@@ -215,8 +224,7 @@ class LineRegistry:
 
     @classmethod
     def load(cls, path: str) -> "LineRegistry":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(load_json(path))
 
     @classmethod
     def standard(cls) -> "LineRegistry":

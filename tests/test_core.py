@@ -1,4 +1,5 @@
 import copy
+import importlib
 import os
 import pickle
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import segcalc
 from segcalc import (
     CuspidalPoint,
     DiscreteSeriesLabel,
@@ -232,12 +234,72 @@ def test_value_records_keep_their_contract(x, fields, text):
         assert repr(x) == text
 
 
-def test_cli_import_leaves_heavy_and_unused_modules_out():
+def _modules_after(*steps: str) -> list[set[str]]:
+    """The names in ``sys.modules`` of one fresh interpreter after each of ``steps`` has run."""
     src = str(Path(sys.modules["segcalc"].__file__).resolve().parents[1])
-    unwanted = ("dataclasses", "inspect", "segcalc.selfcheck")
-    probe = f"import sys, segcalc.cli; print(*[m for m in {unwanted!r} if m in sys.modules])"
+    probe = "import sys\n" + "".join(f"{step}\nprint('modules:', *sys.modules)\n" for step in steps)
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src}, cwd=src,
     ).stdout
-    assert out == "\n"
+    return [set(line.split()[1:]) for line in out.splitlines() if line.startswith("modules:")]
+
+
+def _cli_code(*argvs: list[str]) -> str:
+    """Code that runs ``segcalc.cli.main`` on each argv and checks that each exits 0."""
+    return f"from segcalc.cli import main\nassert all(main(a) == 0 for a in {list(argvs)!r})"
+
+
+# -- the package surface -------------------------------------------------------------
+
+# home module -> the public names of ``segcalc``
+PUBLIC = {
+    "core": "CuspidalPoint LineInfo LineRegistry RegistryError frac s_invariant",
+    "multiseg": "LimitExceeded Multisegment Segment SegmentRelation elementary_successors enumerate_multisegments "
+    "hermitian_dual is_hermitian is_lower rigid_decomposition segment_relation stats unitary_esi",
+    "gkring": "SpehUnit UnitaryProduct VirtualRep expand_u expand_unit_product recognize_unitary speh_ubar "
+    "ubar_factor",
+    "duality": "dual_irr mw_dual raw_dual_std",
+    "transfer": "NotTransferable SignedUnitaryProduct c_inv c_map d_cuspidal in_image_lju is_d_compatible lj_generic "
+    "lj_std lj_u ll_less m_map",
+    "lfactors": "EpsilonFactor FormalLFactor FormalRSProduct eps_irr l_esi l_irr normalizing_factor rs_lg",
+    "globalrep": "DiscreteSeriesLabel GlobalAlgebra GlobalCheck GlobalCuspidalData g_inverse g_map global_check "
+    "interval_decomposition levi_conjugate_count local_component match_discrete_products s_rho_d",
+}
+
+
+def test_package_resolves_each_public_name_from_its_home_module_on_first_access():
+    home = {name: module for module, names in PUBLIC.items() for name in names.split()}
+    assert len(home) == 62 and sorted(segcalc.__all__) == sorted(home)
+    for name, module in home.items():
+        assert getattr(segcalc, name) is getattr(importlib.import_module(f"segcalc.{module}"), name)
+        assert vars(segcalc)[name] is getattr(segcalc, name)  # kept, so the next access is a plain lookup
+    scope = {}
+    exec("from segcalc import *", scope)
+    assert all(scope[name] is getattr(segcalc, name) for name in home)
+    with pytest.raises(AttributeError, match="module 'segcalc' has no attribute 'nope'"):
+        segcalc.nope
+    # a bare import loads no computing module; a name loads its home module alone
+    after_import, after_name = _modules_after("import segcalc", "segcalc.LineRegistry")
+    assert {m for m in after_import if m.startswith("segcalc.")} == set()
+    assert {m for m in after_name if m.startswith("segcalc.")} == {"segcalc.core"}
+
+
+# -- per-command imports ----------------------------------------------------------------
+
+
+def test_cli_import_leaves_heavy_and_unused_modules_out():
+    # the parse-only commands load neither the transfer, the L-factors, the global
+    # bookkeeping nor selfcheck, and no dataclasses (which pulls in inspect)
+    [loaded] = _modules_after(_cli_code(
+        ["dual", "{rho:[0,2]}"], ["order", "{rho:[0,1]}", "{rho:[0,0], rho:[1,1]}"],
+        ["enumerate", "{rho:[0,0], rho:[1,1]}"], ["recognize", "{rho:[-1,0], rho:[0,1]}"],
+        ["expand-u", "l=2", "k=2"], ["expand-ubar", "--d", "2", "l=1", "k=2"],
+    ))
+    unwanted = {"dataclasses", "inspect", "segcalc.transfer", "segcalc.lfactors", "segcalc.globalrep",
+                "segcalc.selfcheck"}
+    assert loaded & unwanted == set()
+    [loaded] = _modules_after(_cli_code(["lfun", "{rho:[-1/2,1/2]}"]))
+    assert "segcalc.lfactors" in loaded and loaded & {"segcalc.transfer", "segcalc.globalrep"} == set()
+    [loaded] = _modules_after(_cli_code(["lj", "--d", "2", "--u", "l=2", "k=3"], ["lj", "--d", "2", "{rho:[0,1]}"]))
+    assert "segcalc.transfer" in loaded and "segcalc.globalrep" not in loaded

@@ -302,6 +302,10 @@ def _global(algebra, cuspidal):
     ]
 
 
+# nested deeper than ``json.load`` can recurse; ``json.dumps`` cannot write it, so it is raw bytes
+DEEP = b"[" * 200_000 + b"]" * 200_000
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [
@@ -354,14 +358,20 @@ def _global(algebra, cuspidal):
         (["selfcheck", "--d", "0"], 1),
         # a flag is a JSON bool, not a string or number read by its truthiness
         (["lfun", "--lines", ("lines.json", [{"name": "rho", "p": 1, "unramified": "false"}]), "{rho:[0,0]}"], 1),
+        # JSON too deep to parse is a domain error, not a RecursionError traceback
+        (_lines(DEEP), 1),
+        (_global(DEEP, CUSPIDAL), 1),
+        (_global(ALGEBRA, DEEP), 1),
     ],
 )
 def test_cli_refuses_malformed_unit_and_file_inputs(argv, code, tmp_path, capsys):
     def path(a):
-        # a (name, data) pair stands for a JSON file holding data; missing.json is never written
+        # a (name, data) pair stands for a file holding data as JSON, or bytes data as they are;
+        # missing.json is never written
         if isinstance(a, tuple):
-            (tmp_path / a[0]).write_text(json.dumps(a[1]))
-            return str(tmp_path / a[0])
+            name, data = a
+            (tmp_path / name).write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
+            return str(tmp_path / name)
         return str(tmp_path / a) if a == "missing.json" else a
 
     got, out, err = run_cli(capsys, *map(path, argv))
