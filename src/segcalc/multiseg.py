@@ -12,19 +12,25 @@ segments can ever be linked.  ``Segment`` alone maps an exponent to its
 integer position there: linkage, the order (one signed rank table keyed by
 effective line and positions), enumeration and duality compare positions
 ``first..last`` and build segments back with ``Segment.from_positions``.
-``elementary_successors`` scans each segment's later neighbours on its
-effective line only, and ``enumerate_multisegments`` builds each distinct
-run once and its labels already in canonical order.
 A segment stores positions only; its Fraction ``start`` is derived on
 demand.  Equality and the canonical order read one stored tuple of line,
 step, offset class and integer positions; a segment's hash is computed once
 from the integer fields of that tuple, xorshifted and cut to 40 bits.  A
 multisegment's hash is the plain sum of its segments' hashes, an additive
 multiset hash: a label made of a shared prefix plus a few pieces hashes in
-O(1) from the prefix's hash.  ``|``, ``elementary_successors``, the cut
-expansion and ``raw_dual_std`` (``duality``) and ``_tadic_sum`` (``gkring``)
-carry it so.  The ``repr`` of a segment or multisegment is its canonical
-text form, the one ``dsl`` parses; ``to_json()`` is its JSON form.
+O(1) from the prefix's hash.  ``|``, the successor kernel, enumeration, the
+cut expansion and ``raw_dual_std`` (``duality``) and ``_tadic_sum``
+(``gkring``) carry it so.
+
+The two order-side producers build each distinct segment once and make
+their labels already in canonical order.  The successor kernel scans each
+segment's later neighbours on its effective line only and takes unions and
+intersections from a segment table; ``descendants`` keeps one table over
+its whole search, so a segment is one object in every label that holds it.
+``enumerate_multisegments`` partitions each gap-free block of positions by
+one dynamic program that yields segment tuples with their hash sums.  The
+``repr`` of a segment or multisegment is its canonical text form, the one
+``dsl`` parses; ``to_json()`` is its JSON form.
 """
 
 from __future__ import annotations
@@ -206,10 +212,10 @@ class Multisegment:
     the order and adds under ``|``.  A producer that builds its segments
     already in canonical order makes its labels with ``_canonical``, which
     skips the sort and takes the hash sum from the caller:
-    ``rigid_decomposition``, ``enumerate_multisegments`` and ``dual_irr`` sum
-    their segments' hashes, while ``|`` (which sorts only labels that
-    interleave), ``elementary_successors``, ``raw_dual_std`` and
-    ``_tadic_sum`` carry the sum of a shared prefix and add the new pieces'.
+    ``rigid_decomposition`` and ``dual_irr`` sum their segments' hashes,
+    while ``|`` (which sorts only labels that interleave), the successor
+    kernel, ``enumerate_multisegments``, ``raw_dual_std`` and ``_tadic_sum``
+    carry the sum of a shared part and add the new pieces'.
     """
 
     __slots__ = ("segments", "_hash")
@@ -322,39 +328,62 @@ def elementary_successors(m: Multisegment) -> set[Multisegment]:
 
     For every unordered pair of linked segments, replace the pair by union
     plus intersection (overlapping case) or by the union alone (adjacent
-    case).  In canonical order an effective line's segments are contiguous
-    and sorted by ``(first, length)``, so segment i (positions a1..b1) is
-    linked to a later j (a2..b2) iff j is on its line, a2 <= b1 + 1, a2 != a1
-    and b2 > b1; the union is a1..b2 and the intersection a2..b1.
+    case).  ``_successors`` does the work, here with a fresh segment table.
+    """
+    return set(_successors(m, {}))
+
+
+def _successors(m: Multisegment, table: dict[tuple, dict[tuple[int, int], Segment]]) -> list[Multisegment]:
+    """The labels one elementary operation below ``m``, a label once per pair that makes it.
+
+    In canonical order an effective line's segments are contiguous and
+    sorted by ``(first, length)``, so segment i (positions a1..b1) is linked
+    to a later j (a2..b2) iff j is on its line, a2 <= b1 + 1, a2 != a1 and
+    b2 > b1; the union is a1..b2 and the intersection a2..b1.  Both come from
+    ``table``, effective line -> ``(first, last)`` -> segment, built there on
+    first use: a caller that keeps one table over many labels builds each
+    segment once, and the line is looked up once per run of the label, so an
+    offset is never hashed per successor.
 
     The union sorts after segment i and the intersection before segment j,
     so each goes in by bisection between them, and a successor's hash is
     ``m``'s minus the pair's plus the new segments'.
     """
-    out: set[Multisegment] = set()
+    out: list[Multisegment] = []
     segs = m.segments
     keys = [s._order for s in segs]
     canonical = Multisegment._canonical
-    for i, (line, step, offset, a1, n1) in enumerate(keys):
-        eff, b1 = (line, step, offset), a1 + n1 - 1
+    eff = made = None
+    for i, key in enumerate(keys):
+        if key[:3] != eff:  # the first segment of an effective line
+            eff = key[:3]
+            made = table.get(eff)
+            if made is None:
+                made = table[eff] = {}
+        a1 = key[3]
+        b1 = a1 + key[4] - 1
         for j in range(i + 1, len(keys)):
-            key = keys[j]
-            a2 = key[3]
-            if a2 > b1 + 1 or key[:3] != eff:  # tuple != checks identity first
+            other = keys[j]
+            a2 = other[3]
+            if a2 > b1 + 1 or other[:3] != eff:  # tuple != checks identity first
                 break
-            b2 = a2 + key[4] - 1
+            b2 = a2 + other[4] - 1
             if a2 == a1 or b2 <= b1:
                 continue  # nested
-            union = Segment.from_positions(eff, a1, b2)
+            union = made.get((a1, b2))
+            if union is None:
+                union = made[a1, b2] = Segment.from_positions(eff, a1, b2)
             h = m._hash - segs[i]._hash - segs[j]._hash + union._hash
             u = bisect_right(keys, union._order, i + 1, j)
             head = segs[:i] + segs[i + 1 : u] + (union,)
             if a2 > b1:  # adjacent: the union alone
-                out.add(canonical(head + segs[u:j] + segs[j + 1 :], h))
+                out.append(canonical(head + segs[u:j] + segs[j + 1 :], h))
                 continue
-            inter = Segment.from_positions(eff, a2, b1)
+            inter = made.get((a2, b1))
+            if inter is None:
+                inter = made[a2, b1] = Segment.from_positions(eff, a2, b1)
             x = bisect_right(keys, inter._order, u, j)
-            out.add(canonical(head + segs[u:x] + (inter,) + segs[x:j] + segs[j + 1 :], h + inter._hash))
+            out.append(canonical(head + segs[u:x] + (inter,) + segs[x:j] + segs[j + 1 :], h + inter._hash))
     return out
 
 
@@ -403,13 +432,23 @@ def is_lower(ma: Multisegment, mb: Multisegment) -> bool:
 
 
 def descendants(m: Multisegment) -> set[Multisegment]:
-    """All multisegments strictly or trivially below ``m`` (BFS closure)."""
+    """All multisegments strictly or trivially below ``m`` (BFS closure).
+
+    Elementary operations keep every segment on an effective line of ``m``,
+    so one segment table, seeded with ``m``'s segments, serves the whole
+    search: each distinct segment is built once and is the same object in
+    every label that holds it, so a label met twice compares equal segment
+    by segment on identity alone.
+    """
+    table: dict[tuple, dict[tuple[int, int], Segment]] = {}
+    for s in m.segments:
+        table.setdefault(s.effective_line(), {}).setdefault((s.first, s.last), s)
     seen = {m}
     frontier = [m]
     while frontier:
         nxt = []
         for x in frontier:
-            for y in elementary_successors(x):
+            for y in _successors(x, table):
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -440,11 +479,14 @@ def enumerate_multisegments(
 
     The support splits into effective lines (line plus offset class mod
     step), and each line's positions split at their gaps, since no segment
-    spans a gap; partitions are enumerated independently per gap-free block
-    and combined.  Each distinct run of a block is one ``Segment``, shared by
-    its labels; lines in canonical order, blocks by increasing position and
-    sorted partitions make every label canonical without a sort.  Raises
-    LimitExceeded when the support has more than ``limit`` points.
+    spans a gap.  ``_run_partitions`` makes each gap-free block's labels as
+    canonical segment tuples with their hash sums; lines in canonical order
+    and blocks by increasing position keep the concatenation of one label
+    per block canonical, so every label is made without a sort or a rehash.
+    The blocks' labels are joined neighbours pairwise, so a segment is
+    copied O(log blocks) times, and a single block's labels are used as
+    made.  Raises LimitExceeded when the support has more than ``limit``
+    points.
     """
     cnt = +Counter(support)
     total = sum(cnt.values())
@@ -456,15 +498,17 @@ def enumerate_multisegments(
         point = Segment(line, exp, 1, step)
         classes.setdefault(point.effective_line(), Counter())[point.first] = mult
 
-    per_block = []
-    for eff in sorted(classes):  # effective lines in canonical order
-        for block in _gap_free_blocks(classes[eff]):
-            parts = _integer_partitions(block)
-            made = {(a, n): Segment.from_positions(eff, a, a + n - 1)  # one segment per distinct run
-                    for a, n in set(itertools.chain.from_iterable(parts))}
-            per_block.append([tuple(map(made.__getitem__, part)) for part in parts])
-    labels = (tuple(itertools.chain.from_iterable(choice)) for choice in itertools.product(*per_block))
-    return {Multisegment._canonical(segs, sum(map(_HASH, segs))) for segs in labels}
+    per_block = [  # effective lines in canonical order, each line's blocks by increasing position
+        _run_partitions(eff, block) for eff in sorted(classes) for block in _gap_free_blocks(classes[eff])
+    ]
+    while len(per_block) > 1:  # join neighbours pairwise: a segment is copied O(log blocks) times
+        per_block = [
+            [(a + b, ha + hb) for a, ha in left for b, hb in right]
+            for left, right in itertools.zip_longest(per_block[::2], per_block[1::2], fillvalue=[((), 0)])
+        ]
+    labels = per_block[0] if per_block else [((), 0)]
+    canonical = Multisegment._canonical
+    return {canonical(segs, h) for segs, h in labels}
 
 
 def _gap_free_blocks(positions: Counter) -> list[Counter]:
@@ -477,39 +521,46 @@ def _gap_free_blocks(positions: Counter) -> list[Counter]:
     return blocks
 
 
-def _integer_partitions(positions: Counter) -> set[tuple[tuple[int, int], ...]]:
-    """Partitions of an integer multiset into runs, as sorted ((start, length), ...).
+def _run_partitions(eff: tuple, positions: Counter) -> list[tuple[tuple[Segment, ...], int]]:
+    """Every partition of a multiset of positions into runs: (segments in canonical order, hash sum).
 
     A partition takes a run from the smallest position p and partitions the
-    rest.  The reachable states (remaining multisets) are collected first,
-    then solved smallest first, so no step recurses however deep the
-    support.
+    rest, so its segments are the run's prepended to a partition of the
+    rest, and its hash adds the run's.  Where p repeats, its runs are taken
+    shortest first (the rest may start a run at p only as long or longer),
+    so the prepended run sorts first and no partition is made twice: the
+    output needs neither a sort nor a deduplication.  Each distinct run is
+    one ``Segment`` on ``eff``.  A state is (p, the multiplicities from p to
+    the largest position, the shortest run allowed at p); the reachable
+    states are collected first, then solved smallest first, so no step
+    recurses however deep the support.
     """
-    runs: dict[tuple, list] = {}  # state -> [((p, run length), rest)]
-    todo = [tuple(sorted(positions.items()))]
-    root = todo[0]
+    base, top = min(positions), max(positions)
+    root = (base, tuple(positions.get(q, 0) for q in range(base, top + 1)), 1)
+    made: dict[tuple[int, int], Segment] = {}  # (p, run length) -> its segment
+    runs: dict[tuple, list] = {}  # state -> [(run segment, its hash, rest)]
+    todo = [root]
     while todo:
-        cnt = todo.pop()
-        if not cnt or cnt in runs:
+        state = todo.pop()
+        p, cnt, lo = state
+        if not cnt or state in runs:
             continue
-        d = dict(cnt)
-        p = min(d)
+        reach = next((i for i, c in enumerate(cnt) if not c), len(cnt))  # runs from p end before the first 0
         children = []
-        length = 0
-        while d.get(p + length, 0) > 0:
-            length += 1
-            d2 = dict(d)
-            for q in range(p, p + length):
-                d2[q] -= 1
-                if d2[q] == 0:
-                    del d2[q]
-            children.append(((p, length), tuple(sorted(d2.items()))))
-        runs[cnt] = children
-        todo.extend(rest for _, rest in children)
-    memo: dict[tuple, set] = {(): {()}}
-    for cnt in sorted(runs, key=lambda c: sum(n for _, n in c)):
-        memo[cnt] = {  # the rest starts at p or later, so run sorts first unless p repeats
-            (run,) + part if not part or run <= part[0] else tuple(sorted(part + (run,)))
-            for run, rest in runs[cnt] for part in memo[rest]
-        }
+        for length in range(lo, reach + 1):
+            rest = tuple(c - 1 for c in cnt[:length]) + cnt[length:]
+            if rest[0]:  # p repeats: the rest's runs at p are as long or longer
+                rest_state = (p, rest, length)
+            else:
+                z = next((i for i, c in enumerate(rest) if c), len(rest))
+                rest_state = (p + z, rest[z:], 1)
+            seg = made.get((p, length))
+            if seg is None:
+                seg = made[p, length] = Segment.from_positions(eff, p, p + length - 1)
+            children.append((seg, seg._hash, rest_state))
+        runs[state] = children
+        todo.extend(rest for _, _, rest in children)
+    memo: dict[tuple, list] = {(top + 1, (), 1): [((), 0)]}
+    for state in sorted(runs, key=lambda s: sum(s[1])):
+        memo[state] = [((seg,) + segs, h + hs) for seg, h, rest in runs[state] for segs, hs in memo[rest]]
     return memo[root]

@@ -116,27 +116,27 @@ def is_d_compatible(registry: LineRegistry, x: Union[Segment, Multisegment], d: 
 def lj_std(registry: LineRegistry, x: VirtualRep, d: int) -> VirtualRep:
     """Lattice transfer: factorwise c_map on compatible labels, 0 otherwise.
 
-    Terms share few distinct segments, so the compatibility test and the
-    c_map image of each segment are computed once per call.
+    Terms share few distinct segments, so each segment's image is looked up
+    in one dict local to the call: its ``c_map`` image, or False when it is
+    not d-compatible.
     """
     if x.d != 1:
         raise NotTransferable("lj_std starts from the split side")
-    compatible: dict[Segment, bool] = {}
-    images: dict[Segment, Segment] = {}
+    images: dict[Segment, Union[Segment, bool]] = {}
 
     def image(m: Multisegment) -> Optional[Multisegment]:
-        # an incompatible segment zeroes the label before c_map can refuse a step != 1 one
-        for seg in m.segments:
-            ok = compatible.get(seg)
-            if ok is None:
-                ok = compatible[seg] = is_d_compatible(registry, seg, d)
-            if not ok:
-                return None
         out = []
         for seg in m.segments:
             img = images.get(seg)
             if img is None:
-                img = images[seg] = c_map(registry, seg, d)
+                try:
+                    img = images[seg] = is_d_compatible(registry, seg, d) and c_map(registry, seg, d)
+                except NotTransferable:
+                    if is_d_compatible(registry, m, d):
+                        raise
+                    return None  # an incompatible segment zeroes the label before c_map can refuse
+            if img is False:
+                return None
             out.append(img)
         return Multisegment(out)
 

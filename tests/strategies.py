@@ -6,6 +6,32 @@ from typing import Iterator, Optional
 from hypothesis import strategies as st
 
 from segcalc import Multisegment, Segment, SpehUnit, UnitaryProduct, VirtualRep, unitary_esi
+from segcalc.multiseg import _run_partitions
+
+
+def assert_canonical(ms):
+    """Every label is exactly what the sorting constructor makes of its segments.
+
+    The constructor sums its segments' hashes anew, so a producer that
+    carries a wrong hash sum fails here.
+    """
+    for m in ms:
+        sorted_m = Multisegment(m.segments)
+        assert m.segments == sorted_m.segments, m
+        assert hash(m) == hash(sorted_m), m
+
+
+def partition_runs(positions) -> set:
+    """``_run_partitions`` of a position multiset read back as sorted ((first, length), ...) runs.
+
+    Each (segments, hash) pair must make a canonical label with its carried
+    hash, and no partition may come twice.
+    """
+    parts = _run_partitions(("rho", 1, 0), positions)
+    assert_canonical(Multisegment._canonical(segs, h) for segs, h in parts)
+    runs = [tuple((s.first, s.length) for s in segs) for segs, _ in parts]
+    assert len(set(runs)) == len(runs), runs
+    return set(runs)
 
 
 @st.composite

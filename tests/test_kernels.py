@@ -4,14 +4,17 @@
 each cut onto a shared prefix; both hand finished prefixes to
 ``Multisegment._canonical`` without a sort, and ``raw_dual_std`` and ``|``
 skip the sort where the pieces cannot interleave.  ``enumerate_multisegments``
-builds each distinct run once and its labels through ``_canonical`` too, and
-``elementary_successors`` reads only the linked pairs off the canonical
-order.  The oracles below keep the constructions these replaced: one sorted
-label per admissible permutation, one ``itertools.combinations`` cut list
-with a bounds tuple per cut, a fold that sorts every partial label, one new
-segment per run of every partition, and every index pair classified by
-``segment_relation`` and joined as point sets.  The kernels must agree with
-them term for term, produce labels exactly as the sorting constructor
+makes each block's partitions as canonical segment tuples with their hash
+sums and builds each distinct run once, ``elementary_successors`` reads only
+the linked pairs off the canonical order, and ``descendants`` shares one
+segment table over its whole search.  The oracles below keep the
+constructions these replaced: one sorted label per admissible permutation,
+one ``itertools.combinations`` cut list with a bounds tuple per cut, a fold
+that sorts every partial label, one new segment per run of every partition
+found by plain recursion, every index pair classified by
+``segment_relation`` and joined as point sets, and a breadth-first search
+that calls ``elementary_successors`` on each label.  The kernels must agree
+with them term for term, produce labels exactly as the sorting constructor
 would, and run in a stack depth that does not grow with k or n.
 """
 
@@ -20,7 +23,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from segcalc import (
@@ -41,8 +44,15 @@ from segcalc import (
 )
 from segcalc.duality import segment_cut_expansion
 from segcalc.gkring import _tadic_sum
-from segcalc.multiseg import _integer_partitions
-from strategies import admissible_permutations, labels, labels_with_repeats, virtual_reps
+from segcalc.multiseg import descendants
+from strategies import (
+    admissible_permutations,
+    assert_canonical,
+    labels,
+    labels_with_repeats,
+    partition_runs,
+    virtual_reps,
+)
 
 F = Fraction
 TWISTS = st.sampled_from([F(0), F(1), F(-2), F(1, 2), F(-3, 4), F(5, 4)])
@@ -129,16 +139,17 @@ def successors_oracle(m):
     return out
 
 
-def assert_canonical(ms):
-    """Every label is exactly what the sorting constructor makes of its segments.
-
-    The constructor sums its segments' hashes anew, so a producer that
-    carries a wrong hash sum fails here.
-    """
-    for m in ms:
-        sorted_m = Multisegment(m.segments)
-        assert m.segments == sorted_m.segments, m
-        assert hash(m) == hash(sorted_m), m
+def descendants_oracle(m, successors=elementary_successors):
+    """The plain breadth-first closure under ``successors``, each call with its own segments."""
+    seen, frontier = {m}, [m]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in successors(x) - seen:
+                seen.add(y)
+                nxt.append(y)
+        frontier = nxt
+    return seen
 
 
 def cut_key(cut):
@@ -278,8 +289,26 @@ def test_integer_partitions_equal_the_recursive_oracle_on_repeats():
     for size in range(1, 8):
         for combo in itertools.combinations_with_replacement(range(5), size):
             positions = Counter(combo)
-            assert _integer_partitions(positions) == partitions_oracle(positions), combo
-    assert ((0, 1), (0, 2)) in _integer_partitions(Counter([0, 0, 1]))  # the run (0, 2) after (0, 1)
+            assert partition_runs(positions) == partitions_oracle(positions), combo
+    assert ((0, 1), (0, 2)) in partition_runs(Counter([0, 0, 1]))  # the run (0, 2) after (0, 1)
+
+
+@given(st.one_of(labels(), labels_with_repeats()))
+@example(Multisegment(Segment(*x) for x in (  # overlapping pairs, which the strategies rarely draw
+    ("rho", 0, 3), ("rho", 1, 3), ("rho", 2, 3), ("chi", F(1, 2), 2, 2), ("chi", F(5, 2), 2, 2))))
+def test_descendants_equal_the_plain_bfs_oracle(m):
+    # two lines, steps 1-3, fractional offsets, repeated segments
+    got = descendants(m)
+    assert got == descendants_oracle(m)  # the shared segment table against a fresh one per label
+    assert got == descendants_oracle(m, successors_oracle)  # and against the all-pairs successors
+    assert_canonical(got)
+
+
+def test_descendants_build_each_distinct_segment_once():
+    top = Multisegment(Segment("rho", i, 1) for i in range(11))
+    below = descendants(top)
+    assert len(below) == 2**10
+    assert len({id(s) for m in below for s in m.segments}) == 11 * 12 // 2  # every run of 0..10, once
 
 
 @given(st.one_of(labels(), labels_with_repeats()))

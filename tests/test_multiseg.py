@@ -27,9 +27,9 @@ from segcalc import (
     segment_relation,
     stats,
 )
-from segcalc.multiseg import _gap_free_blocks, _integer_partitions, descendants
+from segcalc.multiseg import _gap_free_blocks, descendants
 from segcalc.selfcheck import window_corpus
-from strategies import labels
+from strategies import labels, partition_runs
 
 
 def seg(a, b, line="rho", step=1):
@@ -412,9 +412,9 @@ def test_gap_free_blocks_partition_as_the_whole_multiset(points):
     assert sum(blocks, Counter()) == positions
     split = {
         tuple(itertools.chain.from_iterable(choice))
-        for choice in itertools.product(*map(_integer_partitions, blocks))
+        for choice in itertools.product(*map(partition_runs, blocks))
     }
-    assert split == _integer_partitions(positions)
+    assert split == partition_runs(positions)
 
 
 def test_enumerate_limit():
