@@ -23,14 +23,20 @@ cut expansion and ``raw_dual_std`` (``duality``) and ``_tadic_sum``
 (``gkring``) carry it so.
 
 The two order-side producers build each distinct segment once and make
-their labels already in canonical order.  The successor kernel scans each
-segment's later neighbours on its effective line only and takes unions and
-intersections from a segment table; ``descendants`` keeps one table over
-its whole search, so a segment is one object in every label that holds it.
+their labels already in canonical order, with their hash sums.
 ``enumerate_multisegments`` partitions each gap-free block of positions by
-one dynamic program that yields segment tuples with their hash sums.  The
-``repr`` of a segment or multisegment is its canonical text form, the one
-``dsl`` parses; ``to_json()`` is its JSON form.
+one dynamic program, ``_run_partitions``, that yields segment tuples with
+their hash sums.  ``descendants`` is the same program bounded by the rank
+criterion: elementary operations keep the support and never mix effective
+lines or cross a gap, so the labels below ``m`` are the partitions of each
+block whose ranks are at least ``m``'s, and the program prunes a child
+state that breaks a rank bound.  The bound reads the child state alone, so
+a pruned state has no valid completion on any path that reaches it, and the
+memo by state stays sound.  ``elementary_successors`` scans each segment's
+later neighbours on its effective line only.  The BFS over successors that
+``descendants`` replaces is kept as a test oracle.  The ``repr`` of a
+segment or multisegment is its canonical text form, the one ``dsl``
+parses; ``to_json()`` is its JSON form.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import CuspidalPoint, ExponentLike, LineRegistry, frac
 
@@ -328,28 +334,19 @@ def elementary_successors(m: Multisegment) -> set[Multisegment]:
 
     For every unordered pair of linked segments, replace the pair by union
     plus intersection (overlapping case) or by the union alone (adjacent
-    case).  ``_successors`` does the work, here with a fresh segment table.
-    """
-    return set(_successors(m, {}))
-
-
-def _successors(m: Multisegment, table: dict[tuple, dict[tuple[int, int], Segment]]) -> list[Multisegment]:
-    """The labels one elementary operation below ``m``, a label once per pair that makes it.
-
-    In canonical order an effective line's segments are contiguous and
-    sorted by ``(first, length)``, so segment i (positions a1..b1) is linked
-    to a later j (a2..b2) iff j is on its line, a2 <= b1 + 1, a2 != a1 and
-    b2 > b1; the union is a1..b2 and the intersection a2..b1.  Both come from
-    ``table``, effective line -> ``(first, last)`` -> segment, built there on
-    first use: a caller that keeps one table over many labels builds each
-    segment once, and the line is looked up once per run of the label, so an
-    offset is never hashed per successor.
+    case).  In canonical order an effective line's segments are contiguous
+    and sorted by ``(first, length)``, so segment i (positions a1..b1) is
+    linked to a later j (a2..b2) iff j is on its line, a2 <= b1 + 1, a2 !=
+    a1 and b2 > b1; the union is a1..b2 and the intersection a2..b1.  Each
+    is built once per call, from a table of ``(first, last)`` pairs that
+    starts afresh at each effective line, so an offset is never hashed per
+    successor.
 
     The union sorts after segment i and the intersection before segment j,
     so each goes in by bisection between them, and a successor's hash is
     ``m``'s minus the pair's plus the new segments'.
     """
-    out: list[Multisegment] = []
+    out: set[Multisegment] = set()
     segs = m.segments
     keys = [s._order for s in segs]
     canonical = Multisegment._canonical
@@ -357,9 +354,7 @@ def _successors(m: Multisegment, table: dict[tuple, dict[tuple[int, int], Segmen
     for i, key in enumerate(keys):
         if key[:3] != eff:  # the first segment of an effective line
             eff = key[:3]
-            made = table.get(eff)
-            if made is None:
-                made = table[eff] = {}
+            made = {}
         a1 = key[3]
         b1 = a1 + key[4] - 1
         for j in range(i + 1, len(keys)):
@@ -377,13 +372,13 @@ def _successors(m: Multisegment, table: dict[tuple, dict[tuple[int, int], Segmen
             u = bisect_right(keys, union._order, i + 1, j)
             head = segs[:i] + segs[i + 1 : u] + (union,)
             if a2 > b1:  # adjacent: the union alone
-                out.append(canonical(head + segs[u:j] + segs[j + 1 :], h))
+                out.add(canonical(head + segs[u:j] + segs[j + 1 :], h))
                 continue
             inter = made.get((a2, b1))
             if inter is None:
                 inter = made[a2, b1] = Segment.from_positions(eff, a2, b1)
             x = bisect_right(keys, inter._order, u, j)
-            out.append(canonical(head + segs[u:x] + (inter,) + segs[x:j] + segs[j + 1 :], h + inter._hash))
+            out.add(canonical(head + segs[u:x] + (inter,) + segs[x:j] + segs[j + 1 :], h + inter._hash))
     return out
 
 
@@ -432,28 +427,70 @@ def is_lower(ma: Multisegment, mb: Multisegment) -> bool:
 
 
 def descendants(m: Multisegment) -> set[Multisegment]:
-    """All multisegments strictly or trivially below ``m`` (BFS closure).
+    """All multisegments strictly or trivially below ``m``, each made once.
 
-    Elementary operations keep every segment on an effective line of ``m``,
-    so one segment table, seeded with ``m``'s segments, serves the whole
-    search: each distinct segment is built once and is the same object in
-    every label that holds it, so a label met twice compares equal segment
-    by segment on identity alone.
+    Elementary operations keep ``m``'s support and never mix effective lines
+    or cross a gap, so a label x lies below ``m`` iff on each gap-free block
+    of each effective line its runs satisfy the rank criterion: r_x(i, j) >=
+    r_m(i, j) for all i < j, with r(i, j) the number of segments containing
+    positions i..j (Zelevinsky 1980).  ``_run_partitions`` makes each
+    block's such partitions, pruned by the caps of ``_rank_caps``, and the
+    blocks are joined as in ``enumerate_multisegments``.  An elementary
+    operation makes its union and intersection from the pair's own
+    endpoints, so every run of x ends where a segment of ``m`` ends, and
+    the program tries no other run: two copies of a long segment are one
+    state, not one per run length.
+
+    The program takes runs from the smallest open position p.  A child that
+    moves p to p + z places every run starting at or below i = p + z - 1,
+    so r_x(i, q) for q > i is the multiplicity of q minus the copies of q
+    the child leaves open; the bound at i caps those copies, and a child
+    that breaks it is pruned.  The check reads the child state alone, so a
+    pruned state has no valid completion on any path that reaches it, and
+    the memo by state stays sound.  No run starts in p + 1..i, so for the
+    positions k from p to i - 1 that the same move passes, r_x(k, q) =
+    r_x(i, q) while r_m(k, q) <= r_m(i, q): the bound at i covers theirs.
     """
-    table: dict[tuple, dict[tuple[int, int], Segment]] = {}
-    for s in m.segments:
-        table.setdefault(s.effective_line(), {}).setdefault((s.first, s.last), s)
-    seen = {m}
-    frontier = [m]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in _successors(x, table):
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
+    per_block = []
+    for eff, run in itertools.groupby(m.segments, Segment.effective_line):
+        blocks: list[list[tuple[int, int]]] = []  # the (first, last) pairs of each gap-free block
+        for s in run:  # in canonical order, by first
+            if blocks and s.first <= end + 1:
+                blocks[-1].append((s.first, s.last))
+                end = max(end, s.last)
+            else:
+                blocks.append([(s.first, s.last)])
+                end = s.last
+        for spans in blocks:
+            positions = Counter(itertools.chain.from_iterable(range(a, b + 1) for a, b in spans))
+            per_block.append(_run_partitions(eff, positions, _rank_caps(spans, positions), {b for _, b in spans}))
+    return _join_blocks(per_block)
+
+
+def _rank_caps(spans: list[tuple[int, int]], positions: Counter) -> Callable[[int], tuple[int, ...]]:
+    """i -> the most copies of positions i + 1, i + 2, ... that a partition past i may leave open.
+
+    ``spans`` are a label's ``(first, last)`` pairs on one gap-free block and
+    ``positions`` its support there.  The cap of q is ``positions[q] - r(i,
+    q)``, with r(i, q) the number of spans that contain i..q.  The tuple ends
+    at the last position a span crossing i reaches, so an i that no span
+    crosses gets an empty one.  Each is built on first use: the program asks
+    for few of them, and all of them would take time quadratic in a long
+    span.
+    """
+    made: dict[int, tuple[int, ...]] = {}
+
+    def cap(i: int) -> tuple[int, ...]:
+        if i not in made:
+            ends = Counter(b for a, b in spans if a <= i < b)  # r(i, q) counts the lasts >= q
+            r, out = 0, []
+            for q in range(max(ends, default=i), i, -1):
+                r += ends[q]
+                out.append(positions[q] - r)
+            made[i] = tuple(reversed(out))
+        return made[i]
+
+    return cap
 
 
 def hermitian_dual(m: Multisegment, registry: LineRegistry) -> Multisegment:
@@ -480,13 +517,12 @@ def enumerate_multisegments(
     The support splits into effective lines (line plus offset class mod
     step), and each line's positions split at their gaps, since no segment
     spans a gap.  ``_run_partitions`` makes each gap-free block's labels as
-    canonical segment tuples with their hash sums; lines in canonical order
-    and blocks by increasing position keep the concatenation of one label
-    per block canonical, so every label is made without a sort or a rehash.
-    The blocks' labels are joined neighbours pairwise, so a segment is
-    copied O(log blocks) times, and a single block's labels are used as
-    made.  Raises LimitExceeded when the support has more than ``limit``
-    points.
+    canonical segment tuples with their hash sums, unbounded: this is
+    ``descendants`` of the singletons label, the top of the order on its
+    support.  Lines in canonical order and blocks by increasing position
+    keep the concatenation of one label per block canonical, so
+    ``_join_blocks`` makes every label without a sort or a rehash.  Raises
+    LimitExceeded when the support has more than ``limit`` points.
     """
     cnt = +Counter(support)
     total = sum(cnt.values())
@@ -501,7 +537,16 @@ def enumerate_multisegments(
     per_block = [  # effective lines in canonical order, each line's blocks by increasing position
         _run_partitions(eff, block) for eff in sorted(classes) for block in _gap_free_blocks(classes[eff])
     ]
-    while len(per_block) > 1:  # join neighbours pairwise: a segment is copied O(log blocks) times
+    return _join_blocks(per_block)
+
+
+def _join_blocks(per_block: list[list[tuple[tuple[Segment, ...], int]]]) -> set[Multisegment]:
+    """The labels made of one (segments, hash sum) pair per block, blocks given in canonical order.
+
+    The blocks' pairs are joined neighbours pairwise, so a segment is copied
+    O(log blocks) times, and a single block's pairs are used as made.
+    """
+    while len(per_block) > 1:
         per_block = [
             [(a + b, ha + hb) for a, ha in left for b, hb in right]
             for left, right in itertools.zip_longest(per_block[::2], per_block[1::2], fillvalue=[((), 0)])
@@ -521,7 +566,12 @@ def _gap_free_blocks(positions: Counter) -> list[Counter]:
     return blocks
 
 
-def _run_partitions(eff: tuple, positions: Counter) -> list[tuple[tuple[Segment, ...], int]]:
+def _run_partitions(
+    eff: tuple,
+    positions: Counter,
+    caps: Callable[[int], tuple[int, ...]] | None = None,
+    lasts: set[int] | None = None,
+) -> list[tuple[tuple[Segment, ...], int]]:
     """Every partition of a multiset of positions into runs: (segments in canonical order, hash sum).
 
     A partition takes a run from the smallest position p and partitions the
@@ -534,6 +584,12 @@ def _run_partitions(eff: tuple, positions: Counter) -> list[tuple[tuple[Segment,
     the largest position, the shortest run allowed at p); the reachable
     states are collected first, then solved smallest first, so no step
     recurses however deep the support.
+
+    With ``caps`` (see ``_rank_caps``) only the partitions above a label's
+    ranks are made: a child whose smallest open position is i + 1 may leave
+    at most ``caps(i)`` copies of the positions after i open, and one that
+    leaves more is pruned (``descendants`` says why that is sound).  With
+    ``lasts`` a run may end only at one of those positions.
     """
     base, top = min(positions), max(positions)
     root = (base, tuple(positions.get(q, 0) for q in range(base, top + 1)), 1)
@@ -545,15 +601,27 @@ def _run_partitions(eff: tuple, positions: Counter) -> list[tuple[tuple[Segment,
         p, cnt, lo = state
         if not cnt or state in runs:
             continue
-        reach = next((i for i, c in enumerate(cnt) if not c), len(cnt))  # runs from p end before the first 0
+        reach = cnt.index(0) if 0 in cnt else len(cnt)  # runs from p end before the first 0
+        less = tuple(c - 1 for c in cnt[:reach])  # what a run through all of cnt[:reach] leaves
+        live = next((i for i, c in enumerate(less) if c), reach)  # the first position a run leaves open
+        after = next((i for i in range(reach, len(cnt)) if cnt[i]), len(cnt))  # the first after the 0s
         children = []
         for length in range(lo, reach + 1):
-            rest = tuple(c - 1 for c in cnt[:length]) + cnt[length:]
-            if rest[0]:  # p repeats: the rest's runs at p are as long or longer
-                rest_state = (p, rest, length)
+            if lasts is not None and p + length - 1 not in lasts:
+                continue
+            if not live:  # p repeats: the rest's runs at p are as long or longer
+                rest_state = (p, less[:length] + cnt[length:], length)
             else:
-                z = next((i for i, c in enumerate(rest) if c), len(rest))
-                rest_state = (p + z, rest[z:], 1)
+                if live < length:  # the run leaves a copy of p + live open
+                    z = live
+                    rest = less[live:length] + cnt[length:]
+                else:
+                    z = length if length < reach else after
+                    rest = cnt[z:]
+                cap = caps and caps(p + z - 1)
+                if cap and any(map(int.__gt__, rest, cap)):
+                    continue  # too few runs cross p + z - 1: the label is not below the bound
+                rest_state = (p + z, rest, 1)
             seg = made.get((p, length))
             if seg is None:
                 seg = made[p, length] = Segment.from_positions(eff, p, p + length - 1)

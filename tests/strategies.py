@@ -5,7 +5,7 @@ from typing import Iterator, Optional
 
 from hypothesis import strategies as st
 
-from segcalc import Multisegment, Segment, SpehUnit, UnitaryProduct, VirtualRep, unitary_esi
+from segcalc import Multisegment, Segment, SpehUnit, UnitaryProduct, VirtualRep, elementary_successors, unitary_esi
 from segcalc.multiseg import _run_partitions
 
 
@@ -21,17 +21,35 @@ def assert_canonical(ms):
         assert hash(m) == hash(sorted_m), m
 
 
-def partition_runs(positions) -> set:
+def partition_runs(positions, caps=None, lasts=None) -> set:
     """``_run_partitions`` of a position multiset read back as sorted ((first, length), ...) runs.
 
     Each (segments, hash) pair must make a canonical label with its carried
-    hash, and no partition may come twice.
+    hash, and no partition may come twice, with or without a rank bound.
     """
-    parts = _run_partitions(("rho", 1, 0), positions)
+    parts = _run_partitions(("rho", 1, 0), positions, caps, lasts)
     assert_canonical(Multisegment._canonical(segs, h) for segs, h in parts)
     runs = [tuple((s.first, s.length) for s in segs) for segs, _ in parts]
     assert len(set(runs)) == len(runs), runs
     return set(runs)
+
+
+def descendants_oracle(m, successors=elementary_successors):
+    """The plain breadth-first closure of ``m`` under ``successors``: the reference for the order.
+
+    It reads neither the rank criterion that ``is_lower`` and ``descendants``
+    decide the order by nor their shared code, only one elementary operation
+    at a time.
+    """
+    seen, frontier = {m}, [m]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in successors(x) - seen:
+                seen.add(y)
+                nxt.append(y)
+        frontier = nxt
+    return seen
 
 
 @st.composite
@@ -55,6 +73,28 @@ def labels_with_repeats(draw, max_points=7):
     """A label from ``labels`` with one of its segments taken twice."""
     m = draw(labels(max_points))
     return Multisegment(m.segments + (draw(st.sampled_from(m.segments)),))
+
+
+# effective lines (line, step, offset class): two on one line, a half-integer offset on step 2, a third on step 3
+_EFFECTIVE_LINES = [("rho", 1, Fraction(0)), ("rho", 1, Fraction(1, 2)), ("chi", 1, Fraction(0)),
+                    ("rho", 2, Fraction(1, 2)), ("chi", 3, Fraction(2, 3))]
+
+
+@st.composite
+def overlapping_labels(draw):
+    """2-5 segments on one or two effective lines, with overlapping, nested and repeated starts.
+
+    Starts fall in a window of four positions and lengths run to four, so
+    pairs of a line overlap, nest, touch or repeat.  Of 100 derandomized
+    examples 32 hold two overlapping linked segments, against 1 of
+    ``labels()`` and ``labels_with_repeats()``.
+    """
+    lines = draw(st.lists(st.sampled_from(_EFFECTIVE_LINES), min_size=1, max_size=2, unique=True))
+    segs = []
+    for _ in range(draw(st.integers(2, 5))):
+        line, step, offset = draw(st.sampled_from(lines))
+        segs.append(Segment(line, offset + draw(st.integers(0, 3)) * step, draw(st.integers(1, 4)), step))
+    return Multisegment(segs)
 
 
 @st.composite

@@ -6,8 +6,8 @@ each cut onto a shared prefix; both hand finished prefixes to
 skip the sort where the pieces cannot interleave.  ``enumerate_multisegments``
 makes each block's partitions as canonical segment tuples with their hash
 sums and builds each distinct run once, ``elementary_successors`` reads only
-the linked pairs off the canonical order, and ``descendants`` shares one
-segment table over its whole search.  The oracles below keep the
+the linked pairs off the canonical order, and ``descendants`` is the same
+dynamic program bounded by the rank criterion.  The oracles below keep the
 constructions these replaced: one sorted label per admissible permutation,
 one ``itertools.combinations`` cut list with a bounds tuple per cut, a fold
 that sorts every partial label, one new segment per run of every partition
@@ -19,7 +19,9 @@ would, and run in a stack depth that does not grow with k or n.
 """
 
 import itertools
+import math
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -44,12 +46,14 @@ from segcalc import (
 )
 from segcalc.duality import segment_cut_expansion
 from segcalc.gkring import _tadic_sum
-from segcalc.multiseg import descendants
+from segcalc.multiseg import _gap_free_blocks, _rank_caps, descendants
 from strategies import (
     admissible_permutations,
     assert_canonical,
+    descendants_oracle,
     labels,
     labels_with_repeats,
+    overlapping_labels,
     partition_runs,
     virtual_reps,
 )
@@ -137,19 +141,6 @@ def successors_oracle(m):
         new = [Segment(s1.line, min(p), len(p), s1.step) for p in (p1 | p2, p1 & p2) if p]
         out.add(Multisegment([s for k, s in enumerate(segs) if k not in (i, j)] + new))
     return out
-
-
-def descendants_oracle(m, successors=elementary_successors):
-    """The plain breadth-first closure under ``successors``, each call with its own segments."""
-    seen, frontier = {m}, [m]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in successors(x) - seen:
-                seen.add(y)
-                nxt.append(y)
-        frontier = nxt
-    return seen
 
 
 def cut_key(cut):
@@ -276,6 +267,9 @@ def test_enumeration_is_canonical_and_equals_the_per_run_oracle(s, data):
     assert got == enumerate_oracle(support, s)
     assert_canonical(got)
     assert all(x.support() == support for x in got)
+    # the singletons label is the top of the order on its support
+    top = Multisegment(Segment(line, exp, 1, s) for (line, exp), mult in support.items() for _ in range(mult))
+    assert descendants(top) == got
 
 
 def test_enumeration_builds_each_distinct_segment_once():
@@ -293,15 +287,45 @@ def test_integer_partitions_equal_the_recursive_oracle_on_repeats():
     assert ((0, 1), (0, 2)) in partition_runs(Counter([0, 0, 1]))  # the run (0, 2) after (0, 1)
 
 
-@given(st.one_of(labels(), labels_with_repeats()))
-@example(Multisegment(Segment(*x) for x in (  # overlapping pairs, which the strategies rarely draw
+@given(st.one_of(labels(), labels_with_repeats(), overlapping_labels()))
+@example(Multisegment(Segment(*x) for x in (  # overlapping pairs on two lines
     ("rho", 0, 3), ("rho", 1, 3), ("rho", 2, 3), ("chi", F(1, 2), 2, 2), ("chi", F(5, 2), 2, 2))))
 def test_descendants_equal_the_plain_bfs_oracle(m):
-    # two lines, steps 1-3, fractional offsets, repeated segments
+    # two lines, steps 1-3, fractional offsets, repeated, nested and overlapping segments
     got = descendants(m)
-    assert got == descendants_oracle(m)  # the shared segment table against a fresh one per label
+    assert got == descendants_oracle(m)  # the rank-bounded partitions against one operation at a time
     assert got == descendants_oracle(m, successors_oracle)  # and against the all-pairs successors
     assert_canonical(got)
+    sizes = []  # the bounded program's labels per block: canonical with the carried hash, none twice
+    for _, run in itertools.groupby(m.segments, Segment.effective_line):
+        spans = [(s.first, s.last) for s in run]
+        positions = Counter(q for a, b in spans for q in range(a, b + 1))
+        for block in _gap_free_blocks(positions):
+            inside = [(a, b) for a, b in spans if a in block]
+            sizes.append(len(partition_runs(block, _rank_caps(inside, block), {b for _, b in inside})))
+    assert math.prod(sizes) == len(got)  # so the joined blocks repeat no label either
+
+
+def test_descendants_equal_the_bfs_oracle_on_explicit_cases():
+    for segs in (  # (line, start, length, step)
+        [],  # the empty label
+        [("rho", 0, 2, 1), ("rho", 1, 2, 1), ("chi", 0, 1, 1), ("chi", 1, 2, 1)],  # two effective lines
+        [("rho", 0, 2, 1), ("rho", 1, 1, 1), ("rho", 3, 2, 1), ("rho", 4, 1, 1)],  # a gap at position 2
+        [("rho", F(1, 2), 2, 2), ("rho", F(5, 2), 2, 2), ("rho", F(9, 2), 1, 2)],  # step 2, half-integer offset
+    ):
+        m = Multisegment(Segment(*s) for s in segs)
+        got = descendants(m)
+        assert got == descendants_oracle(m), segs
+        assert_canonical(got)
+
+
+def test_descendants_of_large_supports_finish_fast():
+    # 2000 blocks joined pairwise; runs tried only where a segment ends; caps built only where asked
+    start = time.perf_counter()
+    assert len(descendants(Multisegment(Segment("rho", 2 * i, 1) for i in range(2000)))) == 1
+    assert len(descendants(Multisegment([Segment("rho", 0, 2000), Segment("rho", 0, 2000)]))) == 1
+    assert len(descendants(Multisegment([Segment("rho", 0, 2000), Segment("rho", 1, 2000)]))) == 2
+    assert time.perf_counter() - start < 1
 
 
 def test_descendants_build_each_distinct_segment_once():
@@ -311,7 +335,7 @@ def test_descendants_build_each_distinct_segment_once():
     assert len({id(s) for m in below for s in m.segments}) == 11 * 12 // 2  # every run of 0..10, once
 
 
-@given(st.one_of(labels(), labels_with_repeats()))
+@given(st.one_of(labels(), labels_with_repeats(), overlapping_labels()))
 def test_successors_equal_the_all_pairs_oracle_on_whole_labels(m):
     assert elementary_successors(m) == successors_oracle(m)
 
