@@ -13,28 +13,38 @@ integer position there: linkage, the order (one signed rank table keyed by
 effective line and positions), enumeration and duality compare positions
 ``first..last`` and build segments back with ``Segment.from_positions``.
 A segment stores positions only; its Fraction ``start`` is derived on
-demand.  Equality and the canonical order read one stored tuple of line,
-step, offset class and integer positions; a segment's hash is computed once
-from the integer fields of that tuple, xorshifted and cut to 40 bits.  A
-multisegment's hash is the plain sum of its segments' hashes, an additive
-multiset hash: a label made of a shared prefix plus a few pieces hashes in
-O(1) from the prefix's hash.  ``|``, the successor kernel, enumeration, the
-cut expansion and ``raw_dual_std`` (``duality``) and ``_tadic_sum``
-(``gkring``) carry it so.
+demand.  Both constructors normalize through ``Segment._fix``, which sets
+the slots through their descriptors and looks a non-integral offset class
+up in ``_OFFSETS`` by its integer pair (numerator, denominator): each class
+is one Fraction, built once and never hashed, so equal offsets are one
+object whichever producer made the segment.  Equality and the canonical
+order read one stored tuple of line, step, offset class and positions; a
+segment's hash is computed once from the integer fields of that tuple,
+xorshifted and cut to 40 bits.  A multisegment's hash is the plain sum of
+its segments' hashes, an additive multiset hash: a label made of a shared
+prefix plus a few pieces hashes in O(1) from the prefix's hash.  ``|``, the
+successor kernel, enumeration, the cut expansion and ``raw_dual_std``
+(``duality``) and ``_tadic_sum`` (``gkring``) carry it so.
 
 The two order-side producers build each distinct segment once and make
 their labels already in canonical order, with their hash sums.
 ``enumerate_multisegments`` partitions each gap-free block of positions by
-one dynamic program, ``_run_partitions``, that yields segment tuples with
-their hash sums.  ``descendants`` is the same program bounded by the rank
-criterion: elementary operations keep the support and never mix effective
-lines or cross a gap, so the labels below ``m`` are the partitions of each
-block whose ranks are at least ``m``'s, and the program prunes a child
-state that breaks a rank bound.  The bound reads the child state alone, so
-a pruned state has no valid completion on any path that reaches it, and the
-memo by state stays sound.  ``elementary_successors`` scans each segment's
-later neighbours on its effective line only.  The BFS over successors that
-``descendants`` replaces is kept as a test oracle.  The ``repr`` of a
+one dynamic program, ``_run_partitions``, that takes a run from the
+smallest open position p, shortest first where p repeats, so it yields
+each partition once, as a canonical segment tuple with its hash sum.
+``descendants`` is the same program bounded by the rank criterion
+(Zelevinsky 1980): elementary operations keep the support and never mix
+effective lines or cross a gap, so the labels below ``m`` are the
+partitions of each block with r_x(i, j) >= r_m(i, j) for all i < j, r(i, j)
+counting the segments that contain positions i..j.  A child that moves p
+to p + z places every run starting at or below i = p + z - 1, so r_x(i, q)
+is the multiplicity of q minus the copies of q the child leaves open; the
+caps of ``_rank_caps`` bound those copies, and a child that breaks its cap
+is pruned.  The check reads the child state alone, so the memo by state
+stays sound, and the bound at i covers the positions p..i - 1 the move
+passes.  A union or intersection ends where a segment of ``m`` ends, so the
+program tries runs only there.  ``elementary_successors`` scans each
+segment's later neighbours on its effective line only.  The ``repr`` of a
 segment or multisegment is its canonical text form, the one ``dsl``
 parses; ``to_json()`` is its JSON form.
 """
@@ -56,9 +66,8 @@ class LimitExceeded(ValueError):
     """A bounded search was asked to exceed its configured limit."""
 
 
-# Segment(...)'s non-integral offset classes, each value in [0, step) met once: equal
-# offsets are one object, so order tuples compare them by identity, not Fraction.__eq__
-_OFFSETS: dict[Fraction, Fraction] = {}
+# (numerator, denominator) in [0, step) -> its class's one Fraction: order tuples compare offsets by identity
+_OFFSETS: dict[tuple[int, int], Fraction] = {}
 
 # a segment hash is 40 bits, so a label's hash (the sum of its segments') stays one machine word
 _HASH_MASK = (1 << 40) - 1
@@ -67,17 +76,17 @@ _HASH_MASK = (1 << 40) - 1
 class Segment:
     """Positions ``first..last`` of the effective line ``(line, step, offset_class)``.
 
-    A segment stores positions only: ``offset_class`` (``0 <= offset_class <
-    step``, an int when integral and a Fraction otherwise) and ``first``, set
-    once by ``_fix``, the one normalizing path of both constructors.  ``start =
-    offset_class + first * step`` is derived on demand.  One stored tuple
-    ``(line, step, offset_class, first, length)`` decides equality and the
-    canonical order (``sort_key()``); the hash is computed once, from the
-    integer fields ``(line, step, numerator, denominator of offset_class,
-    first, length)``, so equal segments hash equally whichever constructor
-    built them.  With ``h`` the tuple's hash it is ``(h ^ h >> 29) & (2**40 -
-    1)``: without the xorshift, sums of the hashes of related segments
-    collide, and 40 bits keep a label's sum one machine word.
+    ``_fix``, the one normalizing path of both constructors, sets every slot
+    once: ``offset_class`` (``0 <= offset_class < step``, an int when
+    integral, else the one Fraction ``_OFFSETS`` keeps under its integer pair
+    (numerator, denominator)) and ``first``.  ``start = offset_class + first *
+    step`` is derived on demand.  One stored tuple ``(line, step,
+    offset_class, first, length)`` decides equality and the canonical order
+    (``sort_key()``).  The hash is computed once, from the integer fields
+    ``(line, step, numerator, denominator, first, length)``: with ``h`` that
+    tuple's hash it is ``(h ^ h >> 29) & (2**40 - 1)``.  Without the
+    xorshift, sums of the hashes of related segments collide, and 40 bits
+    keep a label's sum one machine word.
     """
 
     __slots__ = ("line", "step", "length", "first", "_order", "_hash")
@@ -85,38 +94,35 @@ class Segment:
     def __init__(self, line: str, start: ExponentLike, length: int, step: int = 1):
         if step < 1:
             raise ValueError(f"segment step must be >= 1, got {step}")
-        self._fix(line, step, frac(start), 0, length, True)
+        self._fix(line, step, frac(start), 0, length)
 
     @classmethod
-    def from_positions(cls, effective_line: tuple, first: int, last: int, intern: bool = False) -> "Segment":
-        """The segment covering positions ``first..last`` of an effective line.
-
-        Segments built from one ``effective_line`` tuple share its offset object;
-        ``intern`` shares a newly computed offset with ``Segment(...)``'s instead.
-        """
+    def from_positions(cls, effective_line: tuple, first: int, last: int) -> "Segment":
+        """The segment covering positions ``first..last`` of an effective line."""
         seg = cls.__new__(cls)
-        seg._fix(*effective_line, first, last - first + 1, intern)
+        seg._fix(*effective_line, first, last - first + 1)
         return seg
 
-    def _fix(self, line, step, offset, first, length, intern=False) -> None:
+    def _fix(self, line, step, offset, first, length) -> None:
         """Set every slot once, moving ``offset`` into ``[0, step)`` and ``first`` with it."""
         if length < 1:
             raise ValueError(f"segment length must be >= 1, got {length}")
         num, den = offset.numerator, offset.denominator
         shift, num = divmod(num, den * step)
-        if shift or den == 1:  # an int offset, or one outside [0, step) moved into its class
-            offset = num if den == 1 else Fraction(num, den)
-        if intern and den != 1:
-            offset = _OFFSETS.setdefault(offset, offset)
+        if den == 1:
+            offset = num
+        else:  # the class's one Fraction, looked up by its integer pair
+            offset = _OFFSETS.get((num, den))
+            if offset is None:
+                offset = _OFFSETS[num, den] = Fraction(num, den)
         first += shift
-        put = object.__setattr__
-        put(self, "line", line)
-        put(self, "step", step)
-        put(self, "length", length)
-        put(self, "first", first)
-        put(self, "_order", (line, step, offset, first, length))
+        _SET_LINE(self, line)
+        _SET_STEP(self, step)
+        _SET_LENGTH(self, length)
+        _SET_FIRST(self, first)
+        _SET_ORDER(self, (line, step, offset, first, length))
         h = hash((line, step, num, den, first, length))
-        put(self, "_hash", (h ^ h >> 29) & _HASH_MASK)  # the xorshift keeps sums of hashes apart
+        _SET_SEG_HASH(self, (h ^ h >> 29) & _HASH_MASK)  # the xorshift keeps sums of hashes apart
 
     def __setattr__(self, *_):  # pragma: no cover
         raise AttributeError("Segment is immutable")
@@ -178,6 +184,15 @@ class Segment:
 
     def to_json(self) -> dict:
         return {"line": self.line, "start": str(self.start), "end": str(self.end), "step": self.step}
+
+
+# the slot setters, bound once: Segment.__setattr__ refuses every assignment
+_SET_LINE = Segment.line.__set__
+_SET_STEP = Segment.step.__set__
+_SET_LENGTH = Segment.length.__set__
+_SET_FIRST = Segment.first.__set__
+_SET_ORDER = Segment._order.__set__
+_SET_SEG_HASH = Segment._hash.__set__
 
 
 def unitary_esi(line: str, length: int, step: int = 1) -> Segment:
@@ -429,27 +444,9 @@ def is_lower(ma: Multisegment, mb: Multisegment) -> bool:
 def descendants(m: Multisegment) -> set[Multisegment]:
     """All multisegments strictly or trivially below ``m``, each made once.
 
-    Elementary operations keep ``m``'s support and never mix effective lines
-    or cross a gap, so a label x lies below ``m`` iff on each gap-free block
-    of each effective line its runs satisfy the rank criterion: r_x(i, j) >=
-    r_m(i, j) for all i < j, with r(i, j) the number of segments containing
-    positions i..j (Zelevinsky 1980).  ``_run_partitions`` makes each
-    block's such partitions, pruned by the caps of ``_rank_caps``, and the
-    blocks are joined as in ``enumerate_multisegments``.  An elementary
-    operation makes its union and intersection from the pair's own
-    endpoints, so every run of x ends where a segment of ``m`` ends, and
-    the program tries no other run: two copies of a long segment are one
-    state, not one per run length.
-
-    The program takes runs from the smallest open position p.  A child that
-    moves p to p + z places every run starting at or below i = p + z - 1,
-    so r_x(i, q) for q > i is the multiplicity of q minus the copies of q
-    the child leaves open; the bound at i caps those copies, and a child
-    that breaks it is pruned.  The check reads the child state alone, so a
-    pruned state has no valid completion on any path that reaches it, and
-    the memo by state stays sound.  No run starts in p + 1..i, so for the
-    positions k from p to i - 1 that the same move passes, r_x(k, q) =
-    r_x(i, q) while r_m(k, q) <= r_m(i, q): the bound at i covers theirs.
+    ``_run_partitions`` per gap-free block, bounded by ``m``'s ranks and run
+    ends, with the blocks joined as in ``enumerate_multisegments``; the
+    module docstring gives the argument.
     """
     per_block = []
     for eff, run in itertools.groupby(m.segments, Segment.effective_line):
@@ -574,22 +571,12 @@ def _run_partitions(
 ) -> list[tuple[tuple[Segment, ...], int]]:
     """Every partition of a multiset of positions into runs: (segments in canonical order, hash sum).
 
-    A partition takes a run from the smallest position p and partitions the
-    rest, so its segments are the run's prepended to a partition of the
-    rest, and its hash adds the run's.  Where p repeats, its runs are taken
-    shortest first (the rest may start a run at p only as long or longer),
-    so the prepended run sorts first and no partition is made twice: the
-    output needs neither a sort nor a deduplication.  Each distinct run is
-    one ``Segment`` on ``eff``.  A state is (p, the multiplicities from p to
-    the largest position, the shortest run allowed at p); the reachable
-    states are collected first, then solved smallest first, so no step
-    recurses however deep the support.
-
-    With ``caps`` (see ``_rank_caps``) only the partitions above a label's
-    ranks are made: a child whose smallest open position is i + 1 may leave
-    at most ``caps(i)`` copies of the positions after i open, and one that
-    leaves more is pruned (``descendants`` says why that is sound).  With
-    ``lasts`` a run may end only at one of those positions.
+    Each partition is made once and already canonical, and each distinct run
+    is one ``Segment`` on ``eff``.  With ``caps`` (see ``_rank_caps``) only
+    the partitions above a label's ranks are made, and with ``lasts`` a run
+    may end only at one of those positions; the module docstring gives the
+    argument.  The reachable states are collected first, then solved
+    smallest first, so no step recurses however deep the support.
     """
     base, top = min(positions), max(positions)
     root = (base, tuple(positions.get(q, 0) for q in range(base, top + 1)), 1)

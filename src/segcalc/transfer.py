@@ -95,7 +95,7 @@ def c_map(registry: LineRegistry, seg: Segment, d: int) -> Segment:
         raise NotTransferable(f"segment length {seg.length} not divisible by s = {s}")
     q, r = divmod(seg.first, s)
     eff = (seg.line, s, _plus_halves(seg.offset_class, s - 1 + 2 * r))
-    return Segment.from_positions(eff, q, q + seg.length // s - 1, intern=True)
+    return Segment.from_positions(eff, q, q + seg.length // s - 1)
 
 
 def c_inv(seg: Segment) -> Segment:
@@ -103,7 +103,7 @@ def c_inv(seg: Segment) -> Segment:
     s = seg.step
     first = seg.first * s
     eff = (seg.line, 1, _plus_halves(seg.offset_class, 1 - s))
-    return Segment.from_positions(eff, first, first + seg.length * s - 1, intern=True)
+    return Segment.from_positions(eff, first, first + seg.length * s - 1)
 
 
 def is_d_compatible(registry: LineRegistry, x: Union[Segment, Multisegment], d: int) -> bool:

@@ -47,6 +47,7 @@ from segcalc.selfcheck import (
     window_corpus,
     window_supports,
 )
+from strategies import descendants_oracle
 
 F = Fraction
 REG = LineRegistry.standard()
@@ -299,6 +300,21 @@ def test_criterion_13_order_sanity():
                 pairs += 1
     elapsed = time.time() - t0
     report(13, True, f"{pairs} ordered pairs in {elapsed:.1f}s")
+
+
+def test_criterion_13_order_agrees_with_the_successor_bfs():
+    """The same classes against ``descendants_oracle``, which reads no rank criterion."""
+    pairs = 0
+    for support in window_supports(5, 6):
+        members = enumerate_multisegments(support, limit=6)
+        if len(members) < 2:
+            continue
+        for b in members:
+            below = descendants_oracle(b)
+            for a in members:
+                assert is_lower(a, b) == (a in below), (a, b)
+                pairs += 1
+    assert pairs == 9279  # every ordered pair of every class with two or more labels
 
 
 # -- 14 -----------------------------------------------------------------------

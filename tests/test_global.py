@@ -10,6 +10,7 @@ from segcalc import (
     DiscreteSeriesLabel,
     GlobalAlgebra,
     GlobalCuspidalData,
+    LineRegistry,
     Multisegment,
     SignedUnitaryProduct,
     g_inverse,
@@ -24,6 +25,7 @@ from segcalc import (
 )
 from segcalc.core import RegistryError
 from segcalc.globalrep import IncompatibleLabel, mw_exponents
+from segcalc.transfer import s_gamma_d
 
 F = Fraction
 
@@ -55,6 +57,15 @@ def test_s_rho_d_lcm(registry):
     alg = GlobalAlgebra.of({"v1": 2, "v2": 3})
     data = cuspidal_data({"v1": 1, "v2": 1})
     assert s_rho_d(registry, data, alg) == 6
+
+
+def test_s_gamma_d_takes_the_lcm_over_lines_with_coprime_invariants():
+    reg = LineRegistry()
+    reg.register("a", 2)
+    reg.register("b", 3)
+    gamma = [(unitary_esi("a", 1), F(0)), (unitary_esi("b", 1), F(0))]
+    # at d = 6, s(a) = 3 and s(b) = 2: each length-1 factor needs its own, so s = lcm = 6
+    assert s_gamma_d(reg, gamma, 6) == 6
 
 
 def test_algebra_validation():

@@ -25,6 +25,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -36,17 +37,21 @@ from segcalc import (
     SpehUnit,
     UnitaryProduct,
     VirtualRep,
+    c_inv,
+    c_map,
+    dual_irr,
     elementary_successors,
     enumerate_multisegments,
     expand_u,
     expand_unit_product,
+    hermitian_dual,
     raw_dual_std,
     segment_relation,
     unitary_esi,
 )
 from segcalc.duality import segment_cut_expansion
 from segcalc.gkring import _tadic_sum
-from segcalc.multiseg import _gap_free_blocks, _rank_caps, descendants
+from segcalc.multiseg import _OFFSETS, _gap_free_blocks, _rank_caps, descendants
 from strategies import (
     admissible_permutations,
     assert_canonical,
@@ -362,6 +367,28 @@ def test_equal_offsets_are_one_object_and_keep_their_value_order():
     assert Segment("rho", F(-3, 2), 1, 2).offset_class is a.offset_class
     m = Multisegment([Segment("rho", 1, 1, 2), Segment("rho", F(1, 2), 1, 2)])
     assert repr(m) == "{rho':[1/2,1/2], rho':[1,1]}"
+
+
+def test_a_non_integral_offset_class_is_one_object_whichever_producer_made_it(registry):
+    made = [
+        Segment("rho", F(7, 2), 2, 3),
+        Segment.from_positions(("rho", 3, F(-5, 2)), 1, 2),  # outside [0, step)
+        Segment.from_positions(("rho", 3, F(1, 2)), 1, 2),  # a Fraction of its own, inside [0, step)
+        c_map(registry, Segment("rho", F(-1, 2), 6), 3),
+        c_inv(Segment("rho", F(3, 2), 2, 3)),
+    ]
+    m = Multisegment([Segment("rho", F(1, 2), 2, 3), Segment("rho", F(5, 2), 2, 3), Segment("rho", F(1, 3), 1)])
+    for image in (hermitian_dual(m, registry), dual_irr(m)):
+        made += image.segments
+    for _, pieces, _ in segment_cut_expansion(Segment("rho", F(-3, 4), 3, 2)):
+        made += pieces
+    for t in made:  # a Fraction, and the very object Segment(...) holds for t's class
+        want = Segment(t.line, t.start, t.length, t.step).offset_class
+        assert type(want) is Fraction and t.offset_class is want, t
+    assert all((f.numerator, f.denominator) == key for key, f in _OFFSETS.items())
+    for obj, name in ((made[0], "first"), (made[0], "start"), (m, "segments"), (m, "_hash")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
 
 
 # -- stack depth ----------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 
 from segcalc import (
@@ -18,6 +19,7 @@ from segcalc import (
     rs_lg,
     unitary_esi,
 )
+from segcalc.core import RegistryError
 from segcalc.gkring import SpehUnit
 from segcalc.lfactors import FormalRSProduct, mw_normalizer_quotient
 from strategies import labels
@@ -99,6 +101,13 @@ def test_unflagged_label_has_empty_l_but_full_eps():
     label = Multisegment([Segment("chi", 0, 2)])
     assert l_irr(reg, label) == FormalLFactor.one()
     assert eps_irr(reg, label) == EpsilonFactor.of([("chi", F(0)), ("chi", F(1))])
+
+
+def test_l_and_eps_refuse_an_unregistered_line(registry):
+    label = ms(seg(0, 0, line="xi"))
+    for factor in (l_irr, eps_irr):
+        with pytest.raises(RegistryError, match="unknown line: 'xi'"):
+            factor(registry, label)
 
 
 def _assert_l_and_eps_equal_the_c_inv_oracle(m):

@@ -356,6 +356,12 @@ def test_hermitian_shifted_label(registry):
     assert not is_hermitian(m, registry)
 
 
+def test_hermitian_needs_the_dual_label_not_only_a_self_dual_support(registry):
+    m = ms(seg(-1, 0), seg(1, 1))  # the support {-1, 0, 1} is self-dual, the label is not
+    assert hermitian_dual(m, registry) == ms(seg(-1, -1), seg(0, 1))
+    assert not is_hermitian(m, registry)
+
+
 def test_hermitian_moves_lines(paired_registry):
     m = ms(seg(0, 0, line="a"))
     assert hermitian_dual(m, paired_registry) == ms(seg(0, 0, line="b"))
