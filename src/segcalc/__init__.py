@@ -16,8 +16,8 @@ from importlib import import_module
 # home module -> the public names it defines
 _NAMES = {
     "core": "CuspidalPoint LineInfo LineRegistry RegistryError frac s_invariant",
-    "multiseg": "LimitExceeded Multisegment Segment SegmentRelation elementary_successors enumerate_multisegments "
-    "hermitian_dual is_hermitian is_lower rigid_decomposition segment_relation stats unitary_esi",
+    "multiseg": "LimitExceeded Multisegment Segment elementary_successors enumerate_multisegments hermitian_dual "
+    "is_hermitian is_lower rigid_decomposition stats unitary_esi",
     "gkring": "SpehUnit UnitaryProduct VirtualRep expand_u expand_unit_product recognize_unitary speh_ubar "
     "ubar_factor",
     "duality": "dual_irr mw_dual raw_dual_std",

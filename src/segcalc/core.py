@@ -67,12 +67,17 @@ class Record:
     """An immutable value whose fields are its class's ``__slots__``, in that order.
 
     Equality is type-strict and the hash is ``hash(tuple of the fields)``.  A
-    subclass validates in ``__init__``, then sets each field once through
-    ``object.__setattr__``; pickling calls ``__init__`` again with the fields.
-    The default ``repr`` is ``Name(field=value, ...)``.
+    subclass validates in its own ``__init__``, then passes every field to
+    ``Record.__init__`` in ``__slots__`` order; pickling calls the subclass's
+    ``__init__`` again with the fields.  The default ``repr`` is
+    ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
@@ -113,11 +118,7 @@ class LineInfo(Record):
     __slots__ = ("name", "p", "dual", "unramified")
 
     def __init__(self, name: str, p: int, dual: str, unramified: bool = False):
-        put = object.__setattr__
-        put(self, "name", name)
-        put(self, "p", p)
-        put(self, "dual", dual)
-        put(self, "unramified", unramified)
+        super().__init__(name, p, dual, unramified)
 
 
 class CuspidalPoint(NamedTuple):
@@ -187,11 +188,6 @@ class LineRegistry:
 
     def __iter__(self) -> Iterator[LineInfo]:
         return iter(self._lines.values())
-
-    def contragredient_point(self, pt: CuspidalPoint) -> CuspidalPoint:
-        """h(nu^x rho) = nu^(-x) h(rho): dual line, negated exponent."""
-        info = self[pt.line]
-        return CuspidalPoint(info.dual, -pt.exp)
 
     # -- serialization (CLI line files) ------------------------------------
 

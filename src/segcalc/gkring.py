@@ -143,11 +143,7 @@ class SpehUnit(Record):
             alpha = frac(alpha)
             if not (0 < alpha < Fraction(1, 2)):
                 raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
-        put = object.__setattr__
-        put(self, "base", base)
-        put(self, "count", count)
-        put(self, "twist", twist)
-        put(self, "alpha", alpha)
+        super().__init__(base, count, twist, alpha)
 
     @property
     def step(self) -> int:
@@ -189,7 +185,10 @@ class SpehUnit(Record):
         return self.layout(self.count, self.step, self.twist, self.alpha)
 
     def multisegment(self) -> Multisegment:
-        return Multisegment(self.base.shifted(c) for c in self.centers())
+        b = self.base
+        return Multisegment(
+            Segment.from_positions((b.line, b.step, b.offset_class + c), b.first, b.last) for c in self.centers()
+        )
 
     def sort_key(self):
         return (self.base.sort_key(), self.count, self.twist, self.alpha or Fraction(0))
@@ -217,7 +216,7 @@ class UnitaryProduct(Record):
     __slots__ = ("units",)
 
     def __init__(self, units: Iterable[SpehUnit] = ()):
-        object.__setattr__(self, "units", tuple(sorted(units, key=SpehUnit.sort_key)))
+        super().__init__(tuple(sorted(units, key=SpehUnit.sort_key)))
 
     @classmethod
     def empty(cls) -> "UnitaryProduct":
@@ -250,8 +249,10 @@ class UnitaryProduct(Record):
 
 def speh_ubar(sigma: Segment, k: int, twist: ExponentLike = 0) -> Multisegment:
     """Label of ubar(sigma', k): copies step by plain nu (one exponent unit)."""
-    t = frac(twist)
-    return Multisegment(sigma.shifted(t + Fraction(k - 1, 2) - i) for i in range(k))
+    top = sigma.offset_class + frac(twist) + Fraction(k - 1, 2)
+    return Multisegment(
+        Segment.from_positions((sigma.line, sigma.step, top - i), sigma.first, sigma.last) for i in range(k)
+    )
 
 
 def _two_block_product(s: int, b: int, wide: tuple, narrow: Optional[tuple]) -> UnitaryProduct:

@@ -31,7 +31,7 @@ class GlobalAlgebra(Record):
     __slots__ = ("places",)
 
     def __init__(self, places: tuple[tuple[str, int], ...]):
-        object.__setattr__(self, "places", places)
+        super().__init__(places)
 
     @classmethod
     def of(cls, mapping: dict[str, int]) -> "GlobalAlgebra":
@@ -69,8 +69,7 @@ class GlobalCuspidalData(Record):
     __slots__ = ("line", "locals")
 
     def __init__(self, line: str, locals: tuple[tuple[str, tuple[LocalDatum, ...]], ...]):
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "locals", locals)
+        super().__init__(line, locals)
 
     @classmethod
     def of(cls, line: str, mapping: dict[str, list[tuple[Segment, Fraction]]]) -> "GlobalCuspidalData":
@@ -125,10 +124,7 @@ class DiscreteSeriesLabel(Record):
             raise ValueError("side must be 'split' or 'inner'")
         if k < 1:
             raise ValueError("k must be >= 1")
-        put = object.__setattr__
-        put(self, "side", side)
-        put(self, "rho", rho)
-        put(self, "k", k)
+        super().__init__(side, rho, k)
 
     @property
     def cuspidal(self) -> bool:

@@ -29,7 +29,7 @@ class FormalLFactor(Record):
     __slots__ = ("shifts",)
 
     def __init__(self, shifts: tuple[Fraction, ...] = ()):
-        object.__setattr__(self, "shifts", shifts)
+        super().__init__(shifts)
 
     @classmethod
     def one(cls) -> "FormalLFactor":
@@ -63,8 +63,7 @@ class EpsilonFactor(Record):
     __slots__ = ("shifts", "psi")
 
     def __init__(self, shifts: tuple[tuple[str, Fraction], ...] = (), psi: str = "psi"):
-        object.__setattr__(self, "shifts", shifts)
-        object.__setattr__(self, "psi", psi)
+        super().__init__(shifts, psi)
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[str, Fraction]], psi: str = "psi") -> "EpsilonFactor":
@@ -126,7 +125,7 @@ class FormalRSProduct(Record):
     __slots__ = ("powers",)
 
     def __init__(self, powers: tuple[tuple[Fraction, int], ...] = ()):
-        object.__setattr__(self, "powers", powers)
+        super().__init__(powers)
 
     @classmethod
     def of(cls, powers: dict) -> "FormalRSProduct":

@@ -20,44 +20,45 @@ is one Fraction, built once and never hashed, so equal offsets are one
 object whichever producer made the segment.  Equality and the canonical
 order read one stored tuple of line, step, offset class and positions; a
 segment's hash is computed once from the integer fields of that tuple,
-xorshifted and cut to 40 bits.  A multisegment's hash is the plain sum of
+mixed by an xorshift and cut to 40 bits.  A multisegment's hash is the sum of
 its segments' hashes, an additive multiset hash: a label made of a shared
 prefix plus a few pieces hashes in O(1) from the prefix's hash.  ``|``, the
-successor kernel, enumeration, the cut expansion and ``raw_dual_std``
+successor kernel, ``descendants``, the cut expansion and ``raw_dual_std``
 (``duality``) and ``_tadic_sum`` (``gkring``) carry it so.
 
-The two order-side producers build each distinct segment once and make
-their labels already in canonical order, with their hash sums.
-``enumerate_multisegments`` partitions each gap-free block of positions by
-one dynamic program, ``_run_partitions``, that takes a run from the
-smallest open position p, shortest first where p repeats, so it yields
-each partition once, as a canonical segment tuple with its hash sum.
-``descendants`` is the same program bounded by the rank criterion
-(Zelevinsky 1980): elementary operations keep the support and never mix
-effective lines or cross a gap, so the labels below ``m`` are the
-partitions of each block with r_x(i, j) >= r_m(i, j) for all i < j, r(i, j)
-counting the segments that contain positions i..j.  A child that moves p
+The order side has one producer, ``descendants(m)``: it makes each label
+below ``m`` once, in canonical order with its hash sum, and builds each
+distinct segment once.  By the rank criterion (Zelevinsky 1980), since
+elementary operations keep the support and never mix effective lines or
+cross a gap, the labels below ``m`` are the partitions of each gap-free
+block into runs with r_x(i, j) >= r_m(i, j) for all i < j, r(i, j)
+counting the segments that contain positions i..j.  One dynamic program,
+``_run_partitions``, makes them: it takes a run from the smallest open
+position p, shortest first where p repeats, so it yields each partition
+once, and ``_join_blocks`` joins one per block.  A child that moves p
 to p + z places every run starting at or below i = p + z - 1, so r_x(i, q)
 is the multiplicity of q minus the copies of q the child leaves open; the
-caps of ``_rank_caps`` bound those copies, and a child that breaks its cap
+caps of ``_RankCaps`` bound those copies, and a child that breaks its cap
 is pruned.  The check reads the child state alone, so the memo by state
 stays sound, and the bound at i covers the positions p..i - 1 the move
 passes.  A union or intersection ends where a segment of ``m`` ends, so the
-program tries runs only there.  ``elementary_successors`` scans each
-segment's later neighbours on its effective line only.  The ``repr`` of a
-segment or multisegment is its canonical text form, the one ``dsl``
-parses; ``to_json()`` is its JSON form.
+program tries runs only there.  ``enumerate_multisegments`` is
+``descendants`` of the singletons label, the top of the order on its
+support: no span crosses a position, so no cap prunes and a run may end
+anywhere.  ``elementary_successors`` scans each segment's later neighbours
+on its effective line only.  The ``repr`` of a segment or multisegment is
+its canonical text form, the one ``dsl`` parses; ``to_json()`` is its JSON
+form.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import CuspidalPoint, ExponentLike, LineRegistry, frac
 
@@ -94,7 +95,7 @@ class Segment:
     def __init__(self, line: str, start: ExponentLike, length: int, step: int = 1):
         if step < 1:
             raise ValueError(f"segment step must be >= 1, got {step}")
-        self._fix(line, step, frac(start), 0, length)
+        self._fix(line, step, start if isinstance(start, (int, Fraction)) else frac(start), 0, length)
 
     @classmethod
     def from_positions(cls, effective_line: tuple, first: int, last: int) -> "Segment":
@@ -169,9 +170,6 @@ class Segment:
     def ending(self) -> CuspidalPoint:
         return CuspidalPoint(self.line, self.end)
 
-    def shifted(self, delta: ExponentLike) -> "Segment":
-        return Segment(self.line, self.start + frac(delta), self.length, self.step)
-
     def sort_key(self):
         return self._order
 
@@ -200,27 +198,6 @@ def unitary_esi(line: str, length: int, step: int = 1) -> Segment:
     return Segment(line, -Fraction(length - 1, 2) * step, length, step)
 
 
-class SegmentRelation(enum.Enum):
-    EQUAL = "equal"
-    UNLINKED = "unlinked"
-    LINKED_ADJACENT = "linked_adjacent"
-    LINKED_OVERLAPPING = "linked_overlapping"
-
-
-def segment_relation(s1: Segment, s2: Segment) -> SegmentRelation:
-    """Classify a pair: linked iff the union is a segment distinct from both."""
-    if s1.effective_line() != s2.effective_line():
-        return SegmentRelation.UNLINKED
-    a1, b1, a2, b2 = s1.first, s1.last, s2.first, s2.last
-    if a1 == a2 and b1 == b2:
-        return SegmentRelation.EQUAL
-    if (a1 <= a2 and b2 <= b1) or (a2 <= a1 and b1 <= b2) or a2 > b1 + 1 or a1 > b2 + 1:
-        return SegmentRelation.UNLINKED  # nested (the union is one of them) or a gap
-    if a2 > b1 or a1 > b2:
-        return SegmentRelation.LINKED_ADJACENT
-    return SegmentRelation.LINKED_OVERLAPPING
-
-
 _ORDER = attrgetter("_order")
 _HASH = attrgetter("_hash")
 
@@ -235,7 +212,7 @@ class Multisegment:
     skips the sort and takes the hash sum from the caller:
     ``rigid_decomposition`` and ``dual_irr`` sum their segments' hashes,
     while ``|`` (which sorts only labels that interleave), the successor
-    kernel, ``enumerate_multisegments``, ``raw_dual_std`` and ``_tadic_sum``
+    kernel, ``descendants``, ``raw_dual_std`` and ``_tadic_sum``
     carry the sum of a shared part and add the new pieces'.
     """
 
@@ -303,10 +280,6 @@ class Multisegment:
         if b[-1]._order <= a[0]._order:
             return Multisegment._canonical(b + a, h)
         return Multisegment._canonical(tuple(sorted(a + b, key=_ORDER)), h)
-
-    def shifted(self, delta: ExponentLike) -> "Multisegment":
-        d = frac(delta)
-        return Multisegment(s.shifted(d) for s in self.segments)
 
     def support(self) -> Counter:
         out: Counter = Counter()
@@ -445,26 +418,26 @@ def descendants(m: Multisegment) -> set[Multisegment]:
     """All multisegments strictly or trivially below ``m``, each made once.
 
     ``_run_partitions`` per gap-free block, bounded by ``m``'s ranks and run
-    ends, with the blocks joined as in ``enumerate_multisegments``; the
-    module docstring gives the argument.
+    ends, and ``_join_blocks`` of the blocks; the module docstring gives the
+    argument.
     """
     per_block = []
     for eff, run in itertools.groupby(m.segments, Segment.effective_line):
         blocks: list[list[tuple[int, int]]] = []  # the (first, last) pairs of each gap-free block
-        for s in run:  # in canonical order, by first
-            if blocks and s.first <= end + 1:
-                blocks[-1].append((s.first, s.last))
-                end = max(end, s.last)
+        for a, b in map(attrgetter("first", "last"), run):  # in canonical order, by first
+            if blocks and a <= end + 1:
+                blocks[-1].append((a, b))
+                end = max(end, b)
             else:
-                blocks.append([(s.first, s.last)])
-                end = s.last
+                blocks.append([(a, b)])
+                end = b
         for spans in blocks:
             positions = Counter(itertools.chain.from_iterable(range(a, b + 1) for a, b in spans))
-            per_block.append(_run_partitions(eff, positions, _rank_caps(spans, positions), {b for _, b in spans}))
+            per_block.append(_run_partitions(eff, positions, _RankCaps(spans, positions), {b for _, b in spans}))
     return _join_blocks(per_block)
 
 
-def _rank_caps(spans: list[tuple[int, int]], positions: Counter) -> Callable[[int], tuple[int, ...]]:
+class _RankCaps(dict):
     """i -> the most copies of positions i + 1, i + 2, ... that a partition past i may leave open.
 
     ``spans`` are a label's ``(first, last)`` pairs on one gap-free block and
@@ -475,19 +448,17 @@ def _rank_caps(spans: list[tuple[int, int]], positions: Counter) -> Callable[[in
     for few of them, and all of them would take time quadratic in a long
     span.
     """
-    made: dict[int, tuple[int, ...]] = {}
 
-    def cap(i: int) -> tuple[int, ...]:
-        if i not in made:
-            ends = Counter(b for a, b in spans if a <= i < b)  # r(i, q) counts the lasts >= q
-            r, out = 0, []
-            for q in range(max(ends, default=i), i, -1):
-                r += ends[q]
-                out.append(positions[q] - r)
-            made[i] = tuple(reversed(out))
-        return made[i]
+    def __init__(self, spans: list[tuple[int, int]], positions: Counter):
+        self.spans = [(a, b) for a, b in spans if a < b]  # a span of one position crosses no i
+        self.positions = positions
 
-    return cap
+    def __missing__(self, i: int) -> tuple[int, ...]:
+        ends = sorted([b for a, b in self.spans if a <= i < b])  # r(i, q) counts the ends >= q
+        cap = self[i] = tuple(
+            self.positions[q] - len(ends) + bisect_left(ends, q) for q in range(i + 1, ends[-1] + 1)
+        ) if ends else ()
+        return cap
 
 
 def hermitian_dual(m: Multisegment, registry: LineRegistry) -> Multisegment:
@@ -511,30 +482,16 @@ def enumerate_multisegments(
 ) -> set[Multisegment]:
     """All partitions of a support multiset into step-``step`` segments.
 
-    The support splits into effective lines (line plus offset class mod
-    step), and each line's positions split at their gaps, since no segment
-    spans a gap.  ``_run_partitions`` makes each gap-free block's labels as
-    canonical segment tuples with their hash sums, unbounded: this is
-    ``descendants`` of the singletons label, the top of the order on its
-    support.  Lines in canonical order and blocks by increasing position
-    keep the concatenation of one label per block canonical, so
-    ``_join_blocks`` makes every label without a sort or a rehash.  Raises
-    LimitExceeded when the support has more than ``limit`` points.
+    This is ``descendants`` of the singletons label, the top of the order on
+    its support.  Raises LimitExceeded when the support has more than
+    ``limit`` points.
     """
     cnt = +Counter(support)
     total = sum(cnt.values())
     if total > limit:
         raise LimitExceeded(f"support size {total} exceeds limit {limit}")
-
-    classes: dict[tuple, Counter] = {}  # effective line -> position multiplicities
-    for (line, exp), mult in cnt.items():
-        point = Segment(line, exp, 1, step)
-        classes.setdefault(point.effective_line(), Counter())[point.first] = mult
-
-    per_block = [  # effective lines in canonical order, each line's blocks by increasing position
-        _run_partitions(eff, block) for eff in sorted(classes) for block in _gap_free_blocks(classes[eff])
-    ]
-    return _join_blocks(per_block)
+    singletons = (p for (line, exp), n in cnt.items() for p in [Segment(line, exp, 1, step)] * n)
+    return descendants(Multisegment(singletons))
 
 
 def _join_blocks(per_block: list[list[tuple[tuple[Segment, ...], int]]]) -> set[Multisegment]:
@@ -553,30 +510,16 @@ def _join_blocks(per_block: list[list[tuple[tuple[Segment, ...], int]]]) -> set[
     return {canonical(segs, h) for segs, h in labels}
 
 
-def _gap_free_blocks(positions: Counter) -> list[Counter]:
-    """The multiset of integer positions cut at every gap, in increasing order."""
-    blocks: list[Counter] = []
-    for p in sorted(positions):
-        if not blocks or p - 1 not in blocks[-1]:
-            blocks.append(Counter())
-        blocks[-1][p] = positions[p]
-    return blocks
-
-
 def _run_partitions(
-    eff: tuple,
-    positions: Counter,
-    caps: Callable[[int], tuple[int, ...]] | None = None,
-    lasts: set[int] | None = None,
+    eff: tuple, positions: Counter, caps: _RankCaps, lasts: set[int]
 ) -> list[tuple[tuple[Segment, ...], int]]:
-    """Every partition of a multiset of positions into runs: (segments in canonical order, hash sum).
+    """The partitions of positions into runs within ``caps``: (segments in canonical order, hash sum).
 
-    Each partition is made once and already canonical, and each distinct run
-    is one ``Segment`` on ``eff``.  With ``caps`` (see ``_rank_caps``) only
-    the partitions above a label's ranks are made, and with ``lasts`` a run
-    may end only at one of those positions; the module docstring gives the
-    argument.  The reachable states are collected first, then solved
-    smallest first, so no step recurses however deep the support.
+    A run may end only at one of ``lasts``.  Each partition is made once and
+    already canonical, and each distinct run is one ``Segment`` on ``eff``;
+    the module docstring gives the argument.  The reachable states are
+    collected first, then solved smallest first, so no step recurses however
+    deep the support.
     """
     base, top = min(positions), max(positions)
     root = (base, tuple(positions.get(q, 0) for q in range(base, top + 1)), 1)
@@ -594,7 +537,7 @@ def _run_partitions(
         after = next((i for i in range(reach, len(cnt)) if cnt[i]), len(cnt))  # the first after the 0s
         children = []
         for length in range(lo, reach + 1):
-            if lasts is not None and p + length - 1 not in lasts:
+            if p + length - 1 not in lasts:
                 continue
             if not live:  # p repeats: the rest's runs at p are as long or longer
                 rest_state = (p, less[:length] + cnt[length:], length)
@@ -605,7 +548,7 @@ def _run_partitions(
                 else:
                     z = length if length < reach else after
                     rest = cnt[z:]
-                cap = caps and caps(p + z - 1)
+                cap = caps[p + z - 1]
                 if cap and any(map(int.__gt__, rest, cap)):
                     continue  # too few runs cross p + z - 1: the label is not below the bound
                 rest_state = (p + z, rest, 1)

@@ -48,8 +48,7 @@ class SignedUnitaryProduct(Record):
             raise ValueError("sign must be -1, 0 or +1")
         if sign == 0 and len(product) != 0:
             raise ValueError("vanishing transfer must carry the empty product")
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "product", product)
+        super().__init__(sign, product)
 
     def multisegment(self) -> Multisegment:
         return self.product.multisegment()

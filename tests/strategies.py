@@ -1,12 +1,14 @@
 """Hypothesis strategies and oracles shared by the property tests."""
 
+import enum
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Optional
 
 from hypothesis import strategies as st
 
 from segcalc import Multisegment, Segment, SpehUnit, UnitaryProduct, VirtualRep, elementary_successors, unitary_esi
-from segcalc.multiseg import _run_partitions
+from segcalc.multiseg import _RankCaps, _run_partitions
 
 
 def assert_canonical(ms):
@@ -21,12 +23,52 @@ def assert_canonical(ms):
         assert hash(m) == hash(sorted_m), m
 
 
+def shifted(s: Segment, delta) -> Segment:
+    """``s`` moved by the exponent ``delta``, built from its Fraction start."""
+    return Segment(s.line, s.start + delta, s.length, s.step)
+
+
+class SegmentRelation(enum.Enum):
+    EQUAL = "equal"
+    UNLINKED = "unlinked"
+    LINKED_ADJACENT = "linked_adjacent"
+    LINKED_OVERLAPPING = "linked_overlapping"
+
+
+def segment_relation(s1: Segment, s2: Segment) -> SegmentRelation:
+    """Classify a pair, the linkage oracle: linked iff the union is a segment distinct from both."""
+    if s1.effective_line() != s2.effective_line():
+        return SegmentRelation.UNLINKED
+    a1, b1, a2, b2 = s1.first, s1.last, s2.first, s2.last
+    if a1 == a2 and b1 == b2:
+        return SegmentRelation.EQUAL
+    if (a1 <= a2 and b2 <= b1) or (a2 <= a1 and b1 <= b2) or a2 > b1 + 1 or a1 > b2 + 1:
+        return SegmentRelation.UNLINKED  # nested (the union is one of them) or a gap
+    if a2 > b1 or a1 > b2:
+        return SegmentRelation.LINKED_ADJACENT
+    return SegmentRelation.LINKED_OVERLAPPING
+
+
+def gap_free_blocks(positions: Counter) -> list[Counter]:
+    """The multiset of integer positions cut at every gap, in increasing order."""
+    blocks: list[Counter] = []
+    for p in sorted(positions):
+        if not blocks or p - 1 not in blocks[-1]:
+            blocks.append(Counter())
+        blocks[-1][p] = positions[p]
+    return blocks
+
+
 def partition_runs(positions, caps=None, lasts=None) -> set:
     """``_run_partitions`` of a position multiset read back as sorted ((first, length), ...) runs.
 
-    Each (segments, hash) pair must make a canonical label with its carried
+    Unbounded, it passes the singletons' caps and every position as a run
+    end, as ``enumerate_multisegments`` does through ``descendants``.  Each
+    (segments, hash) pair must make a canonical label with its carried
     hash, and no partition may come twice, with or without a rank bound.
     """
+    if caps is None:
+        caps, lasts = _RankCaps([(q, q) for q in positions], positions), set(positions)
     parts = _run_partitions(("rho", 1, 0), positions, caps, lasts)
     assert_canonical(Multisegment._canonical(segs, h) for segs, h in parts)
     runs = [tuple((s.first, s.length) for s in segs) for segs, _ in parts]

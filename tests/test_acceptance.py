@@ -47,7 +47,7 @@ from segcalc.selfcheck import (
     window_corpus,
     window_supports,
 )
-from strategies import descendants_oracle
+from strategies import descendants_oracle, shifted
 
 F = Fraction
 REG = LineRegistry.standard()
@@ -206,14 +206,14 @@ def test_criterion_09_l_and_eps_suite():
         for k in range(1, 5):
             for l in range(1, 5):
                 for twist in (F(0), F(1, 2), F(-2)):
-                    split = unitary_esi("rho", d * k * l).shifted(twist)
+                    split = shifted(unitary_esi("rho", d * k * l), twist)
                     inner = c_map(REG, split, d)
                     assert l_esi(REG, split) == l_esi(REG, inner)
                     assert eps_irr(REG, ms(split)) == eps_irr(REG, ms(inner))
 
     # factorwise invariance on standard labels
     split_label = ms(
-        unitary_esi("rho", 4).shifted(F(1, 2)), unitary_esi("rho", 2).shifted(F(-1, 2))
+        shifted(unitary_esi("rho", 4), F(1, 2)), shifted(unitary_esi("rho", 2), F(-1, 2))
     )
     inner_label = Multisegment(c_map(REG, s, 2) for s in split_label.segments)
     assert l_irr(REG, split_label) == l_irr(REG, inner_label)

@@ -11,7 +11,6 @@ import pytest
 
 import segcalc
 from segcalc import (
-    CuspidalPoint,
     DiscreteSeriesLabel,
     LineRegistry,
     NotTransferable,
@@ -122,30 +121,6 @@ def test_s_invariant_one_iff_divides():
             assert (s_invariant(p, d) == 1) == (p % d == 0)
 
 
-def test_contragredient_point(paired_registry):
-    reg = paired_registry
-    assert reg.contragredient_point(CuspidalPoint("rho", Fraction(1, 2))) == CuspidalPoint(
-        "rho", Fraction(-1, 2)
-    )
-    assert reg.contragredient_point(CuspidalPoint("rho", Fraction(0))) == CuspidalPoint(
-        "rho", Fraction(0)
-    )
-    assert reg.contragredient_point(CuspidalPoint("a", Fraction(2))) == CuspidalPoint(
-        "b", Fraction(-2)
-    )
-
-
-def test_contragredient_is_involution(paired_registry):
-    reg = paired_registry
-    pts = [
-        CuspidalPoint(line, Fraction(n, 2))
-        for line in ("rho", "tau", "a", "b")
-        for n in range(-4, 5)
-    ]
-    for pt in pts:
-        assert reg.contragredient_point(reg.contragredient_point(pt)) == pt
-
-
 
 # -- refusals ------------------------------------------------------------------------
 
@@ -164,6 +139,7 @@ SIGMA = unitary_esi("rho", 1, 2)
         pytest.param(lambda: Segment("rho", 0, 0, 1), ValueError, "segment length must be >= 1, got 0",
                      id="segment-length-0"),
         pytest.param(lambda: frac(0.5), TypeError, "not an exact rational: 0.5", id="frac-float"),
+        pytest.param(lambda: Segment("rho", 0.5, 1), TypeError, "not an exact rational: 0.5", id="segment-float-start"),
         pytest.param(lambda: s_invariant(0, 1), ValueError, "p and d must be positive", id="s-invariant-p-0"),
         pytest.param(lambda: lj_u(REG, 0, "rho", 1, 2), ValueError, "l and k must be >= 1", id="lj-u-l-0"),
         pytest.param(lambda: ubar_factor(SIGMA, 0), ValueError, "k must be >= 1", id="ubar-k-0"),
@@ -255,8 +231,8 @@ def _cli_code(*argvs: list[str]) -> str:
 # home module -> the public names of ``segcalc``
 PUBLIC = {
     "core": "CuspidalPoint LineInfo LineRegistry RegistryError frac s_invariant",
-    "multiseg": "LimitExceeded Multisegment Segment SegmentRelation elementary_successors enumerate_multisegments "
-    "hermitian_dual is_hermitian is_lower rigid_decomposition segment_relation stats unitary_esi",
+    "multiseg": "LimitExceeded Multisegment Segment elementary_successors enumerate_multisegments hermitian_dual "
+    "is_hermitian is_lower rigid_decomposition stats unitary_esi",
     "gkring": "SpehUnit UnitaryProduct VirtualRep expand_u expand_unit_product recognize_unitary speh_ubar "
     "ubar_factor",
     "duality": "dual_irr mw_dual raw_dual_std",
@@ -270,7 +246,7 @@ PUBLIC = {
 
 def test_package_resolves_each_public_name_from_its_home_module_on_first_access():
     home = {name: module for module, names in PUBLIC.items() for name in names.split()}
-    assert len(home) == 62 and sorted(segcalc.__all__) == sorted(home)
+    assert len(home) == 60 and sorted(segcalc.__all__) == sorted(home)
     for name, module in home.items():
         assert getattr(segcalc, name) is getattr(importlib.import_module(f"segcalc.{module}"), name)
         assert vars(segcalc)[name] is getattr(segcalc, name)  # kept, so the next access is a plain lookup

@@ -14,6 +14,7 @@ from segcalc import (
     SpehUnit,
     UnitaryProduct,
     VirtualRep,
+    dual_irr,
     expand_u,
     expand_unit_product,
     recognize_unitary,
@@ -28,6 +29,7 @@ from strategies import (
     labels,
     labels_with_repeats,
     recognize_unitary_greedy,
+    shifted,
     unitary_products,
 )
 
@@ -388,6 +390,19 @@ def test_unit_layout_is_its_halves():
     assert expand_unit_product(UnitaryProduct([pair]), 2) == expand_unit_product(UnitaryProduct([up, dn]), 2)
     plain = SpehUnit(unitary_esi("rho", 2), 3)
     assert plain.halves() == (plain,) and plain.centers() == [1, 0, -1]
+
+
+@given(unitary_products(steps=(1, 2, 3)), st.sampled_from([F(0), F(1, 3), F(-1, 2)]))
+def test_dual_swaps_each_units_l_and_k_and_unit_labels_are_the_moved_bases(up, twist):
+    # dual(u(Z(rho, l), k)) = u(Z(rho, k), l) unit by unit, pairs and inner-form steps included
+    up = up.twisted(twist)
+    swapped = UnitaryProduct(SpehUnit(unitary_esi(u.base.line, u.count, u.step), u.base.length, u.twist, u.alpha)
+                             for u in up)
+    assert dual_irr(up.multisegment()) == swapped.multisegment()
+    for u in up:  # the labels built on positions equal the base moved by each Fraction center or twist
+        b, k = u.base, u.count
+        assert u.multisegment() == Multisegment(shifted(b, c) for c in u.centers())
+        assert speh_ubar(b, k, twist) == Multisegment(shifted(b, twist + F(k - 1, 2) - i) for i in range(k))
 
 
 # -- copies ------------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from segcalc import (
 from segcalc.core import RegistryError
 from segcalc.globalrep import IncompatibleLabel, mw_exponents
 from segcalc.transfer import s_gamma_d
+from strategies import shifted
 
 F = Fraction
 
@@ -147,7 +148,7 @@ def test_local_component_at_split_place_checks_generic_data(registry):
         )
         with pytest.raises(ValueError, match=r"\|e\| < 1/2"):
             local_component(registry, data, 2, "v0", alg)
-    off_center = GlobalCuspidalData.of("rho", {"v0": [(unitary_esi("rho", 2).shifted(1), F(0))]})
+    off_center = GlobalCuspidalData.of("rho", {"v0": [(shifted(unitary_esi("rho", 2), 1), F(0))]})
     with pytest.raises(ValueError, match="centered"):
         local_component(registry, off_center, 2, "v0", alg)
 
@@ -180,7 +181,7 @@ def test_discrete_series_local_support_is_union_of_shifted_copies(registry):
         small_label = small if isinstance(small, Multisegment) else small.multisegment()
         union = Multisegment.empty()
         for i in range(k):
-            union = union | small_label.shifted(s * (F(k - 1, 2) - i))
+            union = union | Multisegment(shifted(t, s * (F(k - 1, 2) - i)) for t in small_label.segments)
         assert big_label == union
 
 

@@ -3,19 +3,20 @@
 ``_tadic_sum`` walks W_k^l depth first and ``segment_cut_expansion`` builds
 each cut onto a shared prefix; both hand finished prefixes to
 ``Multisegment._canonical`` without a sort, and ``raw_dual_std`` and ``|``
-skip the sort where the pieces cannot interleave.  ``enumerate_multisegments``
-makes each block's partitions as canonical segment tuples with their hash
-sums and builds each distinct run once, ``elementary_successors`` reads only
-the linked pairs off the canonical order, and ``descendants`` is the same
-dynamic program bounded by the rank criterion.  The oracles below keep the
-constructions these replaced: one sorted label per admissible permutation,
-one ``itertools.combinations`` cut list with a bounds tuple per cut, a fold
-that sorts every partial label, one new segment per run of every partition
-found by plain recursion, every index pair classified by
-``segment_relation`` and joined as point sets, and a breadth-first search
-that calls ``elementary_successors`` on each label.  The kernels must agree
-with them term for term, produce labels exactly as the sorting constructor
-would, and run in a stack depth that does not grow with k or n.
+skip the sort where the pieces cannot interleave.  ``descendants`` makes
+each block's partitions above the rank criterion as canonical segment tuples
+with their hash sums and builds each distinct run once, and
+``enumerate_multisegments`` is ``descendants`` of the singletons label;
+``elementary_successors`` reads only the linked pairs off the canonical
+order.  The oracles below keep the constructions these replaced: one sorted
+label per admissible permutation, one ``itertools.combinations`` cut list
+with a bounds tuple per cut, a fold that sorts every partial label, one new
+segment per run of every partition found by plain recursion, every index
+pair classified by ``segment_relation`` and joined as point sets, and a
+breadth-first search that calls ``elementary_successors`` on each label.
+The kernels must agree with them term for term, produce labels exactly as
+the sorting constructor would, and run in a stack depth that does not grow
+with k or n.
 """
 
 import itertools
@@ -33,7 +34,6 @@ from segcalc import (
     CuspidalPoint,
     Multisegment,
     Segment,
-    SegmentRelation,
     SpehUnit,
     UnitaryProduct,
     VirtualRep,
@@ -46,20 +46,22 @@ from segcalc import (
     expand_unit_product,
     hermitian_dual,
     raw_dual_std,
-    segment_relation,
     unitary_esi,
 )
 from segcalc.duality import segment_cut_expansion
 from segcalc.gkring import _tadic_sum
-from segcalc.multiseg import _OFFSETS, _gap_free_blocks, _rank_caps, descendants
+from segcalc.multiseg import _OFFSETS, _RankCaps, descendants
 from strategies import (
+    SegmentRelation,
     admissible_permutations,
     assert_canonical,
     descendants_oracle,
+    gap_free_blocks,
     labels,
     labels_with_repeats,
     overlapping_labels,
     partition_runs,
+    segment_relation,
     virtual_reps,
 )
 
@@ -305,9 +307,9 @@ def test_descendants_equal_the_plain_bfs_oracle(m):
     for _, run in itertools.groupby(m.segments, Segment.effective_line):
         spans = [(s.first, s.last) for s in run]
         positions = Counter(q for a, b in spans for q in range(a, b + 1))
-        for block in _gap_free_blocks(positions):
+        for block in gap_free_blocks(positions):
             inside = [(a, b) for a, b in spans if a in block]
-            sizes.append(len(partition_runs(block, _rank_caps(inside, block), {b for _, b in inside})))
+            sizes.append(len(partition_runs(block, _RankCaps(inside, block), {b for _, b in inside})))
     assert math.prod(sizes) == len(got)  # so the joined blocks repeat no label either
 
 

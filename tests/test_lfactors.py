@@ -22,7 +22,7 @@ from segcalc import (
 from segcalc.core import RegistryError
 from segcalc.gkring import SpehUnit
 from segcalc.lfactors import FormalRSProduct, mw_normalizer_quotient
-from strategies import labels
+from strategies import labels, shifted
 
 F = Fraction
 
@@ -161,7 +161,7 @@ def test_l_and_eps_invariant_under_esi_correspondence(registry):
     for d in (2, 3, 4):
         for k in range(1, 5):
             for l in range(1, 5):
-                split = seg(0, d * k * l - 1).shifted(-F(d * k * l - 1, 2))
+                split = shifted(seg(0, d * k * l - 1), -F(d * k * l - 1, 2))
                 inner = c_map(registry, split, d)
                 assert l_esi(registry, split) == l_esi(registry, inner)
                 assert eps_irr(registry, ms(split)) == eps_irr(registry, ms(inner))

@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from segcalc import (
@@ -15,7 +15,6 @@ from segcalc import (
     LineRegistry,
     Multisegment,
     Segment,
-    SegmentRelation,
     elementary_successors,
     enumerate_multisegments,
     hermitian_dual,
@@ -24,12 +23,17 @@ from segcalc import (
     ll_less,
     m_map,
     rigid_decomposition,
-    segment_relation,
     stats,
 )
-from segcalc.multiseg import _gap_free_blocks
 from segcalc.selfcheck import window_corpus
-from strategies import descendants_oracle, labels, partition_runs
+from strategies import (
+    SegmentRelation,
+    descendants_oracle,
+    gap_free_blocks,
+    labels,
+    partition_runs,
+    segment_relation,
+)
 
 
 def seg(a, b, line="rho", step=1):
@@ -232,6 +236,7 @@ def test_segments_are_equal_iff_line_step_start_length_agree(a, b):
 
 
 @given(labels(), labels())
+@example(ms(Segment("rho", 3, 2)), ms(Segment("rho", Fraction(3), 2)))  # an int start and its Fraction
 def test_equal_segments_hash_equally_from_either_constructor(a, b):
     for s in a.segments + b.segments:
         copies = (
@@ -376,6 +381,8 @@ def test_hermitian_involution_and_commutation(registry):
 
 
 @given(labels())
+@example(ms(seg(-1, 0), seg(0, 1)))  # hermitian
+@example(ms(seg(-1, 0), seg(1, 1)))  # a self-dual support, but not a hermitian label
 def test_hermitian_dual_equals_the_exponent_oracle_and_is_an_involution(m):
     # steps 1-3 and offsets in halves and quarters; chi is self-dual, then swapped with rho
     for dual in (None, "rho"):
@@ -386,6 +393,7 @@ def test_hermitian_dual_equals_the_exponent_oracle_and_is_an_involution(m):
         want = Multisegment(Segment(reg[s.line].dual, -s.end, s.length, s.step) for s in m.segments)
         assert h.segments == want.segments
         assert hermitian_dual(h, reg) == m
+        assert is_hermitian(m, reg) == (want == m)
 
 
 # -- enumeration --------------------------------------------------------------------
@@ -414,7 +422,7 @@ def test_enumerate_splits_2000_isolated_points_into_one_label():
 def test_gap_free_blocks_partition_as_the_whole_multiset(points):
     # repeats and gaps both occur; a partition of the whole is one per block, concatenated
     positions = Counter(points)
-    blocks = _gap_free_blocks(positions)
+    blocks = gap_free_blocks(positions)
     assert sum(blocks, Counter()) == positions
     split = {
         tuple(itertools.chain.from_iterable(choice))
