@@ -68,7 +68,8 @@ class Record:
 
     Equality is type-strict and the hash is ``hash(tuple of the fields)``.  A
     subclass validates in its own ``__init__``, then passes every field to
-    ``Record.__init__`` in ``__slots__`` order; pickling calls the subclass's
+    ``Record.__init__`` in ``__slots__`` order, which sets them through the
+    slot setters bound once per class; pickling calls the subclass's
     ``__init__`` again with the fields.  The default ``repr`` is
     ``Name(field=value, ...)``.
     """
@@ -76,13 +77,16 @@ class Record:
     __slots__ = ()
 
     def __init__(self, *values) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        if len(values) != len(self._setters):
+            raise ValueError(f"{type(self).__name__} expects {len(self._setters)} field values, got {len(values)}")
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         get = attrgetter(*cls.__slots__)  # of one name, it returns the bare value
         cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -118,7 +122,7 @@ class LineInfo(Record):
     __slots__ = ("name", "p", "dual", "unramified")
 
     def __init__(self, name: str, p: int, dual: str, unramified: bool = False):
-        super().__init__(name, p, dual, unramified)
+        Record.__init__(self, name, p, dual, unramified)
 
 
 class CuspidalPoint(NamedTuple):

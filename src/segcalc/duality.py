@@ -15,22 +15,24 @@ it extends multiplicatively and linearly.  It carries no extra global sign
 normalization; identities against the signed involution hold up to one sign
 per homogeneous component (see the transfer tests).
 
-Both expansions share prefixes instead of building each term anew.
-``segment_cut_expansion`` extends the cuts of a shorter prefix of the
-segment by one shared piece, and ``raw_dual_std`` folds a label's segments
-in one at a time, extending each partial label by every cut.  They rely on
-the canonical-order invariant of ``Multisegment``: a label's segments are
-sorted by (effective line, first position, length).  Pieces of one cut start
-at increasing positions of one effective line, so a cut is already sorted;
-and a segment that starts a new effective line sorts after every piece
-placed before it, so the partial label plus its cut is a label as it
-stands, made by ``Multisegment._canonical`` without a sort.  Only the
+Both expansions share prefixes and make one object per term: no sign,
+bounds or (sign, pieces, hash) tuple per cut.  ``segment_cut_expansion``
+extends the cuts of a shorter prefix of the segment by one shared piece, a
+tuple concatenation and one hash addition per cut, and returns each sign's
+cuts as two parallel lists, the pieces tuples and their hash sums.
+``raw_dual_std`` folds a label's segments in one at a time, extending each
+partial label by every cut with the coefficient of the cut's sign.  They
+rely on the canonical-order invariant of ``Multisegment``: a label's
+segments are sorted by (effective line, first position, length).  Pieces of
+one cut start at increasing positions of one effective line, so a cut is
+already sorted; and a segment that starts a new effective line sorts after
+every piece placed before it, so the partial label plus its cut is a label
+as it stands, made by ``Multisegment._canonical`` without a sort.  Only the
 pieces of a further segment on the same effective line (a repeat, or an
 overlapping or later one) can interleave with earlier pieces, and those
-labels are sorted.  A label's hash is the sum of its segments' hashes, so
-each cut carries the sum of its pieces' hashes, and a term's hash is the
-partial label's plus its cut's, whether the term is sorted or not: no
-term hashes its segments again.
+labels are sorted.  A label's hash is the sum of its segments' hashes, so a
+term's hash is the partial label's plus its cut's, whether the term is
+sorted or not: no term hashes its segments again.
 """
 
 from __future__ import annotations
@@ -75,61 +77,64 @@ def dual_irr(m: Multisegment) -> Multisegment:
     return Multisegment._canonical(out, sum(map(_HASH, out)))
 
 
-def segment_cut_expansion(seg: Segment) -> list[tuple[int, tuple[Segment, ...], int]]:
-    """(sign, pieces, hash) over all cuts of ``seg`` into consecutive subsegments.
+def segment_cut_expansion(seg: Segment) -> tuple[tuple[list, list], tuple[list, list]]:
+    """The cuts of ``seg`` into consecutive subsegments as ``(plus, minus)``, each (pieces tuples, hash sums).
 
-    Each of the n(n+1)/2 distinct pieces is built once and shared by every cut
-    that uses it.  The cuts of positions 0..hi are the cuts of 0..lo-1 for
-    each lo <= hi, every one extended by the piece lo..hi, so each cut is one
-    tuple concatenation onto a shared prefix, the sign (-1)^(n - #pieces)
-    flips once per piece and the hash, the sum of the pieces' hashes, adds
-    the piece's; no recursion, no cut-position tuples.  Pieces start at
-    increasing positions of one effective line, so every ``pieces`` tuple is
-    already in canonical order.
+    A cut of j pieces has sign (-1)^(n - j).  Each of the n(n+1)/2 distinct
+    pieces is built once (the whole one is ``seg``), and the cuts of
+    positions 0..hi are those of 0..lo-1 for each lo <= hi, extended by the
+    piece lo..hi: adding a piece swaps the two sign groups.
     """
     n, line, first = seg.length, seg.effective_line(), seg.first
-    ending = [[(-1 if n % 2 else 1, (), 0)]]  # ending[hi]: the cuts of positions 0..hi-1
+    if n == 1:
+        return ([(seg,)], [seg._hash]), ([], [])
+    # column lo of each table: the cuts of positions 0..lo-1, signed as cuts of all n positions
+    plus, plus_h, minus, minus_h = [[()]], [[0]], [[]], [[]]
+    if n % 2:
+        plus, plus_h, minus, minus_h = minus, minus_h, plus, plus_h
     for hi in range(n):
-        piece = [Segment.from_positions(line, first + lo, first + hi) for lo in range(hi + 1)]
-        ending.append([
-            (-sign, pre + (p,), h + p._hash)
-            for lo, p in enumerate(piece)
-            for sign, pre, h in ending[lo]
-        ])
-    return ending[n]
+        ends = [(seg if hi - lo == n - 1 else Segment.from_positions(line, first + lo, first + hi),)
+                for lo in range(hi + 1)]
+        hs = [p._hash for p, in ends]
+        minus_col = [pre + p for p, pres in zip(ends, plus) for pre in pres]  # one piece more flips the sign
+        minus_col_h = [h + ph for ph, pre_h in zip(hs, plus_h) for h in pre_h]
+        plus.append([pre + p for p, pres in zip(ends, minus) for pre in pres])
+        plus_h.append([h + ph for ph, pre_h in zip(hs, minus_h) for h in pre_h])
+        minus.append(minus_col)
+        minus_h.append(minus_col_h)
+    return (plus[n], plus_h[n]), (minus[n], minus_h[n])
 
 
 def raw_dual_std(x: VirtualRep) -> VirtualRep:
     """Linear cut-expansion dual on the standard lattice (no sign normalization).
 
-    Each label is folded in one segment at a time: every partial label takes
-    every cut of the next segment.  When the segment starts a new effective
-    line, each (partial label, cut) pair is already a distinct canonical
-    label (see the module docstring); otherwise the labels are sorted and
-    equal partial labels merge before the next segment, so repeated
-    segments cost their distinct cut multisets only.
+    Each label is folded in one segment at a time (see the module
+    docstring).  A segment that starts a new effective line makes distinct
+    canonical labels straight from the cut lists; otherwise the labels are
+    sorted and equal partial labels merge before the next segment, so
+    repeated segments cost their distinct cut multisets only.
     """
     canonical = Multisegment._canonical
     terms: dict[Multisegment, int] = {}
     for label, coeff in x.terms.items():
-        partial = {Multisegment.empty(): coeff}
+        partial = {canonical((), 0): coeff}
         line = None
         for seg in label.segments:
-            cuts = segment_cut_expansion(seg)
-            if seg.effective_line() != line:
-                line = seg.effective_line()
-                partial = {
-                    canonical(m.segments + pieces, m._hash + h): sign * c
-                    for m, c in partial.items()
-                    for sign, pieces, h in cuts
-                }
-            else:
-                folded: dict[Multisegment, int] = {}
+            folded: dict[Multisegment, int] = {}
+            new_line = line != (line := seg.effective_line())
+            for (cuts, hashes), sign in zip(segment_cut_expansion(seg), (1, -1)):
+                if not cuts:  # the minus group of a length-1 segment: no pass over the partial labels
+                    continue
                 for m, c in partial.items():
-                    for sign, pieces, h in cuts:
-                        key = canonical(tuple(sorted(m.segments + pieces, key=_ORDER)), m._hash + h)
-                        folded[key] = folded.get(key, 0) + sign * c
-                partial = folded
+                    segs, h, c = m.segments, m._hash, sign * c
+                    if new_line:
+                        for pieces, ph in zip(cuts, hashes):
+                            folded[canonical(segs + pieces, h + ph)] = c
+                        continue
+                    for pieces, ph in zip(cuts, hashes):
+                        key = canonical(tuple(sorted(segs + pieces, key=_ORDER)), h + ph)
+                        folded[key] = folded.get(key, 0) + c
+            partial = folded
         if terms:
             for m, c in partial.items():
                 terms[m] = terms.get(m, 0) + c

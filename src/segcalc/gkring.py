@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import ExponentLike, Record, frac
 from .multiseg import LimitExceeded, Multisegment, Segment, unitary_esi
@@ -96,16 +96,6 @@ class VirtualRep:
     def items(self) -> list[tuple[Multisegment, int]]:
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
 
-    def map_terms(self, f: Callable[[Multisegment], Optional[Multisegment]], d: Optional[int] = None) -> "VirtualRep":
-        """Linear extension of a partial map on labels (None drops the term)."""
-        terms: dict[Multisegment, int] = {}
-        for m, c in self.terms.items():
-            fm = f(m)
-            if fm is None:
-                continue
-            terms[fm] = terms.get(fm, 0) + c
-        return VirtualRep(self.d if d is None else d, terms)
-
     def __repr__(self) -> str:
         """``1 * {…} - 2 * {…}`` in canonical order, as ``dsl`` parses it; ``0`` when empty."""
         if not self.terms:
@@ -143,7 +133,7 @@ class SpehUnit(Record):
             alpha = frac(alpha)
             if not (0 < alpha < Fraction(1, 2)):
                 raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
-        super().__init__(base, count, twist, alpha)
+        Record.__init__(self, base, count, twist, alpha)
 
     @property
     def step(self) -> int:
@@ -216,7 +206,7 @@ class UnitaryProduct(Record):
     __slots__ = ("units",)
 
     def __init__(self, units: Iterable[SpehUnit] = ()):
-        super().__init__(tuple(sorted(units, key=SpehUnit.sort_key)))
+        Record.__init__(self, tuple(sorted(units, key=SpehUnit.sort_key)))
 
     @classmethod
     def empty(cls) -> "UnitaryProduct":

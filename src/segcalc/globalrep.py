@@ -31,7 +31,7 @@ class GlobalAlgebra(Record):
     __slots__ = ("places",)
 
     def __init__(self, places: tuple[tuple[str, int], ...]):
-        super().__init__(places)
+        Record.__init__(self, places)
 
     @classmethod
     def of(cls, mapping: dict[str, int]) -> "GlobalAlgebra":
@@ -69,7 +69,7 @@ class GlobalCuspidalData(Record):
     __slots__ = ("line", "locals")
 
     def __init__(self, line: str, locals: tuple[tuple[str, tuple[LocalDatum, ...]], ...]):
-        super().__init__(line, locals)
+        Record.__init__(self, line, locals)
 
     @classmethod
     def of(cls, line: str, mapping: dict[str, list[tuple[Segment, Fraction]]]) -> "GlobalCuspidalData":
@@ -124,7 +124,7 @@ class DiscreteSeriesLabel(Record):
             raise ValueError("side must be 'split' or 'inner'")
         if k < 1:
             raise ValueError("k must be >= 1")
-        super().__init__(side, rho, k)
+        Record.__init__(self, side, rho, k)
 
     @property
     def cuspidal(self) -> bool:

@@ -29,7 +29,7 @@ class FormalLFactor(Record):
     __slots__ = ("shifts",)
 
     def __init__(self, shifts: tuple[Fraction, ...] = ()):
-        super().__init__(shifts)
+        Record.__init__(self, shifts)
 
     @classmethod
     def one(cls) -> "FormalLFactor":
@@ -63,7 +63,7 @@ class EpsilonFactor(Record):
     __slots__ = ("shifts", "psi")
 
     def __init__(self, shifts: tuple[tuple[str, Fraction], ...] = (), psi: str = "psi"):
-        super().__init__(shifts, psi)
+        Record.__init__(self, shifts, psi)
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[str, Fraction]], psi: str = "psi") -> "EpsilonFactor":
@@ -125,7 +125,7 @@ class FormalRSProduct(Record):
     __slots__ = ("powers",)
 
     def __init__(self, powers: tuple[tuple[Fraction, int], ...] = ()):
-        super().__init__(powers)
+        Record.__init__(self, powers)
 
     @classmethod
     def of(cls, powers: dict) -> "FormalRSProduct":

@@ -463,11 +463,12 @@ class _RankCaps(dict):
 
 def hermitian_dual(m: Multisegment, registry: LineRegistry) -> Multisegment:
     """[line: a..b] -> [dual(line): -b..-a]: positions -last..-first of (dual, step, -offset_class)."""
-    out = []
+    out, run = [], None
     for s in m.segments:
         line, step, offset, first, length = s._order
-        eff = (registry[line].dual, step, -offset)
-        out.append(Segment.from_positions(eff, -(first + length - 1), -first))
+        if run != (line, step, offset):  # the effective line leads the canonical order: one lookup per run
+            run, eff = (line, step, offset), (registry[line].dual, step, -offset)
+        out.append(Segment.from_positions(eff, 1 - first - length, -first))
     return Multisegment(out)
 
 

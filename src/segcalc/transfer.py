@@ -48,7 +48,7 @@ class SignedUnitaryProduct(Record):
             raise ValueError("sign must be -1, 0 or +1")
         if sign == 0 and len(product) != 0:
             raise ValueError("vanishing transfer must carry the empty product")
-        super().__init__(sign, product)
+        Record.__init__(self, sign, product)
 
     def multisegment(self) -> Multisegment:
         return self.product.multisegment()
@@ -115,15 +115,16 @@ def is_d_compatible(registry: LineRegistry, x: Union[Segment, Multisegment], d: 
 def lj_std(registry: LineRegistry, x: VirtualRep, d: int) -> VirtualRep:
     """Lattice transfer: factorwise c_map on compatible labels, 0 otherwise.
 
-    Terms share few distinct segments, so each segment's image is looked up
-    in one dict local to the call: its ``c_map`` image, or False when it is
-    not d-compatible.
+    A term is dropped at its first segment that is not d-compatible.  Terms
+    share few distinct segments, so each segment's image is looked up in one
+    dict local to the call: its ``c_map`` image, or False when it is not
+    d-compatible.
     """
     if x.d != 1:
         raise NotTransferable("lj_std starts from the split side")
     images: dict[Segment, Union[Segment, bool]] = {}
-
-    def image(m: Multisegment) -> Optional[Multisegment]:
+    terms: dict[Multisegment, int] = {}
+    for m, c in x.terms.items():
         out = []
         for seg in m.segments:
             img = images.get(seg)
@@ -133,13 +134,14 @@ def lj_std(registry: LineRegistry, x: VirtualRep, d: int) -> VirtualRep:
                 except NotTransferable:
                     if is_d_compatible(registry, m, d):
                         raise
-                    return None  # an incompatible segment zeroes the label before c_map can refuse
+                    break  # an incompatible segment zeroes the label before c_map can refuse
             if img is False:
-                return None
+                break
             out.append(img)
-        return Multisegment(out)
-
-    return x.map_terms(image, d=d)
+        else:
+            label = Multisegment(out)
+            terms[label] = terms.get(label, 0) + c
+    return VirtualRep(d, terms)
 
 
 def m_map(m: Multisegment) -> Multisegment:
@@ -162,12 +164,7 @@ def lj_u(registry: LineRegistry, l: int, line: str, k: int, d: int) -> SignedUni
     s = s_invariant(registry[line].p, d)
     if l % s and k % s:
         return ZERO_TRANSFER
-    if l % s == 0:
-        sign = 1
-    elif s % 2:
-        sign = 1
-    else:
-        sign = (-1) ** (k * l // s)
+    sign = 1 if l % s == 0 or s % 2 else (-1) ** (k * l // s)
     b = k % s + l % s
     wide = (unitary_esi(line, (l - 1) // s + 1, s), (k - 1) // s + 1)
     t_minus, u_minus = l // s, k // s
@@ -230,13 +227,9 @@ def lj_generic(
 # -- membership in the image of the unitary transfer -------------------------
 
 
-def _unit_key(u: SpehUnit) -> tuple:
-    return (u.base.line, u.base.length, u.base.step, u.count, u.twist)
-
-
 def _flatten(up: UnitaryProduct) -> Counter:
-    """Unit multiset with pi(u, alpha) pairs split into their halves."""
-    return Counter(_unit_key(half) for u in up.units for half in u.halves())
+    """Unit multiset with pi(u, alpha) pairs split into their halves, as (line, length, step, count, twist)."""
+    return Counter((h.base.line, h.base.length, h.base.step, h.count, h.twist) for u in up.units for h in u.halves())
 
 
 IMAGE_LIMIT = 4096  # largest target support in_image_lju searches
@@ -251,8 +244,11 @@ def in_image_lju(registry: LineRegistry, target: UnitaryProduct, d: int) -> Opti
     with matching support.  The candidates come from the target's unit
     shapes (line, length, step, count): lj_u(l, k) is built only when both
     of its blocks have a shape that occurs in the target, since otherwise no
-    twist of it can be covered.  Candidates are tried in canonical order and
-    the first witness is returned; None means the target is not in the image.
+    twist of it can be covered.  A candidate is its (line, l, k, alpha) and
+    the unit multiset of lj_u(l, k) with each twist moved by the halves'
+    twists; units are built only for the witness.  Candidates are tried in
+    canonical order and the first witness is returned; None means the target
+    is not in the image.
     """
     want = _flatten(target)
     if not want:
@@ -267,11 +263,10 @@ def in_image_lju(registry: LineRegistry, target: UnitaryProduct, d: int) -> Opti
     shapes = {key[:4] for key in want}
     twists = sorted({key[4] for key in want})
 
-    candidates: list[tuple[tuple, SpehUnit, Counter]] = []
+    candidates: list[tuple[tuple, Counter]] = []
     for line in sorted(sizes):
         n_line = sizes[line]  # total exponent-lattice points over this line
-        p = registry[line].p
-        s = s_invariant(p, d)
+        s = s_invariant(registry[line].p, d)
         for l in range(1, n_line + 1):
             for k in range(1, n_line // l + 1):
                 if l % s and k % s:
@@ -281,31 +276,30 @@ def in_image_lju(registry: LineRegistry, target: UnitaryProduct, d: int) -> Opti
                     continue
                 if l // s and k // s and (line, l // s, s, k // s) not in shapes:
                     continue
-                base = lj_u(registry, l, line, k, d)
-                base_twists = {u.twist for u in base.product}
-                alphas = {abs(t - bt) for t in twists for bt in base_twists}
+                base = _flatten(lj_u(registry, l, line, k, d).product)
+                alphas = {abs(t - bt) for t in twists for bt in {key[4] for key in base}}
                 for a in [None] + sorted(x for x in alphas if 0 < x < Fraction(1, 2)):
-                    unit = SpehUnit(unitary_esi(line, l), k, Fraction(0), a)
-                    cover: Counter = Counter()
-                    for half in unit.halves():
-                        cover.update(_flatten(base.twisted(half.twist).product))
-                    candidates.append(((line, l, k, a or Fraction(0)), unit, cover))
+                    cover: Counter = Counter()  # the transfer's units moved by each half's twist
+                    for t in SpehUnit.half_twists(0, 1, a):
+                        cover.update({(*shape, bt + t): n for (*shape, bt), n in base.items()})
+                    candidates.append(((line, l, k, a or Fraction(0)), cover))
     candidates.sort(key=lambda c: c[0])
 
     # depth-first exact cover on an explicit stack; a frame is
-    # [remaining, next candidate to try, the unit that led to it]
+    # [remaining, next candidate to try, the candidate that led to it]
     stack = [[+want, 0, None]]
     while stack:
         frame = stack[-1]
         remaining = frame[0]
-        if not remaining:
-            return UnitaryProduct(f[2] for f in stack[1:])
+        if not remaining:  # the witness: the unit of each candidate taken, built only now
+            units = (SpehUnit(unitary_esi(line, l), k, Fraction(0), a or None) for *_, (line, l, k, a) in stack[1:])
+            return UnitaryProduct(units)
         pivot = min(remaining)
         for j in range(frame[1], len(candidates)):
-            _, unit, cover = candidates[j]
+            label, cover = candidates[j]
             if cover.get(pivot, 0) and all(remaining.get(key, 0) >= n for key, n in cover.items()):
                 frame[1] = j + 1
-                stack.append([remaining - cover, 0, unit])
+                stack.append([remaining - cover, 0, label])
                 break
         else:
             stack.pop()

@@ -25,7 +25,7 @@ from segcalc import (
     ubar_factor,
     unitary_esi,
 )
-from segcalc.core import LineInfo
+from segcalc.core import LineInfo, Record
 from segcalc.globalrep import GlobalAlgebra, GlobalCuspidalData
 from segcalc.lfactors import EpsilonFactor, FormalLFactor, FormalRSProduct
 from segcalc.transfer import lj_unitary_product
@@ -145,6 +145,8 @@ SIGMA = unitary_esi("rho", 1, 2)
         pytest.param(lambda: ubar_factor(SIGMA, 0), ValueError, "k must be >= 1", id="ubar-k-0"),
         pytest.param(lambda: SignedUnitaryProduct(2, UnitaryProduct.empty()), ValueError,
                      "sign must be -1, 0 or +1", id="sign-2"),
+        pytest.param(lambda: Record.__init__(FormalLFactor.__new__(FormalLFactor), (), ()), ValueError,
+                     "FormalLFactor expects 1 field values, got 2", id="record-arity"),
         pytest.param(lambda: DiscreteSeriesLabel("x", "rho", 1), ValueError,
                      "side must be 'split' or 'inner'", id="label-side"),
         pytest.param(lambda: DiscreteSeriesLabel("split", "rho", 0), ValueError, "k must be >= 1", id="label-k-0"),

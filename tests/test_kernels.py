@@ -183,13 +183,32 @@ def test_expand_u_and_expand_u_prime_equal_the_oracle(l, k, step, twist):
 # -- cuts and the raw dual --------------------------------------------------------------
 
 
+def signed_cuts(seg):
+    """``segment_cut_expansion(seg)`` as (sign, pieces, hash) triples, each group's parallel lists zipped."""
+    return [(sign, pieces, h)
+            for (cuts, hashes), sign in zip(segment_cut_expansion(seg), (1, -1), strict=True)
+            for pieces, h in zip(cuts, hashes, strict=True)]
+
+
 @given(st.integers(1, 8), st.sampled_from([1, 2, 3]), TWISTS, st.sampled_from(["rho", "chi"]))
 def test_segment_cut_expansion_equals_combinations_oracle(n, step, start, line):
     seg = Segment(line, start, n, step)
-    got = segment_cut_expansion(seg)
+    got = signed_cuts(seg)
     assert len(got) == 2 ** (n - 1)
     assert sorted((cut[:2] for cut in got), key=cut_key) == sorted(cut_expansion_oracle(seg), key=cut_key)
     assert all(h == hash(Multisegment(pieces)) for _, pieces, h in got)  # the carried hash
+
+
+def test_cut_and_raw_dual_term_counts_are_the_closed_forms():
+    """2^(n-1) cuts of a length-n segment, half of each sign from n = 2 on; prod 2^(len-1) raw-dual terms."""
+    for n in range(1, 13):
+        plus, minus = (len(cuts) for cuts, _ in segment_cut_expansion(Segment("rho", F(n, 3), n, 2)))
+        assert (plus, minus) == ((1, 0) if n == 1 else (2 ** (n - 2), 2 ** (n - 2))), n
+    for lengths in ((1,), (12,), (3, 4), (5, 1, 4), (2, 2, 2, 3)):
+        # one segment per effective line: two lines, two offset classes, step 1 and 2
+        places = [("rho", 0, 1), ("chi", 0, 1), ("rho", F(1, 2), 1), ("rho", 1, 2)]
+        x = VirtualRep.of(Multisegment(Segment(line, a, n, s) for (line, a, s), n in zip(places, lengths)))
+        assert len(raw_dual_std(x).terms) == math.prod(2 ** (n - 1) for n in lengths), lengths
 
 
 @given(st.one_of(labels(), labels_with_repeats()))
@@ -382,8 +401,9 @@ def test_a_non_integral_offset_class_is_one_object_whichever_producer_made_it(re
     m = Multisegment([Segment("rho", F(1, 2), 2, 3), Segment("rho", F(5, 2), 2, 3), Segment("rho", F(1, 3), 1)])
     for image in (hermitian_dual(m, registry), dual_irr(m)):
         made += image.segments
-    for _, pieces, _ in segment_cut_expansion(Segment("rho", F(-3, 4), 3, 2)):
-        made += pieces
+    for cuts, _ in segment_cut_expansion(Segment("rho", F(-3, 4), 3, 2)):
+        for pieces in cuts:
+            made += pieces
     for t in made:  # a Fraction, and the very object Segment(...) holds for t's class
         want = Segment(t.line, t.start, t.length, t.step).offset_class
         assert type(want) is Fraction and t.offset_class is want, t

@@ -2,7 +2,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from segcalc import (
@@ -27,6 +27,8 @@ from segcalc import (
     lj_u,
     ll_less,
     m_map,
+    raw_dual_std,
+    s_invariant,
     speh_ubar,
     ubar_factor,
     unitary_esi,
@@ -195,6 +197,24 @@ def test_lj_std_matches_the_per_occurrence_map(d, x):
 def test_lj_std_refuses_the_inner_form_side(d, x):
     with pytest.raises(NotTransferable):
         lj_std(TWO_LINES, x, d)
+
+
+@given(st.sampled_from([2, 3]), labels(steps=(1,)))
+@example(2, ms(seg(0, 1), seg(F(1, 2), F(7, 2)), seg(0, 2, "chi")))  # rho lengths 2 and 4, s = 2; chi s = 1
+@example(3, ms(seg(F(1, 4), F(21, 4)), seg(0, 2, "chi")))  # lengths 6 and 3, s = 3 on both lines
+@example(2, ms(seg(0, 2), seg(F(1, 2), F(3, 2))))  # rho:[0,2] is not 2-compatible: both sides are 0
+def test_lj_std_and_raw_dual_std_commute_up_to_one_sign_per_label(d, m):
+    """lj_std(raw_dual_std(x)) = sign * raw_dual_std(lj_std(x)) with sign = prod (-1)^(n - n/s) over segments.
+
+    A cut of a length-n segment into pieces of lengths divisible by s is a
+    cut of its length-n/s image, and the two cut signs differ by (-1)^(n - n/s);
+    a label with an incompatible segment has no such cut, so both sides are 0.
+    """
+    x = VirtualRep.of(m)
+    got, want = lj_std(TWO_LINES, raw_dual_std(x), d), raw_dual_std(lj_std(TWO_LINES, x, d))
+    assert got.d == want.d == d
+    sign = (-1) ** sum(s.length - s.length // s_invariant(TWO_LINES[s.line].p, d) for s in m.segments)
+    assert got == sign * want
 
 
 # -- transported order -------------------------------------------------------------------
