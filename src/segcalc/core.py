@@ -67,10 +67,14 @@ class Record:
     """An immutable value whose fields are its class's ``__slots__``, in that order.
 
     Equality is type-strict and the hash is ``hash(tuple of the fields)``.  A
-    subclass validates in its own ``__init__``, then passes every field to
-    ``Record.__init__`` in ``__slots__`` order, which sets them through the
-    slot setters bound once per class; pickling calls the subclass's
-    ``__init__`` again with the fields.  The default ``repr`` is
+    subclass's ``__init__`` is its only constructor: it normalizes what it is
+    given (sorts it, converts it with ``frac``, drops zeros) and validates it,
+    so equal values compare and hash equal however they were built.  It then
+    passes every field to ``Record.__init__`` in ``__slots__`` order, which
+    sets them through the slot setters bound once per class; pickling calls
+    the subclass's ``__init__`` again with the fields.  Only a producer whose
+    fields are already normalized may call ``Record.__init__`` on a bare
+    instance itself (``eps_irr``).  The default ``repr`` is
     ``Name(field=value, ...)``.
     """
 

@@ -42,16 +42,13 @@ _TOKEN = re.compile(
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
     out = []
-    pos = 0
-    while pos < len(text):
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
         m = _TOKEN.match(text, pos)
         if not m:
             raise ParseError(f"unexpected character at {text[pos:pos+10]!r}")
         pos = m.end()
-        for kind in ("name", "num", "sym"):
-            if m.group(kind) is not None:
-                out.append((kind, m.group(kind)))
-                break
+        out.append((m.lastgroup, m.group(m.lastgroup)))
     return out
 
 

@@ -208,10 +208,6 @@ class UnitaryProduct(Record):
     def __init__(self, units: Iterable[SpehUnit] = ()):
         Record.__init__(self, tuple(sorted(units, key=SpehUnit.sort_key)))
 
-    @classmethod
-    def empty(cls) -> "UnitaryProduct":
-        return cls(())
-
     def __iter__(self) -> Iterator[SpehUnit]:
         return iter(self.units)
 
@@ -374,7 +370,8 @@ def recognize_unitary(m: Multisegment) -> Optional[UnitaryProduct]:
     After the limit check, a group whose doubled centers ``step * (2 first +
     length - 1) + 2 offset_class`` do not sum to 0 rejects the label.  The
     shape of the progression containing the maximal center is forced, so
-    extraction is greedy.
+    extraction is greedy; a progression of more centers than the group has
+    left rejects the label before its layout is built.
     """
     if sum(s.length for s in m.segments) > RECOGNITION_LIMIT:
         raise LimitExceeded(f"label exceeds recognition limit {RECOGNITION_LIMIT}")
@@ -395,7 +392,7 @@ def recognize_unitary(m: Multisegment) -> Optional[UnitaryProduct]:
             c = max(centers)
             # the unique k with beta = c - s(k-1)/2 in [0, s/2): a unit when beta = 0
             k = 2 * c // s + 1
-            if k < 1:
+            if k > centers.total():
                 return None
             beta = c - Fraction(s * (k - 1), 2)
             alpha = beta / s if beta else None

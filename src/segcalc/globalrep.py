@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .core import LineRegistry, Record, RegistryError, frac, json_field
 from .multiseg import Multisegment, Segment, unitary_esi
@@ -26,19 +26,16 @@ class IncompatibleLabel(ValueError):
 
 
 class GlobalAlgebra(Record):
-    """Map ramified-place name -> d_v (>= 2); split places are omitted."""
+    """Map ramified-place name -> d_v (>= 2), a dict or (place, d_v) pairs; split places are omitted."""
 
     __slots__ = ("places",)
 
-    def __init__(self, places: tuple[tuple[str, int], ...]):
-        Record.__init__(self, places)
-
-    @classmethod
-    def of(cls, mapping: dict[str, int]) -> "GlobalAlgebra":
-        for v, dv in mapping.items():
+    def __init__(self, places: Union[dict[str, int], Iterable[tuple[str, int]]] = ()):
+        places = tuple(sorted(dict(places).items()))
+        for v, dv in places:
             if dv < 2:
                 raise ValueError(f"ramified place {v!r} needs d_v >= 2, got {dv}")
-        return cls(tuple(sorted(mapping.items())))
+        Record.__init__(self, places)
 
     @property
     def d(self) -> int:
@@ -46,10 +43,7 @@ class GlobalAlgebra(Record):
         return math.lcm(*(dv for _, dv in self.places)) if self.places else 1
 
     def d_at(self, place: str) -> int:
-        for v, dv in self.places:
-            if v == place:
-                return dv
-        return 1  # split place
+        return dict(self.places).get(place, 1)  # 1 at a split place
 
     def ramified_places(self) -> list[str]:
         return [v for v, _ in self.places]
@@ -57,26 +51,22 @@ class GlobalAlgebra(Record):
     @classmethod
     def from_json(cls, data: dict) -> "GlobalAlgebra":
         places = json_field(data, "places", list)
-        return cls.of({json_field(p, "name"): json_field(p, "d_v", int) for p in places})
+        return cls((json_field(p, "name"), json_field(p, "d_v", int)) for p in places)
 
 
 LocalDatum = tuple[Segment, Fraction]
 
 
 class GlobalCuspidalData(Record):
-    """Base line plus per-ramified-place generic local data."""
+    """Base line plus per-ramified-place generic local data: a dict or (place, [(segment, twist)]) pairs."""
 
     __slots__ = ("line", "locals")
 
-    def __init__(self, line: str, locals: tuple[tuple[str, tuple[LocalDatum, ...]], ...]):
-        Record.__init__(self, line, locals)
-
-    @classmethod
-    def of(cls, line: str, mapping: dict[str, list[tuple[Segment, Fraction]]]) -> "GlobalCuspidalData":
+    def __init__(self, line: str, locals: Union[dict, Iterable[tuple[str, Iterable[LocalDatum]]]] = ()):
         packed = tuple(
-            (v, tuple((seg, frac(e)) for seg, e in data)) for v, data in sorted(mapping.items())
+            (v, tuple((seg, frac(e)) for seg, e in data)) for v, data in sorted(dict(locals).items())
         )
-        return cls(line, packed)
+        Record.__init__(self, line, packed)
 
     def local_data(self, place: str) -> list[LocalDatum]:
         for v, data in self.locals:
@@ -98,7 +88,7 @@ class GlobalCuspidalData(Record):
                 registry[line]
                 gamma.append((unitary_esi(line, length), _twist(e.get("e", 0))))
             mapping[place] = gamma
-        return cls.of(base, mapping)
+        return cls(base, mapping)
 
 
 def _twist(value) -> Fraction:
@@ -185,15 +175,17 @@ def local_component(
     return lj_generic(registry, gamma, k, dv)
 
 
-class GlobalCheck:
+class GlobalCheck(Record):
     """s_{rho,D}, the D-compatibility of MW(rho, k), and its component at each place.
 
-    ``components`` holds ``(place, d_v, component)`` with the component as
+    ``components`` is a tuple of ``(place, d_v, component)`` with the component as
     ``local_component`` returns it: a label when d_v = 1, else a signed transfer.
     """
 
-    def __init__(self, s: int, k: int, compatible: bool, components: list[tuple]):
-        self.s, self.k, self.compatible, self.components = s, k, compatible, components
+    __slots__ = ("s", "k", "compatible", "components")
+
+    def __init__(self, s: int, k: int, compatible: bool, components: Iterable[tuple]):
+        Record.__init__(self, s, k, compatible, tuple(components))
 
     def __repr__(self) -> str:
         lines = [f"s_rho_D = {self.s}", f"MW(rho, {self.k}) D-compatible: {str(self.compatible).lower()}"]
@@ -299,7 +291,5 @@ def levi_conjugate_count(n: int, l: int) -> int:
     if n < 1 or l < 1 or n % l:
         raise ValueError("l must divide n")
     m = n // l
-    num = math.factorial(n)
-    den = math.factorial(l) * math.factorial(m) ** l
-    assert num % den == 0
-    return num // den
+    # with i blocks left, the smallest element left picks its m - 1 block-mates among the other i*m - 1
+    return math.prod(math.comb(i * m - 1, m - 1) for i in range(1, l + 1))

@@ -17,30 +17,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Union
 
-from .core import LineRegistry, Record, frac
+from .core import ExponentLike, LineRegistry, Record, frac
 from .multiseg import Multisegment, Segment
 
 
 class FormalLFactor(Record):
-    """Multiset of shifts a in prod (1 - q^(-s-a))^(-1); empty means 1."""
+    """Sorted multiset of shifts a in prod (1 - q^(-s-a))^(-1); empty means 1."""
 
     __slots__ = ("shifts",)
 
-    def __init__(self, shifts: tuple[Fraction, ...] = ()):
-        Record.__init__(self, shifts)
-
-    @classmethod
-    def one(cls) -> "FormalLFactor":
-        return cls(())
-
-    @classmethod
-    def of(cls, *shifts) -> "FormalLFactor":
-        return cls(tuple(sorted(frac(a) for a in shifts)))
+    def __init__(self, shifts: Iterable[ExponentLike] = ()):
+        Record.__init__(self, tuple(sorted(map(frac, shifts))))
 
     def __mul__(self, other: "FormalLFactor") -> "FormalLFactor":
-        return FormalLFactor(tuple(sorted(self.shifts + other.shifts)))
+        return FormalLFactor(self.shifts + other.shifts)
 
     def __repr__(self) -> str:
         if not self.shifts:
@@ -58,16 +50,12 @@ def _signed(a: Fraction) -> str:
 
 
 class EpsilonFactor(Record):
-    """Multiset of (line tag, shift) pairs: prod eps'(s + shift, tag, psi)."""
+    """Sorted multiset of (line tag, shift) pairs: prod eps'(s + shift, tag, psi)."""
 
     __slots__ = ("shifts", "psi")
 
-    def __init__(self, shifts: tuple[tuple[str, Fraction], ...] = (), psi: str = "psi"):
-        Record.__init__(self, shifts, psi)
-
-    @classmethod
-    def of(cls, pairs: Iterable[tuple[str, Fraction]], psi: str = "psi") -> "EpsilonFactor":
-        return cls(tuple(sorted((t, frac(a)) for t, a in pairs)), psi)
+    def __init__(self, shifts: Iterable[tuple[str, ExponentLike]] = (), psi: str = "psi"):
+        Record.__init__(self, tuple(sorted((t, frac(a)) for t, a in shifts)), psi)
 
     def __repr__(self) -> str:
         if not self.shifts:
@@ -98,7 +86,7 @@ def l_irr(registry: LineRegistry, m: Multisegment) -> FormalLFactor:
         if info.unramified and info.p == 1:
             num, den = _flat_start(seg)
             shifts.append(Fraction(num + (seg.length * seg.step - 1) * den, den))
-    return FormalLFactor(tuple(sorted(shifts)))
+    return FormalLFactor(shifts)
 
 
 def eps_irr(registry: LineRegistry, m: Multisegment, psi: str = "psi") -> EpsilonFactor:
@@ -113,43 +101,46 @@ def eps_irr(registry: LineRegistry, m: Multisegment, psi: str = "psi") -> Epsilo
         flats.append((seg.line, *_flat_start(seg), seg.length * seg.step))
     big = lcm(*(den for _, _, den, _ in flats))
     points = sorted((line, (num + j * den) * (big // den)) for line, num, den, n in flats for j in range(n))
-    return EpsilonFactor(tuple((line, Fraction(k, big)) for line, k in points), psi)
+    # the pairs are sorted as the constructor would sort them (k / big rises with k) and
+    # their shifts are Fractions, so the fields are set directly, without a second sort
+    eps = object.__new__(EpsilonFactor)
+    Record.__init__(eps, tuple((line, Fraction(k, big)) for line, k in points), psi)
+    return eps
 
 
 # -- Rankin-Selberg shift maps ------------------------------------------------
 
 
 class FormalRSProduct(Record):
-    """Map shift -> integer exponent over an opaque Rankin-Selberg base L(z + shift)."""
+    """Map shift -> nonzero integer exponent over an opaque Rankin-Selberg base L(z + shift).
+
+    Built from a dict or from (shift, exponent) pairs, whose exponents add at equal shifts.
+    """
 
     __slots__ = ("powers",)
 
-    def __init__(self, powers: tuple[tuple[Fraction, int], ...] = ()):
-        Record.__init__(self, powers)
-
-    @classmethod
-    def of(cls, powers: dict) -> "FormalRSProduct":
-        clean = {frac(a): int(e) for a, e in powers.items() if e != 0}
-        return cls(tuple(sorted(clean.items())))
+    def __init__(self, powers: Union[dict, Iterable[tuple[ExponentLike, int]]] = ()):
+        out: dict[Fraction, int] = {}
+        for a, e in powers.items() if isinstance(powers, dict) else powers:
+            a = frac(a)
+            out[a] = out.get(a, 0) + int(e)
+        Record.__init__(self, tuple(sorted((a, e) for a, e in out.items() if e)))
 
     def as_dict(self) -> dict[Fraction, int]:
         return dict(self.powers)
 
     def __mul__(self, other: "FormalRSProduct") -> "FormalRSProduct":
-        out = self.as_dict()
-        for a, e in other.powers:
-            out[a] = out.get(a, 0) + e
-        return FormalRSProduct.of(out)
+        return FormalRSProduct(self.powers + other.powers)
 
     def inverse(self) -> "FormalRSProduct":
-        return FormalRSProduct.of({a: -e for a, e in self.powers})
+        return FormalRSProduct((a, -e) for a, e in self.powers)
 
     def __truediv__(self, other: "FormalRSProduct") -> "FormalRSProduct":
         return self * other.inverse()
 
     def shifted(self, delta) -> "FormalRSProduct":
         d = frac(delta)
-        return FormalRSProduct.of({a + d: e for a, e in self.powers})
+        return FormalRSProduct((a + d, e) for a, e in self.powers)
 
     def __repr__(self) -> str:
         if not self.powers:
@@ -170,15 +161,15 @@ def rs_lg(s: int) -> FormalRSProduct:
     for j in range(1, s):
         powers[Fraction(s - j)] = j
         powers[Fraction(j - s)] = j
-    return FormalRSProduct.of(powers)
+    return FormalRSProduct(powers)
 
 
 def normalizing_factor(s: int) -> tuple[FormalRSProduct, FormalRSProduct]:
     """(numerator, denominator) of the cancelled intertwining normalizer."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    num = FormalRSProduct.of({Fraction(j - s): 1 for j in range(1, s + 1)})
-    den = FormalRSProduct.of({Fraction(j): 1 for j in range(1, s + 1)})
+    num = FormalRSProduct((j - s, 1) for j in range(1, s + 1))
+    den = FormalRSProduct((j, 1) for j in range(1, s + 1))
     return num, den
 
 

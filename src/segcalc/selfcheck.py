@@ -156,9 +156,9 @@ def suite_lfactors(nmax: int = 4, dmax: int = 3) -> tuple[bool, str]:
             st = unitary_esi("rho", n, d)
             one = SpehUnit(unitary_esi("rho", 1, d), n).multisegment()
             top = Fraction(d * n - 1, 2)
-            if not l_esi(REG, st) == l_irr(REG, Multisegment([st])) == FormalLFactor.of(top):
+            if not l_esi(REG, st) == l_irr(REG, Multisegment([st])) == FormalLFactor([top]):
                 return False, f"L(St'_{n}) at d={d}"
-            if l_irr(REG, one) != FormalLFactor.of(*[top - d * j for j in range(n)]):
+            if l_irr(REG, one) != FormalLFactor(top - d * j for j in range(n)):
                 return False, f"L(1'_{n}) at d={d}"
             eps = eps_irr(REG, Multisegment([st]))
             if Counter(eps.shifts) != Counter(("rho", top - j) for j in range(d * n)):
@@ -238,7 +238,7 @@ def suite_nonunit_image(d: int = 2, l: int = 1, k: int = 4) -> tuple[bool, str]:
     unitary transfer; the d = 4 blocked product below ubar(St'3, 16) does not."""
     if in_image_lju(REG, ubar_factor(unitary_esi("rho", l, d), k), d) is None:
         return False, "ubar target lost its witness"
-    if in_image_lju(REG, UnitaryProduct.empty(), d) is None:
+    if in_image_lju(REG, UnitaryProduct(), d) is None:
         return False, "empty product must be in the image"
     st3, st4 = unitary_esi("rho", 3, 4), unitary_esi("rho", 4, 4)
     blocked = UnitaryProduct(

@@ -65,7 +65,7 @@ class SignedUnitaryProduct(Record):
         return {"sign": self.sign, "units": self.product.to_json()}
 
 
-ZERO_TRANSFER = SignedUnitaryProduct(0, UnitaryProduct.empty())
+ZERO_TRANSFER = SignedUnitaryProduct(0, UnitaryProduct())
 
 
 def d_cuspidal(registry: LineRegistry, line: str, d: int, center: ExponentLike = 0) -> Segment:
@@ -252,7 +252,7 @@ def in_image_lju(registry: LineRegistry, target: UnitaryProduct, d: int) -> Opti
     """
     want = _flatten(target)
     if not want:
-        return UnitaryProduct.empty()
+        return UnitaryProduct()
 
     sizes: Counter = Counter()
     for (line, length, step, count, _), mult in want.items():

@@ -26,7 +26,7 @@ from segcalc import (
     unitary_esi,
 )
 from segcalc.core import LineInfo, Record
-from segcalc.globalrep import GlobalAlgebra, GlobalCuspidalData
+from segcalc.globalrep import GlobalAlgebra, GlobalCheck, GlobalCuspidalData
 from segcalc.lfactors import EpsilonFactor, FormalLFactor, FormalRSProduct
 from segcalc.transfer import lj_unitary_product
 
@@ -143,7 +143,7 @@ SIGMA = unitary_esi("rho", 1, 2)
         pytest.param(lambda: s_invariant(0, 1), ValueError, "p and d must be positive", id="s-invariant-p-0"),
         pytest.param(lambda: lj_u(REG, 0, "rho", 1, 2), ValueError, "l and k must be >= 1", id="lj-u-l-0"),
         pytest.param(lambda: ubar_factor(SIGMA, 0), ValueError, "k must be >= 1", id="ubar-k-0"),
-        pytest.param(lambda: SignedUnitaryProduct(2, UnitaryProduct.empty()), ValueError,
+        pytest.param(lambda: SignedUnitaryProduct(2, UnitaryProduct()), ValueError,
                      "sign must be -1, 0 or +1", id="sign-2"),
         pytest.param(lambda: Record.__init__(FormalLFactor.__new__(FormalLFactor), (), ()), ValueError,
                      "FormalLFactor expects 1 field values, got 2", id="record-arity"),
@@ -180,18 +180,20 @@ RECORDS = [
     pytest.param(UNIT, ("base", "count", "twist", "alpha"), None, id="SpehUnit"),
     pytest.param(UnitaryProduct([UNIT, SpehUnit(unitary_esi("rho", 1), 1)]), ("units",), None,
                  id="UnitaryProduct"),
-    pytest.param(GlobalAlgebra.of({"v2": 3, "v1": 2}), ("places",),
+    pytest.param(GlobalAlgebra({"v2": 3, "v1": 2}), ("places",),
                  "GlobalAlgebra(places=(('v1', 2), ('v2', 3)))", id="GlobalAlgebra"),
-    pytest.param(GlobalCuspidalData.of("rho", {"v1": [(unitary_esi("rho", 2), Fraction(1, 4))]}), ("line", "locals"),
+    pytest.param(GlobalCuspidalData("rho", {"v1": [(unitary_esi("rho", 2), Fraction(1, 4))]}), ("line", "locals"),
                  "GlobalCuspidalData(line='rho', locals=(('v1', ((rho:[-1/2,1/2], Fraction(1, 4)),)),))",
                  id="GlobalCuspidalData"),
     pytest.param(DiscreteSeriesLabel("split", "rho", 2), ("side", "rho", "k"),
                  "DiscreteSeriesLabel(side='split', rho='rho', k=2)", id="DiscreteSeriesLabel"),
     pytest.param(FormalLFactor(()), ("shifts",), None, id="FormalLFactor"),
-    pytest.param(EpsilonFactor.of([("rho", 1)], "psi0"), ("shifts", "psi"), None, id="EpsilonFactor"),
+    pytest.param(EpsilonFactor([("rho", 1)], "psi0"), ("shifts", "psi"), None, id="EpsilonFactor"),
     pytest.param(FormalRSProduct(()), ("powers",), None, id="FormalRSProduct"),
     pytest.param(SignedUnitaryProduct(-1, UnitaryProduct([UNIT])), ("sign", "product"), None,
                  id="SignedUnitaryProduct"),
+    pytest.param(GlobalCheck(2, 4, True, [("v1", 2, SignedUnitaryProduct(0, UnitaryProduct()))]),
+                 ("s", "k", "compatible", "components"), None, id="GlobalCheck"),
 ]
 
 
@@ -210,6 +212,46 @@ def test_value_records_keep_their_contract(x, fields, text):
         assert type(y) is type(x) and y == x and hash(y) == hash(x)
     if text is not None:
         assert repr(x) == text
+
+
+def test_every_record_class_is_in_the_contract_table():
+    assert {type(p.values[0]) for p in RECORDS} == set(Record.__subclasses__())
+
+
+ST2 = unitary_esi("rho", 2)
+
+# (a record built from unnormalized input, the same record built from normalized input)
+NORMALIZED = [
+    pytest.param(FormalLFactor((2, "1/2", Fraction(-1))), FormalLFactor([-1, Fraction(1, 2), 2]),
+                 id="FormalLFactor-unsorted"),
+    pytest.param(FormalLFactor((2, 1)), FormalLFactor([Fraction(1), Fraction(2)]), id="FormalLFactor-int"),
+    pytest.param(EpsilonFactor((("rho", 1), ("chi", 0), ("rho", "-1/2"))),
+                 EpsilonFactor([("chi", Fraction(0)), ("rho", Fraction(-1, 2)), ("rho", Fraction(1))]),
+                 id="EpsilonFactor-unsorted"),
+    pytest.param(FormalRSProduct(((0, 0),)), FormalRSProduct(), id="FormalRSProduct-zero-power"),
+    pytest.param(FormalRSProduct({1: 2, 0: 0, -1: 1}), FormalRSProduct([(Fraction(-1), 1), (Fraction(1), 2)]),
+                 id="FormalRSProduct-dict"),
+    pytest.param(FormalRSProduct([(1, 1), ("-1", 1), (1, 1), (2, 1), (2, -1)]),
+                 FormalRSProduct({-1: 1, 1: 2}), id="FormalRSProduct-pairs-add"),
+    pytest.param(GlobalAlgebra([("v2", 3), ("v1", 2)]), GlobalAlgebra({"v1": 2, "v2": 3}), id="GlobalAlgebra-pairs"),
+    pytest.param(GlobalCuspidalData("rho", (("v2", [(ST2, 0)]), ("v1", [(ST2, "1/4")]))),
+                 GlobalCuspidalData("rho", {"v1": ((ST2, Fraction(1, 4)),), "v2": ((ST2, Fraction(0)),)}),
+                 id="GlobalCuspidalData-lists"),
+    pytest.param(GlobalCheck(1, 2, True, [("v", 1, ST2)]), GlobalCheck(1, 2, True, (("v", 1, ST2),)),
+                 id="GlobalCheck-list"),
+]
+
+
+@pytest.mark.parametrize("raw,normal", NORMALIZED)
+def test_records_normalize_their_input_in_the_constructor(raw, normal):
+    assert raw == normal and hash(raw) == hash(normal) and repr(raw) == repr(normal)
+    assert all(type(v) is tuple for v in raw._values(raw) if not isinstance(v, (str, int)))
+
+
+@pytest.mark.parametrize("places", [{"v": 1}, [("v", 1)], (("w", 2), ("v", 0))], ids=["dict", "pairs", "second"])
+def test_global_algebra_refuses_a_place_with_d_v_below_2(places):
+    with pytest.raises(ValueError, match="needs d_v >= 2"):
+        GlobalAlgebra(places)
 
 
 def _modules_after(*steps: str) -> list[set[str]]:

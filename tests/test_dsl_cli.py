@@ -90,8 +90,21 @@ def test_parse_virtual_zero(registry):
 
 
 def test_parse_garbage_rejected(registry):
-    for text in ("{rho:[0,1]", "rho:[0,1]}", "{rho 0 1}", "{rho:[0,1]} ?"):
+    for text in ("{rho:[0,1]", "rho:[0,1]}", "{rho 0 1}", "{rho:[0,1]} ?", "{rho:[0,1]} ? "):
         with pytest.raises(ParseError):
+            parse_multisegment(text, registry)
+
+
+def test_parse_ignores_leading_and_trailing_whitespace(registry):
+    for pad in (" ", "\n", " \t\n "):
+        assert parse_multisegment(pad + "{rho:[0,1], rho:[1,1]}" + pad, registry) == ms(seg(0, 1), seg(1, 1))
+        assert parse_multisegment("{}" + pad, registry) == Multisegment.empty()
+        assert parse_virtual("0" + pad, registry) == VirtualRep.zero()
+        assert parse_virtual("2 * {rho:[0,1]} - {rho:[0,0]}" + pad, registry) == VirtualRep(
+            1, {ms(seg(0, 1)): 2, ms(seg(0, 0)): -1}
+        )
+    for text in ("", " ", "\n"):
+        with pytest.raises(ParseError, match="unexpected end of input"):
             parse_multisegment(text, registry)
 
 
@@ -237,6 +250,11 @@ def test_cli_json_output(capsys):
 def test_cli_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "dual", "{rho:[1,0]}")
     assert code == 2 and "parse error" in err
+
+
+def test_cli_accepts_an_input_with_trailing_whitespace(capsys):
+    assert run_cli(capsys, "dual", "{rho:[0,2]} \n") == run_cli(capsys, "dual", "{rho:[0,2]}")
+    assert run_cli(capsys, "dual", "{rho:[0,2]}")[0] == 0
 
 
 def test_cli_domain_error_exit_code(capsys):

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import time
 from fractions import Fraction
 
 import pytest
@@ -314,6 +315,13 @@ def test_recognize_rejects_labels_whose_largest_center_is_negative():
     for x in (F(-1, 4), F(-1, 2), F(-1)):
         assert recognize_unitary(ms(seg(x, x))) is None
         assert recognize_unitary(ms(seg(x, x, step=2))) is None
+
+
+def test_recognize_rejects_a_progression_longer_than_the_centers_left_before_building_it():
+    # the largest center 10^5 asks for a unit of 2 * 10^5 + 1 copies, but the label has two points
+    start = time.perf_counter()
+    assert recognize_unitary(ms(seg(-10**5, -10**5), seg(10**5, 10**5))) is None
+    assert time.perf_counter() - start < 0.5
 
 
 def test_twist_free_products_are_hermitian():

@@ -1,9 +1,10 @@
 import itertools
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from segcalc import (
@@ -33,7 +34,7 @@ F = Fraction
 
 def cuspidal_data(local_lengths):
     """Cuspidal datum over 'rho' with one esi factor of given length per place."""
-    return GlobalCuspidalData.of(
+    return GlobalCuspidalData(
         "rho",
         {place: [(unitary_esi("rho", l), F(0))] for place, l in local_lengths.items()},
     )
@@ -43,19 +44,19 @@ def cuspidal_data(local_lengths):
 
 
 def test_s_rho_d_all_compatible(registry):
-    alg = GlobalAlgebra.of({"v1": 2})
+    alg = GlobalAlgebra({"v1": 2})
     data = cuspidal_data({"v1": 2})  # St2-type local factor: already compatible
     assert s_rho_d(registry, data, alg) == 1
 
 
 def test_s_rho_d_single_place(registry):
-    alg = GlobalAlgebra.of({"v1": 2})
+    alg = GlobalAlgebra({"v1": 2})
     data = cuspidal_data({"v1": 1})
     assert s_rho_d(registry, data, alg) == 2
 
 
 def test_s_rho_d_lcm(registry):
-    alg = GlobalAlgebra.of({"v1": 2, "v2": 3})
+    alg = GlobalAlgebra({"v1": 2, "v2": 3})
     data = cuspidal_data({"v1": 1, "v2": 1})
     assert s_rho_d(registry, data, alg) == 6
 
@@ -69,15 +70,64 @@ def test_s_gamma_d_takes_the_lcm_over_lines_with_coprime_invariants():
     assert s_gamma_d(reg, gamma, 6) == 6
 
 
+@st.composite
+def global_cases(draw):
+    """A registry of lines with p in 1..5, an algebra ramified at places with d_v in {6, 10, 12},
+    and cuspidal data over them (plus a split place), each built through its one constructor."""
+    reg = LineRegistry()
+    ps = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    for i, p in enumerate(ps):
+        reg.register(f"l{i}", p)
+    places = [(f"v{i}", draw(st.sampled_from([6, 10, 12]))) for i in range(1, draw(st.integers(1, 3)) + 1)]
+    factor = st.tuples(st.integers(0, len(ps) - 1), st.integers(1, 6), st.sampled_from([0, F(1, 4), F(-1, 3)]))
+    locals_ = [
+        (v, [(unitary_esi(f"l{i}", n), e) for i, n, e in draw(st.lists(factor, min_size=1, max_size=3))])
+        for v, _ in places + [("v0", 1)]
+    ]
+    return reg, GlobalAlgebra(places), GlobalCuspidalData("l0", locals_), draw(st.integers(1, 4))
+
+
+def _least_s(factors) -> int:
+    """The least s >= 1 with d | p*s for every (p, length, d) with d not dividing p*length, by search."""
+    need = [(p, d) for p, n, d in factors if p * n % d]
+    return next(s for s in itertools.count(1) if all(p * s % d == 0 for p, d in need))
+
+
+def _coprime_case():
+    # at d = 6, lines of p = 2 and p = 3 need s = 3 and s = 2: lcm 6, where max would give 3
+    reg = LineRegistry()
+    reg.register("l0", 2)
+    reg.register("l1", 3)
+    gamma = [(unitary_esi("l0", 1), 0), (unitary_esi("l1", 1), 0)]
+    return reg, GlobalAlgebra([("v1", 6)]), GlobalCuspidalData("l0", [("v1", gamma), ("v0", gamma)]), 1
+
+
+@given(global_cases())
+@example(_coprime_case())
+def test_global_invariants_over_mixed_lines_equal_a_brute_force_search(case):
+    reg, alg, data, k = case
+    factors = {
+        v: [(reg[seg.line].p, seg.length, dv) for seg, _ in data.local_data(v)] for v, dv in alg.places
+    }
+    for v, dv in alg.places:
+        assert s_gamma_d(reg, data.local_data(v), dv) == _least_s(factors[v])
+    s = s_rho_d(reg, data, alg)
+    assert s == _least_s([f for fs in factors.values() for f in fs])
+    split = DiscreteSeriesLabel("split", "l0", k * s)
+    inner = DiscreteSeriesLabel("inner", "l0", k)
+    assert g_inverse(reg, split, data, alg) == inner
+    assert g_map(reg, g_inverse(reg, split, data, alg), data, alg) == split
+
+
 def test_algebra_validation():
     with pytest.raises(ValueError):
-        GlobalAlgebra.of({"v": 1})
-    assert GlobalAlgebra.of({"v": 2, "w": 3}).d == 6
-    assert GlobalAlgebra.of({}).d == 1
+        GlobalAlgebra({"v": 1})
+    assert GlobalAlgebra({"v": 2, "w": 3}).d == 6
+    assert GlobalAlgebra({}).d == 1
 
 
 def test_d_compatible_mw(registry):
-    alg = GlobalAlgebra.of({"v1": 2})
+    alg = GlobalAlgebra({"v1": 2})
     data = cuspidal_data({"v1": 1})
     s = s_rho_d(registry, data, alg)
     assert global_check(registry, data, s, alg).compatible
@@ -89,7 +139,7 @@ def test_d_compatible_mw(registry):
 
 
 def test_g_inverse_at_minimal_k(registry):
-    alg = GlobalAlgebra.of({"v1": 2})
+    alg = GlobalAlgebra({"v1": 2})
     data = cuspidal_data({"v1": 1})
     got = g_inverse(registry, DiscreteSeriesLabel("split", "rho", 2), data, alg)
     assert got == DiscreteSeriesLabel("inner", "rho", 1)
@@ -97,7 +147,7 @@ def test_g_inverse_at_minimal_k(registry):
 
 
 def test_g_inverse_scales_k(registry):
-    alg = GlobalAlgebra.of({"v1": 2})
+    alg = GlobalAlgebra({"v1": 2})
     data = cuspidal_data({"v1": 1})
     got = g_inverse(registry, DiscreteSeriesLabel("split", "rho", 6), data, alg)
     assert got == DiscreteSeriesLabel("inner", "rho", 3)
@@ -105,14 +155,14 @@ def test_g_inverse_scales_k(registry):
 
 
 def test_g_inverse_requires_divisibility(registry):
-    alg = GlobalAlgebra.of({"v1": 2})
+    alg = GlobalAlgebra({"v1": 2})
     data = cuspidal_data({"v1": 1})
     with pytest.raises(IncompatibleLabel):
         g_inverse(registry, DiscreteSeriesLabel("split", "rho", 3), data, alg)
 
 
 def test_g_round_trip(registry):
-    alg = GlobalAlgebra.of({"v1": 2, "v2": 3})
+    alg = GlobalAlgebra({"v1": 2, "v2": 3})
     data = cuspidal_data({"v1": 1, "v2": 1})
     for k in (1, 2, 5):
         label = DiscreteSeriesLabel("inner", "rho", k)
@@ -123,7 +173,7 @@ def test_g_round_trip(registry):
 
 
 def test_local_component_at_split_place(registry):
-    alg = GlobalAlgebra.of({"v1": 2})
+    alg = GlobalAlgebra({"v1": 2})
     data = cuspidal_data({"v1": 1, "v0": 3})
     got = local_component(registry, data, 2, "v0", alg)
     assert isinstance(got, Multisegment)
@@ -133,7 +183,7 @@ def test_local_component_at_split_place(registry):
 
 
 def test_local_component_at_ramified_place(registry):
-    alg = GlobalAlgebra.of({"v1": 2})
+    alg = GlobalAlgebra({"v1": 2})
     data = cuspidal_data({"v1": 1})
     got = local_component(registry, data, 2, "v1", alg)
     assert isinstance(got, SignedUnitaryProduct)
@@ -141,27 +191,27 @@ def test_local_component_at_ramified_place(registry):
 
 
 def test_local_component_at_split_place_checks_generic_data(registry):
-    alg = GlobalAlgebra.of({"v1": 2})
+    alg = GlobalAlgebra({"v1": 2})
     for e in (F(3), F(1, 2), F(-1, 2)):
-        data = GlobalCuspidalData.of(
+        data = GlobalCuspidalData(
             "rho", {"v1": [(unitary_esi("rho", 1), F(0))], "v0": [(unitary_esi("rho", 2), e)]}
         )
         with pytest.raises(ValueError, match=r"\|e\| < 1/2"):
             local_component(registry, data, 2, "v0", alg)
-    off_center = GlobalCuspidalData.of("rho", {"v0": [(shifted(unitary_esi("rho", 2), 1), F(0))]})
+    off_center = GlobalCuspidalData("rho", {"v0": [(shifted(unitary_esi("rho", 2), 1), F(0))]})
     with pytest.raises(ValueError, match="centered"):
         local_component(registry, off_center, 2, "v0", alg)
 
 
 def test_missing_ramified_place_is_a_registry_error(registry):
-    alg = GlobalAlgebra.of({"v1": 2})
+    alg = GlobalAlgebra({"v1": 2})
     data = cuspidal_data({"v0": 1})
     with pytest.raises(RegistryError, match="'v1'"):
         s_rho_d(registry, data, alg)
 
 
 def test_local_component_vanishes_off_multiples(registry):
-    alg = GlobalAlgebra.of({"v1": 2})
+    alg = GlobalAlgebra({"v1": 2})
     data = cuspidal_data({"v1": 1})
     got = local_component(registry, data, 3, "v1", alg)
     assert got.sign == 0
@@ -170,7 +220,7 @@ def test_local_component_vanishes_off_multiples(registry):
 def test_discrete_series_local_support_is_union_of_shifted_copies(registry):
     # the label of the k-fold discrete series at a place is the union of the
     # s_rho_D-twisted copies of the basic one
-    alg = GlobalAlgebra.of({"v1": 2})
+    alg = GlobalAlgebra({"v1": 2})
     data = cuspidal_data({"v1": 1, "v0": 2})
     s = s_rho_d(registry, data, alg)
     k = 3
@@ -307,6 +357,12 @@ def test_levi_count_identity():
             m = n // l
             c = levi_conjugate_count(n, l)
             assert c * math.factorial(l) * math.factorial(m) ** l == math.factorial(n)
+
+
+def test_levi_count_of_one_block_or_of_singletons_is_one_without_large_factorials():
+    start = time.perf_counter()
+    assert levi_conjugate_count(300000, 1) == levi_conjugate_count(300000, 300000) == 1
+    assert time.perf_counter() - start < 0.5
 
 
 def test_levi_count_rejects_non_divisors():

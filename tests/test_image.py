@@ -35,7 +35,7 @@ def all_candidates_image(registry, target, d):
     """The unpruned search: every (l, k) with l * k up to the line's support."""
     want = _flatten(target)
     if not want:
-        return UnitaryProduct.empty()
+        return UnitaryProduct()
     sizes = Counter()
     for (line, length, step, count, _), mult in want.items():
         sizes[line] += length * step * count * mult

@@ -417,7 +417,7 @@ def test_ubar_has_a_witness(registry):
 
 
 def test_empty_product_is_in_the_image(registry):
-    assert in_image_lju(registry, UnitaryProduct.empty(), 2) == UnitaryProduct.empty()
+    assert in_image_lju(registry, UnitaryProduct(), 2) == UnitaryProduct()
 
 
 def test_alpha_pair_target_has_pair_witness(registry):
