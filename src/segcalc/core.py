@@ -63,16 +63,37 @@ def load_json(path: str):
             raise RegistryError(f"JSON nested too deeply in {path}") from None
 
 
-class Record:
-    """An immutable value whose fields are its class's ``__slots__``, in that order.
+class Frozen:
+    """A slotted value that refuses assignment and deletion once built.
+
+    Each subclass binds the setters of its ``__slots__`` once, in order, as
+    ``_setters``; its constructors set the fields through them, and nothing
+    else can change or delete a field, so a stored hash stays valid.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Record(Frozen):
+    """A ``Frozen`` value whose fields are its class's ``__slots__``, in that order.
 
     Equality is type-strict and the hash is ``hash(tuple of the fields)``.  A
     subclass's ``__init__`` is its only constructor: it normalizes what it is
     given (sorts it, converts it with ``frac``, drops zeros) and validates it,
     so equal values compare and hash equal however they were built.  It then
     passes every field to ``Record.__init__`` in ``__slots__`` order, which
-    sets them through the slot setters bound once per class; pickling calls
-    the subclass's ``__init__`` again with the fields.  Only a producer whose
+    sets them through the class's ``_setters``; pickling calls the
+    subclass's ``__init__`` again with the fields.  Only a producer whose
     fields are already normalized may call ``Record.__init__`` on a bare
     instance itself (``eps_irr``).  The default ``repr`` is
     ``Name(field=value, ...)``.
@@ -90,7 +111,6 @@ class Record:
         super().__init_subclass__()
         get = attrgetter(*cls.__slots__)  # of one name, it returns the bare value
         cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -99,12 +119,6 @@ class Record:
 
     def __hash__(self) -> int:
         return hash(self._values(self))
-
-    def __setattr__(self, *_):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, *_):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         return self.__class__, self._values(self)

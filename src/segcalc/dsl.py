@@ -35,154 +35,97 @@ class ParseError(ValueError):
     pass
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*'?)|(?P<num>\d+)|(?P<sym>[{}\[\],:+*/-]))"
-)
+# one pattern per production, each matched at a position of the text and skipping the whitespace before it
+_RATIONAL = r"\s*(?:(-)\s*)?(\d+)(?:\s*/\s*(\d+))?"  # sign, numerator, denominator
+_SEGMENT = re.compile(rf"\s*([A-Za-z_][A-Za-z_0-9]*)('?)\s*:\s*\[{_RATIONAL}(?:\s*,{_RATIONAL})?\s*\]")
+_COEFFICIENT = re.compile(r"\s*(\d+)(?:\s*/\s*(\d+))?\s*\*")
+_SYMBOL = re.compile(r"\s*([{},+-])")
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    out = []
-    pos, end = 0, len(text.rstrip())
-    while pos < end:
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character at {text[pos:pos+10]!r}")
-        pos = m.end()
-        out.append((m.lastgroup, m.group(m.lastgroup)))
-    return out
+def _error(text: str, pos: int, what: str = "unexpected input") -> ParseError:
+    rest = text[pos:].strip()
+    return ParseError(f"{what} at {rest[:10]!r}" if rest else "unexpected end of input")
 
 
-class _Parser:
-    def __init__(self, text: str, registry: LineRegistry, d: int = 1):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.registry = registry
-        self.d = d
+def _symbol(text: str, pos: int, allowed: str) -> tuple[str, int]:
+    """The symbol at ``pos`` and the position after it, or ``("", pos)`` unless it is one of ``allowed``."""
+    m = _SYMBOL.match(text, pos)
+    return (m[1], m.end()) if m and m[1] in allowed else ("", pos)
 
-    def peek(self) -> Optional[tuple[str, str]]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        self.pos += 1
-        return tok
+def _skip(text: str, pos: int, sym: str) -> int:
+    got, end = _symbol(text, pos, sym)
+    if not got:
+        raise _error(text, pos)
+    return end
 
-    def expect(self, sym: str) -> None:
-        tok = self.next()
-        if tok != ("sym", sym):
-            raise ParseError(f"expected {sym!r}, got {tok[1]!r}")
 
-    def at_sym(self, sym: str) -> bool:
-        return self.peek() == ("sym", sym)
+def _rational(sign: Optional[str], num: str, den: Optional[str]) -> Fraction:
+    den = int(den or 1)
+    if den == 0:
+        raise ParseError("zero denominator")
+    return Fraction(-int(num) if sign else int(num), den)
 
-    def rational(self) -> Fraction:
-        neg = False
-        if self.at_sym("-"):
-            self.next()
-            neg = True
-        kind, val = self.next()
-        if kind != "num":
-            raise ParseError(f"expected a number, got {val!r}")
-        num = int(val)
-        den = 1
-        if self.at_sym("/"):
-            self.next()
-            kind, val = self.next()
-            if kind != "num":
-                raise ParseError(f"expected a denominator, got {val!r}")
-            den = int(val)
-            if den == 0:
-                raise ParseError("zero denominator")
-        q = Fraction(num, den)
-        return -q if neg else q
 
-    def integer(self) -> int:
-        q = self.rational()
-        if q.denominator != 1:
-            raise ParseError(f"expected an integer, got {q}")
-        return int(q)
+def _segment(text: str, pos: int, registry: LineRegistry, d: int) -> tuple[Segment, int]:
+    m = _SEGMENT.match(text, pos)
+    if m is None:
+        raise _error(text, pos)
+    name, prime, *bounds = m.groups()
+    if name not in registry:
+        raise ParseError(f"unknown line name: {name!r}")
+    step = s_invariant(registry[name].p, d) if prime else 1
+    lo = _rational(*bounds[:3])
+    hi = lo if bounds[4] is None else _rational(*bounds[3:])
+    if hi < lo:
+        raise ParseError(f"segment bounds out of order: [{lo},{hi}]")
+    span = (hi - lo) / step
+    if span.denominator != 1:
+        raise ParseError(f"span {hi}-{lo} is not a multiple of step {step}")
+    return Segment(name, lo, int(span) + 1, step), m.end()
 
-    def segment(self) -> Segment:
-        kind, name = self.next()
-        if kind != "name":
-            raise ParseError(f"expected a line name, got {name!r}")
-        primed = name.endswith("'")
-        base = name[:-1] if primed else name
-        if base not in self.registry:
-            raise ParseError(f"unknown line name: {base!r}")
-        if primed:
-            step = s_invariant(self.registry[base].p, self.d)
-        else:
-            step = 1
-        self.expect(":")
-        self.expect("[")
-        lo = self.rational()
-        hi = lo
-        if self.at_sym(","):
-            self.next()
-            hi = self.rational()
-        self.expect("]")
-        if hi < lo:
-            raise ParseError(f"segment bounds out of order: [{lo},{hi}]")
-        span = (hi - lo) / step
-        if span.denominator != 1:
-            raise ParseError(f"span {hi}-{lo} is not a multiple of step {step}")
-        return Segment(base, lo, int(span) + 1, step)
 
-    def multisegment(self) -> Multisegment:
-        self.expect("{")
-        segs = []
-        if not self.at_sym("}"):
-            segs.append(self.segment())
-            while self.at_sym(","):
-                self.next()
-                segs.append(self.segment())
-        self.expect("}")
-        return Multisegment(segs)
+def _multisegment(text: str, pos: int, registry: LineRegistry, d: int) -> tuple[Multisegment, int]:
+    pos = _skip(text, pos, "{")
+    segs = []
+    sep = "" if _symbol(text, pos, "}")[0] else ","
+    while sep:
+        seg, pos = _segment(text, pos, registry, d)
+        segs.append(seg)
+        sep, pos = _symbol(text, pos, ",")
+    return Multisegment(segs), _skip(text, pos, "}")
 
-    def term(self) -> tuple[int, Multisegment]:
-        coeff = 1
-        if self.peek() is not None and self.peek()[0] == "num":
-            coeff = self.integer()
-            self.expect("*")
-        return coeff, self.multisegment()
 
-    def virtual(self) -> VirtualRep:
-        if self.tokens == [("num", "0")]:
-            self.next()
-            return VirtualRep.zero(self.d)
-        sign = 1
-        if self.at_sym("-"):
-            self.next()
-            sign = -1
-        coeff, label = self.term()
-        terms = {label: sign * coeff}
-        while self.peek() in (("sym", "+"), ("sym", "-")):
-            _, op = self.next()
-            coeff, label = self.term()
-            c = coeff if op == "+" else -coeff
-            terms[label] = terms.get(label, 0) + c
-        return VirtualRep(self.d, terms)
-
-    def done(self) -> None:
-        if self.peek() is not None:
-            raise ParseError(f"trailing input at {self.peek()[1]!r}")
+def _done(text: str, pos: int) -> None:
+    if text[pos:].strip():
+        raise _error(text, pos, "trailing input")
 
 
 def parse_multisegment(text: str, registry: LineRegistry, d: int = 1) -> Multisegment:
-    p = _Parser(text, registry, d)
-    m = p.multisegment()
-    p.done()
+    m, pos = _multisegment(text, 0, registry, d)
+    _done(text, pos)
     return m
 
 
 def parse_virtual(text: str, registry: LineRegistry, d: int = 1) -> VirtualRep:
-    p = _Parser(text, registry, d)
-    v = p.virtual()
-    p.done()
-    return v
+    if text.strip() == "0":
+        return VirtualRep.zero(d)
+    terms: dict[Multisegment, int] = {}
+    op, pos = _symbol(text, 0, "-")
+    while True:
+        coeff = 1
+        m = _COEFFICIENT.match(text, pos)
+        if m:
+            q = _rational(None, *m.groups())
+            if q.denominator != 1:
+                raise ParseError(f"expected an integer, got {q}")
+            coeff, pos = int(q), m.end()
+        label, pos = _multisegment(text, pos, registry, d)
+        terms[label] = terms.get(label, 0) + (-coeff if op == "-" else coeff)
+        op, pos = _symbol(text, pos, "+-")
+        if not op:
+            _done(text, pos)
+            return VirtualRep(d, terms)
 
 
 def render_virtual(v: VirtualRep) -> str:

@@ -153,17 +153,6 @@ class SpehUnit(Record):
         shift = alpha * step
         return (twist + shift, twist - shift)
 
-    @staticmethod
-    def layout(count: int, step: int, twist: Fraction, alpha: Optional[Fraction]) -> list[Fraction]:
-        """Copy centers of the unit with these fields, without building it.
-
-        Each plain half has ``count`` centers of difference ``step`` symmetric
-        around its twist.  ``recognize_unitary`` tries many layouts and builds
-        a unit only for one that fits.
-        """
-        tops = SpehUnit.half_twists(twist, step, alpha)
-        return [t + step * (Fraction(count - 1, 2) - i) for t in tops for i in range(count)]
-
     def halves(self) -> tuple["SpehUnit", ...]:
         """The unit itself, or for a pair its two plain twisted halves."""
         if self.alpha is None:
@@ -172,7 +161,10 @@ class SpehUnit(Record):
         return tuple(SpehUnit(self.base, self.count, t) for t in twists)
 
     def centers(self) -> list[Fraction]:
-        return self.layout(self.count, self.step, self.twist, self.alpha)
+        """Copy centers: each plain half has ``count`` of them, ``step`` apart and symmetric around its twist."""
+        count, step = self.count, self.step
+        return [t + step * (Fraction(count - 1, 2) - i) for t in self.half_twists(self.twist, step, self.alpha)
+                for i in range(count)]
 
     def multisegment(self) -> Multisegment:
         b = self.base
@@ -371,7 +363,7 @@ def recognize_unitary(m: Multisegment) -> Optional[UnitaryProduct]:
     length - 1) + 2 offset_class`` do not sum to 0 rejects the label.  The
     shape of the progression containing the maximal center is forced, so
     extraction is greedy; a progression of more centers than the group has
-    left rejects the label before its layout is built.
+    left rejects the label before its unit is built.
     """
     if sum(s.length for s in m.segments) > RECOGNITION_LIMIT:
         raise LimitExceeded(f"label exceeds recognition limit {RECOGNITION_LIMIT}")
@@ -396,9 +388,10 @@ def recognize_unitary(m: Multisegment) -> Optional[UnitaryProduct]:
                 return None
             beta = c - Fraction(s * (k - 1), 2)
             alpha = beta / s if beta else None
-            need = Counter(SpehUnit.layout(k, s, Fraction(0), alpha))
-            if need - centers:  # a center of the layout is missing
+            unit = SpehUnit(base, k, Fraction(0), alpha)
+            need = Counter(unit.centers())
+            if need - centers:  # a center of the unit is missing
                 return None
             centers -= need
-            units.append(SpehUnit(base, k, Fraction(0), alpha))
+            units.append(unit)
     return UnitaryProduct(units)

@@ -25,16 +25,28 @@ class IncompatibleLabel(ValueError):
     """Raised when a label is transferred without the required divisibility."""
 
 
+def _by_place(places: Union[dict, Iterable[tuple]]) -> dict:
+    """``places`` itself if it is a dict, else the dict of its (place, value) pairs, refusing a repeated place."""
+    if isinstance(places, dict):
+        return places
+    out = {}
+    for v, x in places:
+        if v in out:
+            raise ValueError(f"place {v!r} is given twice")
+        out[v] = x
+    return out
+
+
 class GlobalAlgebra(Record):
-    """Map ramified-place name -> d_v (>= 2), a dict or (place, d_v) pairs; split places are omitted."""
+    """Map ramified-place name -> integer d_v >= 2, a dict or (place, d_v) pairs; split places are omitted."""
 
     __slots__ = ("places",)
 
     def __init__(self, places: Union[dict[str, int], Iterable[tuple[str, int]]] = ()):
-        places = tuple(sorted(dict(places).items()))
+        places = tuple(sorted(_by_place(places).items()))
         for v, dv in places:
-            if dv < 2:
-                raise ValueError(f"ramified place {v!r} needs d_v >= 2, got {dv}")
+            if not isinstance(dv, int) or dv < 2:
+                raise ValueError(f"ramified place {v!r} needs an integer d_v >= 2, got {dv!r}")
         Record.__init__(self, places)
 
     @property
@@ -64,7 +76,7 @@ class GlobalCuspidalData(Record):
 
     def __init__(self, line: str, locals: Union[dict, Iterable[tuple[str, Iterable[LocalDatum]]]] = ()):
         packed = tuple(
-            (v, tuple((seg, frac(e)) for seg, e in data)) for v, data in sorted(dict(locals).items())
+            (v, tuple((seg, frac(e)) for seg, e in data)) for v, data in sorted(_by_place(locals).items())
         )
         Record.__init__(self, line, packed)
 

@@ -89,8 +89,8 @@ def l_irr(registry: LineRegistry, m: Multisegment) -> FormalLFactor:
     return FormalLFactor(shifts)
 
 
-def eps_irr(registry: LineRegistry, m: Multisegment, psi: str = "psi") -> EpsilonFactor:
-    """epsilon'-factor: one term per point of the flattened cuspidal support.
+def eps_irr(registry: LineRegistry, m: Multisegment) -> EpsilonFactor:
+    """epsilon'-factor over ``psi``: one term per point of the flattened cuspidal support.
 
     The points of each segment are ``(num + j * den) / den`` from its
     ``_flat_start``; they are sorted as integers over one common denominator.
@@ -104,7 +104,7 @@ def eps_irr(registry: LineRegistry, m: Multisegment, psi: str = "psi") -> Epsilo
     # the pairs are sorted as the constructor would sort them (k / big rises with k) and
     # their shifts are Fractions, so the fields are set directly, without a second sort
     eps = object.__new__(EpsilonFactor)
-    Record.__init__(eps, tuple((line, Fraction(k, big)) for line, k in points), psi)
+    Record.__init__(eps, tuple((line, Fraction(k, big)) for line, k in points), "psi")
     return eps
 
 
@@ -114,7 +114,8 @@ def eps_irr(registry: LineRegistry, m: Multisegment, psi: str = "psi") -> Epsilo
 class FormalRSProduct(Record):
     """Map shift -> nonzero integer exponent over an opaque Rankin-Selberg base L(z + shift).
 
-    Built from a dict or from (shift, exponent) pairs, whose exponents add at equal shifts.
+    Built from a dict or from (shift, exponent) pairs, whose exponents add at equal shifts; an
+    exponent that ``int()`` would change is refused.
     """
 
     __slots__ = ("powers",)
@@ -122,8 +123,11 @@ class FormalRSProduct(Record):
     def __init__(self, powers: Union[dict, Iterable[tuple[ExponentLike, int]]] = ()):
         out: dict[Fraction, int] = {}
         for a, e in powers.items() if isinstance(powers, dict) else powers:
+            n = int(e)
+            if n != e:
+                raise ValueError(f"exponent must be an integer, got {e!r}")
             a = frac(a)
-            out[a] = out.get(a, 0) + int(e)
+            out[a] = out.get(a, 0) + n
         Record.__init__(self, tuple(sorted((a, e) for a, e in out.items() if e)))
 
     def as_dict(self) -> dict[Fraction, int]:

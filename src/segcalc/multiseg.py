@@ -60,7 +60,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
-from .core import CuspidalPoint, ExponentLike, LineRegistry, frac
+from .core import CuspidalPoint, ExponentLike, Frozen, LineRegistry, frac
 
 
 class LimitExceeded(ValueError):
@@ -74,7 +74,7 @@ _OFFSETS: dict[tuple[int, int], Fraction] = {}
 _HASH_MASK = (1 << 40) - 1
 
 
-class Segment:
+class Segment(Frozen):
     """Positions ``first..last`` of the effective line ``(line, step, offset_class)``.
 
     ``_fix``, the one normalizing path of both constructors, sets every slot
@@ -117,16 +117,14 @@ class Segment:
             if offset is None:
                 offset = _OFFSETS[num, den] = Fraction(num, den)
         first += shift
-        _SET_LINE(self, line)
-        _SET_STEP(self, step)
-        _SET_LENGTH(self, length)
-        _SET_FIRST(self, first)
-        _SET_ORDER(self, (line, step, offset, first, length))
+        set_line, set_step, set_length, set_first, set_order, set_hash = self._setters
+        set_line(self, line)
+        set_step(self, step)
+        set_length(self, length)
+        set_first(self, first)
+        set_order(self, (line, step, offset, first, length))
         h = hash((line, step, num, den, first, length))
-        _SET_SEG_HASH(self, (h ^ h >> 29) & _HASH_MASK)  # the xorshift keeps sums of hashes apart
-
-    def __setattr__(self, *_):  # pragma: no cover
-        raise AttributeError("Segment is immutable")
+        set_hash(self, (h ^ h >> 29) & _HASH_MASK)  # the xorshift keeps sums of hashes apart
 
     def __reduce__(self):
         return Segment, (self.line, self.start, self.length, self.step)
@@ -184,15 +182,6 @@ class Segment:
         return {"line": self.line, "start": str(self.start), "end": str(self.end), "step": self.step}
 
 
-# the slot setters, bound once: Segment.__setattr__ refuses every assignment
-_SET_LINE = Segment.line.__set__
-_SET_STEP = Segment.step.__set__
-_SET_LENGTH = Segment.length.__set__
-_SET_FIRST = Segment.first.__set__
-_SET_ORDER = Segment._order.__set__
-_SET_SEG_HASH = Segment._hash.__set__
-
-
 def unitary_esi(line: str, length: int, step: int = 1) -> Segment:
     """The length-``length`` segment on ``line`` centered at exponent 0."""
     return Segment(line, -Fraction(length - 1, 2) * step, length, step)
@@ -202,7 +191,7 @@ _ORDER = attrgetter("_order")
 _HASH = attrgetter("_hash")
 
 
-class Multisegment:
+class Multisegment(Frozen):
     """A multiset of segments in canonical order (hashable, immutable).
 
     The order is read from the segments' stored keys.  The hash is the sum of
@@ -220,8 +209,9 @@ class Multisegment:
 
     def __init__(self, segments: Iterable[Segment] = ()):
         segs = tuple(sorted(segments, key=_ORDER))
-        _SET_SEGMENTS(self, segs)
-        _SET_HASH(self, sum(map(_HASH, segs)))
+        set_segments, set_hash = self._setters
+        set_segments(self, segs)
+        set_hash(self, sum(map(_HASH, segs)))
 
     @classmethod
     def _canonical(cls, segs: tuple, h: int) -> "Multisegment":
@@ -231,12 +221,10 @@ class Multisegment:
         segments in canonical order and carries their hash sum may call it.
         """
         m = object.__new__(cls)
-        _SET_SEGMENTS(m, segs)
-        _SET_HASH(m, h)
+        set_segments, set_hash = cls._setters
+        set_segments(m, segs)
+        set_hash(m, h)
         return m
-
-    def __setattr__(self, *_):  # pragma: no cover
-        raise AttributeError("Multisegment is immutable")
 
     def __reduce__(self):
         return Multisegment, (self.segments,)
@@ -299,11 +287,6 @@ class Multisegment:
 
     def to_json(self) -> list[dict]:
         return [s.to_json() for s in self.segments]
-
-
-# the slot setters, bound once: Multisegment.__setattr__ refuses every assignment
-_SET_SEGMENTS = Multisegment.segments.__set__
-_SET_HASH = Multisegment._hash.__set__
 
 
 class MultisegmentStats(NamedTuple):

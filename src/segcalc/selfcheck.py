@@ -314,10 +314,10 @@ ALL_SUITES = [
 ]
 
 
-def run_all(report=print) -> bool:
+def run_all() -> bool:
     ok_all = True
     for name, fn in ALL_SUITES:
         ok, detail = fn()
         ok_all &= ok
-        report(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return ok_all

@@ -11,13 +11,23 @@ from segcalc import Multisegment, Segment, SpehUnit, UnitaryProduct, VirtualRep,
 from segcalc.multiseg import _RankCaps, _run_partitions
 
 
-def assert_canonical(ms):
+def seg(a, b, line="rho", step=1) -> Segment:
+    """The segment of exponents ``a..b`` on ``line`` with ``step``."""
+    a, b = Fraction(a), Fraction(b)
+    return Segment(line, a, int((b - a) / step) + 1, step)
+
+
+def ms(*segs) -> Multisegment:
+    return Multisegment(segs)
+
+
+def assert_canonical(got):
     """Every label is exactly what the sorting constructor makes of its segments.
 
     The constructor sums its segments' hashes anew, so a producer that
     carries a wrong hash sum fails here.
     """
-    for m in ms:
+    for m in got:
         sorted_m = Multisegment(m.segments)
         assert m.segments == sorted_m.segments, m
         assert hash(m) == hash(sorted_m), m
@@ -168,8 +178,8 @@ def unitary_products(draw, lines=("rho", "chi"), steps=(1,)):
 def recognize_unitary_greedy(m: Multisegment) -> Optional[UnitaryProduct]:
     """The greedy extraction alone, with no center-sum rejection: the oracle for ``recognize_unitary``.
 
-    Centers are Fractions read through ``Segment.center``, and a layout is
-    taken out of the remaining centers only when all of it is there.
+    Centers are Fractions read through ``Segment.center``, and a candidate
+    unit's centers are taken out of the remaining ones only when all are there.
     """
     groups: dict[tuple, list[Segment]] = {}
     for s in m.segments:
@@ -189,9 +199,9 @@ def recognize_unitary_greedy(m: Multisegment) -> Optional[UnitaryProduct]:
                 return None
             beta = c - Fraction(s * (k - 1), 2)
             alpha = beta / s if beta else None
-            need = SpehUnit.layout(k, s, Fraction(0), alpha)
+            unit = SpehUnit(base, k, Fraction(0), alpha)
             taken: dict[Fraction, int] = {}
-            for x in need:
+            for x in unit.centers():
                 if centers.get(x, 0) - taken.get(x, 0) <= 0:
                     return None
                 taken[x] = taken.get(x, 0) + 1
@@ -199,7 +209,7 @@ def recognize_unitary_greedy(m: Multisegment) -> Optional[UnitaryProduct]:
                 centers[x] -= n
                 if centers[x] == 0:
                     del centers[x]
-            units.append(SpehUnit(base, k, Fraction(0), alpha))
+            units.append(unit)
     return UnitaryProduct(units)
 
 

@@ -13,7 +13,6 @@ from fractions import Fraction
 from segcalc import (
     LineRegistry,
     Multisegment,
-    Segment,
     SpehUnit,
     VirtualRep,
     c_map,
@@ -47,7 +46,7 @@ from segcalc.selfcheck import (
     window_corpus,
     window_supports,
 )
-from strategies import descendants_oracle, shifted
+from strategies import descendants_oracle, ms, seg, shifted
 
 F = Fraction
 REG = LineRegistry.standard()
@@ -55,15 +54,6 @@ REG = LineRegistry.standard()
 
 def report(num: int, ok: bool, detail: str = "") -> None:
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} {detail}")
-
-
-def seg(a, b, line="rho", step=1):
-    a, b = F(a), F(b)
-    return Segment(line, a, int((b - a) / step) + 1, step)
-
-
-def ms(*segs):
-    return Multisegment(segs)
 
 
 # -- 1 ------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import copy
 import importlib
 import os
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -248,10 +249,29 @@ def test_records_normalize_their_input_in_the_constructor(raw, normal):
     assert all(type(v) is tuple for v in raw._values(raw) if not isinstance(v, (str, int)))
 
 
-@pytest.mark.parametrize("places", [{"v": 1}, [("v", 1)], (("w", 2), ("v", 0))], ids=["dict", "pairs", "second"])
-def test_global_algebra_refuses_a_place_with_d_v_below_2(places):
-    with pytest.raises(ValueError, match="needs d_v >= 2"):
-        GlobalAlgebra(places)
+D_V = "ramified place 'v' needs"
+
+# (a record class, its constructor arguments, the start of the message it refuses them with)
+REFUSED = [
+    pytest.param(GlobalAlgebra, ({"v": 1},), D_V, id="GlobalAlgebra-d_v-1-dict"),
+    pytest.param(GlobalAlgebra, ([("v", 1)],), D_V, id="GlobalAlgebra-d_v-1-pairs"),
+    pytest.param(GlobalAlgebra, ((("w", 2), ("v", 0)),), D_V, id="GlobalAlgebra-d_v-0-second"),
+    pytest.param(GlobalAlgebra, ({"v": 2.5},), D_V, id="GlobalAlgebra-d_v-float"),
+    pytest.param(GlobalAlgebra, ([("v", "3")],), D_V, id="GlobalAlgebra-d_v-str"),
+    pytest.param(GlobalAlgebra, ([("v", 2), ("v", 3)],), "place 'v' is given twice", id="GlobalAlgebra-repeated-place"),
+    pytest.param(GlobalCuspidalData, ("rho", [("v", [(ST2, 0)]), ("v", [])]), "place 'v' is given twice",
+                 id="GlobalCuspidalData-repeated-place"),
+    pytest.param(FormalRSProduct, ({0: Fraction(1, 2), 1: 1.9},), "exponent must be an integer",
+                 id="FormalRSProduct-fraction-exponent"),
+    pytest.param(FormalRSProduct, ([(0, 1), (1, 1.9)],), "exponent must be an integer",
+                 id="FormalRSProduct-float-exponent"),
+]
+
+
+@pytest.mark.parametrize("make,args,message", REFUSED)
+def test_records_refuse_malformed_input(make, args, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        make(*args)
 
 
 def _modules_after(*steps: str) -> list[set[str]]:

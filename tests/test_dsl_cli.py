@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,22 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segcalc import LineRegistry, Multisegment, Segment, VirtualRep, expand_u, s_invariant
+from segcalc import LineRegistry, Multisegment, VirtualRep, expand_u, s_invariant
 from segcalc.cli import main
 from segcalc.dsl import ParseError, parse_multisegment, parse_virtual
 from segcalc.selfcheck import window_corpus
-from strategies import labels, virtual_reps
+from strategies import labels, ms, seg, virtual_reps
 
 F = Fraction
-
-
-def seg(a, b, line="rho", step=1):
-    a, b = F(a), F(b)
-    return Segment(line, a, int((b - a) / step) + 1, step)
-
-
-def ms(*segs):
-    return Multisegment(segs)
 
 
 # -- parsing -------------------------------------------------------------------
@@ -106,6 +98,48 @@ def test_parse_ignores_leading_and_trailing_whitespace(registry):
     for text in ("", " ", "\n"):
         with pytest.raises(ParseError, match="unexpected end of input"):
             parse_multisegment(text, registry)
+
+
+# (parser, text, inner-form index, the repr of the value or a ParseError with the start of its message)
+EDGES = [
+    (parse_virtual, "4/2 * {rho:[0,0]}", 1, "2 * {rho:[0,0]}"),
+    (parse_virtual, "1/2 * {rho:[0,0]}", 1, ParseError("expected an integer, got 1/2")),
+    (parse_virtual, "4/0 * {rho:[0,0]}", 1, ParseError("zero denominator")),
+    (parse_virtual, "0 * {rho:[0,0]}", 1, "0"),
+    (parse_virtual, "{} - {}", 1, "0"),
+    (parse_virtual, " 0\n", 2, "0"),
+    (parse_virtual, "00", 1, ParseError("")),
+    (parse_virtual, "-0", 1, ParseError("")),
+    (parse_virtual, "- {rho:[0,0]}", 1, "-1 * {rho:[0,0]}"),
+    (parse_virtual, "{rho:[0,0]} + 2*{rho:[0,0]} - {}", 1, "-1 * {} + 3 * {rho:[0,0]}"),
+    (parse_virtual, "2 {rho:[0,0]}", 1, ParseError("")),
+    (parse_virtual, "+ {rho:[0,0]}", 1, ParseError("")),
+    (parse_virtual, "{rho:[0,0]} +", 1, ParseError("unexpected end of input")),
+    (parse_multisegment, "{rho:[0,1],}", 1, ParseError("")),
+    (parse_multisegment, "{rho : [ 0 , 1 ]}", 1, "{rho:[0,1]}"),
+    (parse_multisegment, "{rho:[- 1/2, 1/2]}", 1, "{rho:[-1/2,1/2]}"),
+    (parse_multisegment, "{rho:[1 / 2]}", 1, "{rho:[1/2,1/2]}"),
+    (parse_multisegment, "{rho:[0,1/0]}", 1, ParseError("zero denominator")),
+    (parse_multisegment, "{rho:[\u0663]}", 1, "{rho:[3,3]}"),  # an Arabic-Indic digit three
+    (parse_multisegment, "{rho:[--1]}", 1, ParseError("")),
+    (parse_multisegment, "{rho:[0 1]}", 1, ParseError("")),
+    (parse_multisegment, "{rho':[0,2]}", 2, "{rho':[0,2]}"),
+    (parse_multisegment, "{rho ':[0,2]}", 2, ParseError("")),
+    (parse_multisegment, "{rho':[0,1]}", 2, ParseError("span 1-0 is not a multiple of step 2")),
+    (parse_multisegment, "{rho:[1,0]}", 1, ParseError("segment bounds out of order: [1,0]")),
+    (parse_multisegment, "{sigma:[0,1]}", 1, ParseError("unknown line name: 'sigma'")),
+    (parse_multisegment, "{rho:[0,1]}}", 1, ParseError("trailing input")),
+    (parse_multisegment, "{rho:[0,1]} {}", 1, ParseError("trailing input")),
+]
+
+
+@pytest.mark.parametrize("parse,text,d,want", EDGES, ids=[f"{p.__name__[6:]}-{t!r}" for p, t, _, _ in EDGES])
+def test_parse_edge_inputs(parse, text, d, want, registry):
+    if isinstance(want, ParseError):
+        with pytest.raises(ParseError, match="^" + re.escape(str(want))):
+            parse(text, registry, d)
+    else:
+        assert repr(parse(text, registry, d)) == want
 
 
 # -- round trips ------------------------------------------------------------------

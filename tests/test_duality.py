@@ -16,18 +16,9 @@ from segcalc import (
     unitary_esi,
 )
 from segcalc.selfcheck import window_corpus
-from strategies import labels, labels_with_repeats
+from strategies import labels, labels_with_repeats, ms, seg
 
 F = Fraction
-
-
-def seg(a, b, line="rho", step=1):
-    a, b = F(a), F(b)
-    return Segment(line, a, int((b - a) / step) + 1, step)
-
-
-def ms(*segs):
-    return Multisegment(segs)
 
 
 # -- the chain algorithm -----------------------------------------------------------

@@ -29,19 +29,12 @@ from strategies import (
     count_admissible,
     labels,
     labels_with_repeats,
+    ms,
     recognize_unitary_greedy,
+    seg,
     shifted,
     unitary_products,
 )
-
-
-def seg(a, b, line="rho", step=1):
-    a, b = Fraction(a), Fraction(b)
-    return Segment(line, a, int((b - a) / step) + 1, step)
-
-
-def ms(*segs):
-    return Multisegment(segs)
 
 
 F = Fraction

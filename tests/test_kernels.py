@@ -411,6 +411,9 @@ def test_a_non_integral_offset_class_is_one_object_whichever_producer_made_it(re
     for obj, name in ((made[0], "first"), (made[0], "start"), (m, "segments"), (m, "_hash")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert made[0].first == made[0].sort_key()[3] and hash(m) == sum(map(hash, m.segments))
 
 
 # -- stack depth ----------------------------------------------------------------------------

@@ -22,18 +22,9 @@ from segcalc import (
 from segcalc.core import RegistryError
 from segcalc.gkring import SpehUnit
 from segcalc.lfactors import FormalRSProduct, mw_normalizer_quotient
-from strategies import labels, shifted
+from strategies import labels, ms, seg, shifted
 
 F = Fraction
-
-
-def seg(a, b, line="rho", step=1):
-    a, b = F(a), F(b)
-    return Segment(line, a, int((b - a) / step) + 1, step)
-
-
-def ms(*segs):
-    return Multisegment(segs)
 
 
 # -- esi L-factors --------------------------------------------------------------

@@ -31,18 +31,11 @@ from strategies import (
     descendants_oracle,
     gap_free_blocks,
     labels,
+    ms,
     partition_runs,
+    seg,
     segment_relation,
 )
-
-
-def seg(a, b, line="rho", step=1):
-    a, b = Fraction(a), Fraction(b)
-    return Segment(line, a, int((b - a) / step) + 1, step)
-
-
-def ms(*segs):
-    return Multisegment(segs)
 
 
 # -- relations ----------------------------------------------------------------

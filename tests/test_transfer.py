@@ -34,18 +34,9 @@ from segcalc import (
     unitary_esi,
 )
 from segcalc.transfer import lj_unitary_product, s_gamma_d
-from strategies import descendants_oracle, labels, unitary_products, virtual_reps
+from strategies import descendants_oracle, labels, ms, seg, unitary_products, virtual_reps
 
 F = Fraction
-
-
-def seg(a, b, line="rho", step=1):
-    a, b = F(a), F(b)
-    return Segment(line, a, int((b - a) / step) + 1, step)
-
-
-def ms(*segs):
-    return Multisegment(segs)
 
 
 # -- the esi correspondence ------------------------------------------------------
