@@ -23,6 +23,7 @@ representation; the zero one is written ``0``.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Optional
 
@@ -60,11 +61,20 @@ def _skip(text: str, pos: int, sym: str) -> int:
     return end
 
 
+def _integer(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # the one way \d+ fails int(): more digits than its bound
+        raise ParseError(f"a number of {len(digits)} digits exceeds the bound of "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+
+
 def _rational(sign: Optional[str], num: str, den: Optional[str]) -> Fraction:
-    den = int(den or 1)
+    den = _integer(den or "1")
     if den == 0:
         raise ParseError("zero denominator")
-    return Fraction(-int(num) if sign else int(num), den)
+    num = _integer(num)
+    return Fraction(-num if sign else num, den)
 
 
 def _segment(text: str, pos: int, registry: LineRegistry, d: int) -> tuple[Segment, int]:

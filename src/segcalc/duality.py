@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 
 from .gkring import VirtualRep
-from .multiseg import _HASH, _ORDER, Multisegment, Segment
+from .multiseg import _HASH, Multisegment, Segment
 
 
 def mw_dual(m: Multisegment) -> Multisegment:
@@ -87,7 +87,7 @@ def segment_cut_expansion(seg: Segment) -> tuple[tuple[list, list], tuple[list, 
     """
     n, line, first = seg.length, seg.effective_line(), seg.first
     if n == 1:
-        return ([(seg,)], [seg._hash]), ([], [])
+        return ([(seg,)], [seg[5]]), ([], [])
     # column lo of each table: the cuts of positions 0..lo-1, signed as cuts of all n positions
     plus, plus_h, minus, minus_h = [[()]], [[0]], [[]], [[]]
     if n % 2:
@@ -95,7 +95,7 @@ def segment_cut_expansion(seg: Segment) -> tuple[tuple[list, list], tuple[list, 
     for hi in range(n):
         ends = [(seg if hi - lo == n - 1 else Segment.from_positions(line, first + lo, first + hi),)
                 for lo in range(hi + 1)]
-        hs = [p._hash for p, in ends]
+        hs = [p[5] for p, in ends]
         minus_col = [pre + p for p, pres in zip(ends, plus) for pre in pres]  # one piece more flips the sign
         minus_col_h = [h + ph for ph, pre_h in zip(hs, plus_h) for h in pre_h]
         plus.append([pre + p for p, pres in zip(ends, minus) for pre in pres])
@@ -132,7 +132,7 @@ def raw_dual_std(x: VirtualRep) -> VirtualRep:
                             folded[canonical(segs + pieces, h + ph)] = c
                         continue
                     for pieces, ph in zip(cuts, hashes):
-                        key = canonical(tuple(sorted(segs + pieces, key=_ORDER)), h + ph)
+                        key = canonical(tuple(sorted(segs + pieces)), h + ph)
                         folded[key] = folded.get(key, 0) + c
             partial = folded
         if terms:

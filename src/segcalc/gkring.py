@@ -127,7 +127,8 @@ class SpehUnit(Record):
         twist = frac(twist)
         if count < 1:
             raise ValueError("unit multiplicity must be >= 1")
-        if base.center != 0:
+        _, step, offset, first, length, _ = base  # 2 * den * center, with offset_class = num / den:
+        if 2 * offset.numerator + offset.denominator * step * (2 * first + length - 1):
             raise ValueError("unit base must be centered at exponent 0")
         if alpha is not None:
             alpha = frac(alpha)
@@ -173,7 +174,7 @@ class SpehUnit(Record):
         )
 
     def sort_key(self):
-        return (self.base.sort_key(), self.count, self.twist, self.alpha or Fraction(0))
+        return (self.base, self.count, self.twist, self.alpha or Fraction(0))
 
     def __repr__(self) -> str:
         """``[nu^(twist) ][pi(]u(base, k)[, alpha)]``, written ``u'`` on an inner-form line."""
@@ -289,7 +290,7 @@ def _tadic_sum(
 
     def piece(first: int, m: int) -> tuple[tuple, int]:
         seg = Segment.from_positions(eff, first, first + m - 1)
-        return (seg,), seg._hash
+        return (seg,), seg[5]
 
     # factor[i][m] is ((), 0) for m = 0, else the 1-tuple of the factor covering positions
     # i..i+m-1 (from the recentered origin) of one effective line and its hash; each is built once

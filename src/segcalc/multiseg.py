@@ -12,14 +12,15 @@ segments can ever be linked.  ``Segment`` alone maps an exponent to its
 integer position there: linkage, the order (one signed rank table keyed by
 effective line and positions), enumeration and duality compare positions
 ``first..last`` and build segments back with ``Segment.from_positions``.
-A segment stores positions only; its Fraction ``start`` is derived on
-demand.  Both constructors normalize through ``Segment._fix``, which sets
-the slots through their descriptors and looks a non-integral offset class
-up in ``_OFFSETS`` by its integer pair (numerator, denominator): each class
-is one Fraction, built once and never hashed, so equal offsets are one
-object whichever producer made the segment.  Equality and the canonical
-order read one stored tuple of line, step, offset class and positions; a
-segment's hash is computed once from the integer fields of that tuple,
+A segment is one tuple ``(line, step, offset_class, first, length,
+hash)``: positions only, its Fraction ``start`` derived on demand.  Both
+constructors normalize through ``_fix``, which returns the six fields for
+one ``tuple.__new__`` call and looks a non-integral offset class up in
+``_OFFSETS`` by its integer pair (numerator, denominator): each class is one
+Fraction, built once and never hashed, so equal offsets are one object
+whichever producer made the segment.  The first five fields are the
+canonical key, so equality and the canonical order are the tuple's own,
+in C; the hash, last, is computed once from the integer fields of the key,
 mixed by an xorshift and cut to 40 bits.  A multisegment's hash is the sum of
 its segments' hashes, an additive multiset hash: a label made of a shared
 prefix plus a few pieces hashes in O(1) from the prefix's hash.  ``|``, the
@@ -57,7 +58,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import CuspidalPoint, ExponentLike, Frozen, LineRegistry, frac
@@ -67,86 +68,75 @@ class LimitExceeded(ValueError):
     """A bounded search was asked to exceed its configured limit."""
 
 
-# (numerator, denominator) in [0, step) -> its class's one Fraction: order tuples compare offsets by identity
+# (numerator, denominator) in [0, step) -> its class's one Fraction: segments compare offsets by identity first
 _OFFSETS: dict[tuple[int, int], Fraction] = {}
 
 # a segment hash is 40 bits, so a label's hash (the sum of its segments') stays one machine word
 _HASH_MASK = (1 << 40) - 1
 
 
-class Segment(Frozen):
+def _fix(line, step, offset, first, length) -> tuple:
+    """A segment's six fields: ``offset`` moved into ``[0, step)`` and ``first`` with it, then the hash."""
+    if length < 1:
+        raise ValueError(f"segment length must be >= 1, got {length}")
+    num, den = offset.numerator, offset.denominator
+    shift, num = divmod(num, den * step)
+    if den == 1:
+        offset = num
+    else:  # the class's one Fraction, looked up by its integer pair
+        offset = _OFFSETS.get((num, den))
+        if offset is None:
+            offset = _OFFSETS[num, den] = Fraction(num, den)
+    first += shift
+    h = hash((line, step, num, den, first, length))
+    return line, step, offset, first, length, (h ^ h >> 29) & _HASH_MASK  # the xorshift keeps sums apart
+
+
+class Segment(tuple):
     """Positions ``first..last`` of the effective line ``(line, step, offset_class)``.
 
-    ``_fix``, the one normalizing path of both constructors, sets every slot
-    once: ``offset_class`` (``0 <= offset_class < step``, an int when
+    The tuple ``(line, step, offset_class, first, length, hash)``, made by one
+    ``tuple.__new__`` call on what ``_fix``, the one normalizing path of both
+    constructors, returns: ``0 <= offset_class < step``, an int when
     integral, else the one Fraction ``_OFFSETS`` keeps under its integer pair
-    (numerator, denominator)) and ``first``.  ``start = offset_class + first *
-    step`` is derived on demand.  One stored tuple ``(line, step,
-    offset_class, first, length)`` decides equality and the canonical order
-    (``sort_key()``).  The hash is computed once, from the integer fields
-    ``(line, step, numerator, denominator, first, length)``: with ``h`` that
-    tuple's hash it is ``(h ^ h >> 29) & (2**40 - 1)``.  Without the
-    xorshift, sums of the hashes of related segments collide, and 40 bits
-    keep a label's sum one machine word.
+    (numerator, denominator).  ``start = offset_class + first * step`` is
+    derived on demand.  The first five fields are the canonical key; the
+    hash, a function of them, is ``(h ^ h >> 29) & (2**40 - 1)`` with ``h``
+    the hash of ``(line, step, numerator, denominator, first, length)``:
+    without the xorshift, sums of the hashes of related segments collide.
     """
 
-    __slots__ = ("line", "step", "length", "first", "_order", "_hash")
+    __slots__ = ()
 
-    def __init__(self, line: str, start: ExponentLike, length: int, step: int = 1):
+    line = property(itemgetter(0))
+    step = property(itemgetter(1))
+    offset_class = property(itemgetter(2))
+    first = property(itemgetter(3))
+    length = property(itemgetter(4))
+
+    def __new__(cls, line: str, start: ExponentLike, length: int, step: int = 1):
         if step < 1:
             raise ValueError(f"segment step must be >= 1, got {step}")
-        self._fix(line, step, start if isinstance(start, (int, Fraction)) else frac(start), 0, length)
+        start = start if isinstance(start, (int, Fraction)) else frac(start)
+        return tuple.__new__(cls, _fix(line, step, start, 0, length))
 
     @classmethod
     def from_positions(cls, effective_line: tuple, first: int, last: int) -> "Segment":
         """The segment covering positions ``first..last`` of an effective line."""
-        seg = cls.__new__(cls)
-        seg._fix(*effective_line, first, last - first + 1)
-        return seg
-
-    def _fix(self, line, step, offset, first, length) -> None:
-        """Set every slot once, moving ``offset`` into ``[0, step)`` and ``first`` with it."""
-        if length < 1:
-            raise ValueError(f"segment length must be >= 1, got {length}")
-        num, den = offset.numerator, offset.denominator
-        shift, num = divmod(num, den * step)
-        if den == 1:
-            offset = num
-        else:  # the class's one Fraction, looked up by its integer pair
-            offset = _OFFSETS.get((num, den))
-            if offset is None:
-                offset = _OFFSETS[num, den] = Fraction(num, den)
-        first += shift
-        set_line, set_step, set_length, set_first, set_order, set_hash = self._setters
-        set_line(self, line)
-        set_step(self, step)
-        set_length(self, length)
-        set_first(self, first)
-        set_order(self, (line, step, offset, first, length))
-        h = hash((line, step, num, den, first, length))
-        set_hash(self, (h ^ h >> 29) & _HASH_MASK)  # the xorshift keeps sums of hashes apart
+        return tuple.__new__(cls, _fix(*effective_line, first, last - first + 1))
 
     def __reduce__(self):
-        return Segment, (self.line, self.start, self.length, self.step)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Segment):
-            return self._order == other._order
-        return NotImplemented
+        return Segment, (self[0], self.start, self[4], self[1])
 
     def __hash__(self) -> int:
-        return self._hash
-
-    @property
-    def offset_class(self):
-        return self._order[2]
+        return self[5]
 
     @property
     def start(self) -> Fraction:
         """``offset_class + first * step``, built from the offset's numerator and denominator."""
-        offset = self._order[2]
+        offset = self[2]
         den = offset.denominator
-        return Fraction(offset.numerator + self.first * self.step * den, den)
+        return Fraction(offset.numerator + self[3] * self[1] * den, den)
 
     @property
     def last(self) -> int:
@@ -169,10 +159,10 @@ class Segment(Frozen):
         return CuspidalPoint(self.line, self.end)
 
     def sort_key(self):
-        return self._order
+        return self[:5]
 
     def effective_line(self):
-        return self._order[:3]
+        return self[:3]
 
     def __repr__(self) -> str:
         prime = "'" if self.step > 1 else ""
@@ -187,14 +177,13 @@ def unitary_esi(line: str, length: int, step: int = 1) -> Segment:
     return Segment(line, -Fraction(length - 1, 2) * step, length, step)
 
 
-_ORDER = attrgetter("_order")
-_HASH = attrgetter("_hash")
+_HASH = itemgetter(5)
 
 
 class Multisegment(Frozen):
     """A multiset of segments in canonical order (hashable, immutable).
 
-    The order is read from the segments' stored keys.  The hash is the sum of
+    The order is the segments' own, as tuples.  The hash is the sum of
     the segments' hashes, fixed at construction, so it does not depend on
     the order and adds under ``|``.  A producer that builds its segments
     already in canonical order makes its labels with ``_canonical``, which
@@ -208,7 +197,7 @@ class Multisegment(Frozen):
     __slots__ = ("segments", "_hash")
 
     def __init__(self, segments: Iterable[Segment] = ()):
-        segs = tuple(sorted(segments, key=_ORDER))
+        segs = tuple(sorted(segments))
         set_segments, set_hash = self._setters
         set_segments(self, segs)
         set_hash(self, sum(map(_HASH, segs)))
@@ -253,7 +242,7 @@ class Multisegment(Frozen):
         return self.sort_key() < other.sort_key()
 
     def sort_key(self):
-        return tuple(map(_ORDER, self.segments))
+        return self.segments
 
     def __or__(self, other: "Multisegment") -> "Multisegment":
         """Multiset union: the hashes add; two labels that do not interleave are joined without a sort."""
@@ -263,11 +252,11 @@ class Multisegment(Frozen):
         if not a:
             return other
         h = self._hash + other._hash
-        if a[-1]._order <= b[0]._order:
+        if a[-1] <= b[0]:
             return Multisegment._canonical(a + b, h)
-        if b[-1]._order <= a[0]._order:
+        if b[-1] <= a[0]:
             return Multisegment._canonical(b + a, h)
-        return Multisegment._canonical(tuple(sorted(a + b, key=_ORDER)), h)
+        return Multisegment._canonical(tuple(sorted(a + b)), h)
 
     def support(self) -> Counter:
         out: Counter = Counter()
@@ -319,17 +308,16 @@ def elementary_successors(m: Multisegment) -> set[Multisegment]:
     """
     out: set[Multisegment] = set()
     segs = m.segments
-    keys = [s._order for s in segs]
     canonical = Multisegment._canonical
     eff = made = None
-    for i, key in enumerate(keys):
-        if key[:3] != eff:  # the first segment of an effective line
-            eff = key[:3]
+    for i, seg in enumerate(segs):
+        if seg[:3] != eff:  # the first segment of an effective line
+            eff = seg[:3]
             made = {}
-        a1 = key[3]
-        b1 = a1 + key[4] - 1
-        for j in range(i + 1, len(keys)):
-            other = keys[j]
+        a1 = seg[3]
+        b1 = a1 + seg[4] - 1
+        for j in range(i + 1, len(segs)):
+            other = segs[j]
             a2 = other[3]
             if a2 > b1 + 1 or other[:3] != eff:  # tuple != checks identity first
                 break
@@ -339,8 +327,8 @@ def elementary_successors(m: Multisegment) -> set[Multisegment]:
             union = made.get((a1, b2))
             if union is None:
                 union = made[a1, b2] = Segment.from_positions(eff, a1, b2)
-            h = m._hash - segs[i]._hash - segs[j]._hash + union._hash
-            u = bisect_right(keys, union._order, i + 1, j)
+            h = m._hash - seg[5] - other[5] + union[5]
+            u = bisect_right(segs, union, i + 1, j)
             head = segs[:i] + segs[i + 1 : u] + (union,)
             if a2 > b1:  # adjacent: the union alone
                 out.add(canonical(head + segs[u:j] + segs[j + 1 :], h))
@@ -348,8 +336,8 @@ def elementary_successors(m: Multisegment) -> set[Multisegment]:
             inter = made.get((a2, b1))
             if inter is None:
                 inter = made[a2, b1] = Segment.from_positions(eff, a2, b1)
-            x = bisect_right(keys, inter._order, u, j)
-            out.add(canonical(head + segs[u:x] + (inter,) + segs[x:j] + segs[j + 1 :], h + inter._hash))
+            x = bisect_right(segs, inter, u, j)
+            out.add(canonical(head + segs[u:x] + (inter,) + segs[x:j] + segs[j + 1 :], h + inter[5]))
     return out
 
 
@@ -448,7 +436,7 @@ def hermitian_dual(m: Multisegment, registry: LineRegistry) -> Multisegment:
     """[line: a..b] -> [dual(line): -b..-a]: positions -last..-first of (dual, step, -offset_class)."""
     out, run = [], None
     for s in m.segments:
-        line, step, offset, first, length = s._order
+        line, step, offset, first, length, _ = s
         if run != (line, step, offset):  # the effective line leads the canonical order: one lookup per run
             run, eff = (line, step, offset), (registry[line].dual, step, -offset)
         out.append(Segment.from_positions(eff, 1 - first - length, -first))
@@ -470,11 +458,11 @@ def enumerate_multisegments(
     its support.  Raises LimitExceeded when the support has more than
     ``limit`` points.
     """
-    cnt = +Counter(support)
-    total = sum(cnt.values())
+    cnt = Counter(support)  # a Counter is copied with its stored hashes: no point is hashed again
+    total = sum(n for n in cnt.values() if n > 0)
     if total > limit:
         raise LimitExceeded(f"support size {total} exceeds limit {limit}")
-    singletons = (p for (line, exp), n in cnt.items() for p in [Segment(line, exp, 1, step)] * n)
+    singletons = (p for (line, exp), n in cnt.items() if n > 0 for p in [Segment(line, exp, 1, step)] * n)
     return descendants(Multisegment(singletons))
 
 
@@ -539,7 +527,7 @@ def _run_partitions(
             seg = made.get((p, length))
             if seg is None:
                 seg = made[p, length] = Segment.from_positions(eff, p, p + length - 1)
-            children.append((seg, seg._hash, rest_state))
+            children.append((seg, seg[5], rest_state))
         runs[state] = children
         todo.extend(rest for _, _, rest in children)
     memo: dict[tuple, list] = {(top + 1, (), 1): [((), 0)]}

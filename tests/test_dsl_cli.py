@@ -286,6 +286,16 @@ def test_cli_parse_error_exit_code(capsys):
     assert code == 2 and "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("dual", "{rho:[%s]}"), ("dual", "{rho:[0,1/%s]}"), ("lj", "--d", "2", "%s * {rho:[0]}")]
+)
+def test_cli_refuses_a_number_longer_than_the_int_digit_bound_as_a_parse_error(argv, capsys):
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    code, out, err = run_cli(capsys, *argv[:-1], argv[-1] % digits)
+    assert code == 2 and not out
+    assert err.startswith("parse error:") and f"bound of {sys.get_int_max_str_digits()} digits" in err
+
+
 def test_cli_accepts_an_input_with_trailing_whitespace(capsys):
     assert run_cli(capsys, "dual", "{rho:[0,2]} \n") == run_cli(capsys, "dual", "{rho:[0,2]}")
     assert run_cli(capsys, "dual", "{rho:[0,2]}")[0] == 0

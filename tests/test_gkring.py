@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from segcalc import (
@@ -380,6 +380,17 @@ def test_recognize_checks_the_limit_before_the_center_sum():
     m = ms(Segment("rho", 1, RECOGNITION_LIMIT + 1))  # its one center is far from 0
     with pytest.raises(LimitExceeded, match=f"^label exceeds recognition limit {RECOGNITION_LIMIT}$"):
         recognize_unitary(m)
+
+
+@given(labels())
+@example(ms(unitary_esi("rho", 3), unitary_esi("chi", 2, 3), Segment("rho", F(-1, 4), 1, 2), seg(0, 1)))
+def test_a_unit_base_is_refused_exactly_when_its_center_is_not_0(m):
+    for s in m.segments:
+        if s.center == 0:
+            assert SpehUnit(s, 2).base is s
+        else:
+            with pytest.raises(ValueError, match="centered at exponent 0"):
+                SpehUnit(s, 2)
 
 
 def test_unit_layout_is_its_halves():

@@ -1,9 +1,14 @@
 import copy
 import itertools
+import json
+import os
 import pickle
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -279,6 +284,42 @@ def test_canonical_order_is_line_step_offset_first_length(a, b):
     assert list(Multisegment(segs).segments) == want
     pair = [a, b, a | b]
     assert sorted(pair) == sorted(pair, key=lambda m: tuple(map(_reference_order, m.segments)))
+
+
+def test_a_segment_is_the_tuple_of_its_key_and_hash():
+    s = Segment("rho", Fraction(-1, 2), 3, 2)
+    fields = ("line", "step", "offset_class", "first", "length")
+    assert tuple(s) == (*(getattr(s, name) for name in fields), hash(s)) == ("rho", 2, Fraction(3, 2), -1, 3, hash(s))
+    assert isinstance(s, tuple) and len(s) == 6 and s[:5] == s.sort_key() and s[:3] == s.effective_line()
+    t = Segment("chi", 2, 2)  # an integral offset class, which JSON can write
+    assert s == tuple(s) and json.loads(json.dumps(t)) == ["chi", 1, 0, 2, 2, hash(t)]
+    assert not hasattr(s, "__dict__")
+    for name in (*fields, "start", "last", "end", "center", "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert s == Segment("rho", Fraction(-1, 2), 3, 2) and hash(s) == s[5]
+
+
+def test_segments_and_labels_pickled_under_another_hash_seed_rebuild_their_hashes():
+    """A pickle carries no hash: a segment's hash follows the string hash, which follows the seed."""
+    made = "(Segment('rho', Fraction(-1, 2), 3, 2), Multisegment([Segment('chi', 1, 2), Segment('rho', 0, 1)]))"
+    script = (
+        "import pickle, sys\nfrom fractions import Fraction\nfrom segcalc import Multisegment, Segment\n"
+        f"sys.stdout.buffer.write(pickle.dumps({made}))\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    dumped = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": "1"},
+    ).stdout
+    loaded = pickle.loads(dumped)
+    fresh = eval(made)
+    assert loaded == fresh and list(map(hash, loaded)) == list(map(hash, fresh))
+    assert loaded[1].segments == fresh[1].segments and hash(loaded[1]) == sum(map(hash, fresh[1].segments))
+    table = dict.fromkeys(fresh, "fresh")
+    assert all(table[x] == "fresh" for x in loaded) and len({**table, **dict.fromkeys(loaded)}) == 2
 
 
 # -- stats -----------------------------------------------------------------------
