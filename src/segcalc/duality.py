@@ -6,7 +6,9 @@ chain of segments whose endings decrease by one step and whose begins
 strictly decrease, always preferring the shortest eligible segment (the one
 with the largest begin).  The peeled endings form one segment of the dual.
 The involution commutes with induction products, so it acts on each rigid
-part (effective line) alone; ``mw_dual`` is its rigid-input case.
+part (effective line) alone; ``mw_dual`` is its rigid-input case.  A chain
+step is one bisection (see ``dual_irr``), but each chain starts with a pass
+over the ends left: O(n^2) on n points with gaps between them.
 
 ``raw_dual_std`` is the signed cut-expansion dual on the standard basis: on
 one segment of length n it is the alternating sum over the 2^(n-1) ways to
@@ -38,9 +40,13 @@ sorted or not: no term hashes its segments again.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
+from operator import itemgetter
 
 from .gkring import VirtualRep
-from .multiseg import _HASH, Multisegment, Segment
+from .multiseg import _HASH, Multisegment, Segment, _maker
+
+_EFFECTIVE_LINE = itemgetter(slice(3))  # a segment's (line, step, offset_class), read off the tuple
 
 
 def mw_dual(m: Multisegment) -> Multisegment:
@@ -53,26 +59,35 @@ def mw_dual(m: Multisegment) -> Multisegment:
 def dual_irr(m: Multisegment) -> Multisegment:
     """Dual of any label: the chain extraction on each effective line's positions.
 
-    The effective line leads the canonical sort key, so each line's segments
-    are one run of the label and the runs come in sorted order; with each
-    line's output sorted, the result is canonical.
+    Each line keeps end -> the sorted begins of its segments ending there.  A
+    chain step is one ``bisect_left`` for the largest begin below the bound
+    and a ``pop``; once the chain is taken, its segments go back one end
+    lower by ``insort``.  A line's segments are one run of the canonical
+    order, sorted by first position, so each end's begins arrive sorted and
+    the lines come in order: with each line's output sorted, the result is
+    canonical.  One ``_maker`` per line builds its dual's segments.
     """
     out: list[Segment] = []
-    for eff, run in itertools.groupby(m.segments, Segment.effective_line):
-        work = [(s.first, s.last) for s in run]
+    for eff, run in itertools.groupby(m.segments, _EFFECTIVE_LINE):
+        ends: dict[int, list[int]] = {}
+        for seg in run:
+            ends.setdefault(seg[3] + seg[4] - 1, []).append(seg[3])
         peeled = []
-        while work:
-            top = end = max(last for _, last in work)
-            chain: list[tuple[int, int]] = []
+        while ends:
+            top = end = max(ends)  # an end whose begins are all taken leaves the dict
             bound = top + 1  # begins strictly decrease
-            while begins := [first for first, last in work if last == end and first < bound]:
-                bound = max(begins)
-                work.remove((bound, end))
-                chain.append((bound, end))
+            chain = []
+            while (begins := ends.get(end)) and (i := bisect_left(begins, bound)):
+                bound = begins.pop(i - 1)  # the largest begin below the bound: the shortest eligible segment
+                if not begins:
+                    del ends[end]
+                chain.append(bound)
                 end -= 1
-            peeled.append((end + 1, top))
-            work += [(first, last - 1) for first, last in chain if last > first]
-        out.extend(Segment.from_positions(eff, a, b) for a, b in sorted(peeled))
+            peeled.append((end + 1, top - end))
+            for last, first in zip(range(top - 1, end - 1, -1), chain):  # each chain segment one end lower
+                if first <= last:
+                    insort(ends.setdefault(last, []), first)
+        out.extend(itertools.starmap(_maker(*eff), sorted(peeled)))
     out = tuple(out)
     return Multisegment._canonical(out, sum(map(_HASH, out)))
 
@@ -85,16 +100,16 @@ def segment_cut_expansion(seg: Segment) -> tuple[tuple[list, list], tuple[list, 
     positions 0..hi are those of 0..lo-1 for each lo <= hi, extended by the
     piece lo..hi: adding a piece swaps the two sign groups.
     """
-    n, line, first = seg.length, seg.effective_line(), seg.first
+    n, first = seg[4], seg[3]
     if n == 1:
         return ([(seg,)], [seg[5]]), ([], [])
+    make = _maker(*seg[:3])
     # column lo of each table: the cuts of positions 0..lo-1, signed as cuts of all n positions
     plus, plus_h, minus, minus_h = [[()]], [[0]], [[]], [[]]
     if n % 2:
         plus, plus_h, minus, minus_h = minus, minus_h, plus, plus_h
     for hi in range(n):
-        ends = [(seg if hi - lo == n - 1 else Segment.from_positions(line, first + lo, first + hi),)
-                for lo in range(hi + 1)]
+        ends = [(seg if hi - lo == n - 1 else make(first + lo, hi - lo + 1),) for lo in range(hi + 1)]
         hs = [p[5] for p, in ends]
         minus_col = [pre + p for p, pres in zip(ends, plus) for pre in pres]  # one piece more flips the sign
         minus_col_h = [h + ph for ph, pre_h in zip(hs, plus_h) for h in pre_h]

@@ -22,7 +22,7 @@ from functools import reduce
 from typing import Iterable, Iterator, Optional
 
 from .core import ExponentLike, Record, frac
-from .multiseg import LimitExceeded, Multisegment, Segment, unitary_esi
+from .multiseg import LimitExceeded, Multisegment, Segment, _maker, unitary_esi
 
 
 class SideMismatch(ValueError):
@@ -286,10 +286,10 @@ def _tadic_sum(
     if l < 1 or k < 1:
         raise ValueError("l and k must be >= 1")
     origin = Segment(line, twist - Fraction(k + l, 2) * step, 1, step)
-    eff, base = origin.effective_line(), origin.first
+    make, base = _maker(*origin[:3]), origin.first
 
     def piece(first: int, m: int) -> tuple[tuple, int]:
-        seg = Segment.from_positions(eff, first, first + m - 1)
+        seg = make(first, m)
         return (seg,), seg[5]
 
     # factor[i][m] is ((), 0) for m = 0, else the 1-tuple of the factor covering positions

@@ -11,14 +11,16 @@ on the same *effective line* ``(line, step, offset_class)``; only such
 segments can ever be linked.  ``Segment`` alone maps an exponent to its
 integer position there: linkage, the order (one signed rank table keyed by
 effective line and positions), enumeration and duality compare positions
-``first..last`` and build segments back with ``Segment.from_positions``.
-A segment is one tuple ``(line, step, offset_class, first, length,
-hash)``: positions only, its Fraction ``start`` derived on demand.  Both
-constructors normalize through ``_fix``, which returns the six fields for
-one ``tuple.__new__`` call and looks a non-integral offset class up in
-``_OFFSETS`` by its integer pair (numerator, denominator): each class is one
-Fraction, built once and never hashed, so equal offsets are one object
-whichever producer made the segment.  The first five fields are the
+``first..last`` and build segments back on an effective line.  A segment
+is one tuple ``(line, step, offset_class, first, length, hash)``:
+positions only, its Fraction ``start`` derived on demand.  ``_fix`` makes
+every segment with one ``tuple.__new__`` call.  Normalizing an effective
+line moves the offset into ``[0, step)`` and looks a non-integral class up
+in ``_OFFSETS`` by its integer pair (numerator, denominator): each class is
+one Fraction, built once and never hashed, whichever producer made the
+segment.  A single segment is normalized in ``_fix``; a producer that builds
+a run of segments on one effective line normalizes it once, with ``_maker``.
+The first five fields are the
 canonical key, so equality and the canonical order are the tuple's own,
 in C; the hash, last, is computed once from the integer fields of the key,
 mixed by an xorshift and cut to 40 bits.  A multisegment's hash is the sum of
@@ -75,35 +77,52 @@ _OFFSETS: dict[tuple[int, int], Fraction] = {}
 _HASH_MASK = (1 << 40) - 1
 
 
-def _fix(line, step, offset, first, length) -> tuple:
-    """A segment's six fields: ``offset`` moved into ``[0, step)`` and ``first`` with it, then the hash."""
+def _offset_class(num: int, den: int) -> Fraction:
+    """The one Fraction ``_OFFSETS`` keeps for the non-integral class ``num/den``: built once, never hashed."""
+    offset = _OFFSETS.get((num, den))
+    if offset is None:
+        offset = _OFFSETS[num, den] = Fraction(num, den)
+    return offset
+
+
+def _fix(line, step, num, den, first, length, offset=None) -> "Segment":
+    """The segment at ``first`` of the line with offset ``num/den``: the length check, the hash, one ``tuple.__new__``.
+
+    Without ``offset`` it normalizes the line for this segment alone, moving
+    ``num`` into ``[0, den * step)`` and ``first`` with it; ``_maker`` passes
+    the class of a line it normalized once.
+    """
     if length < 1:
         raise ValueError(f"segment length must be >= 1, got {length}")
+    if offset is None:
+        shift, num = divmod(num, den * step)
+        first += shift
+        offset = num if den == 1 else _offset_class(num, den)
+    h = hash((line, step, num, den, first, length))
+    h = (h ^ h >> 29) & _HASH_MASK  # the xorshift keeps sums apart
+    return tuple.__new__(Segment, (line, step, offset, first, length, h))
+
+
+def _maker(line, step, offset):
+    """``make(first, length)`` for a run of segments on one effective line, normalized once for all of them."""
     num, den = offset.numerator, offset.denominator
     shift, num = divmod(num, den * step)
-    if den == 1:
-        offset = num
-    else:  # the class's one Fraction, looked up by its integer pair
-        offset = _OFFSETS.get((num, den))
-        if offset is None:
-            offset = _OFFSETS[num, den] = Fraction(num, den)
-    first += shift
-    h = hash((line, step, num, den, first, length))
-    return line, step, offset, first, length, (h ^ h >> 29) & _HASH_MASK  # the xorshift keeps sums apart
+    offset = num if den == 1 else _offset_class(num, den)
+    return lambda first, length: _fix(line, step, num, den, first + shift, length, offset)
 
 
 class Segment(tuple):
     """Positions ``first..last`` of the effective line ``(line, step, offset_class)``.
 
-    The tuple ``(line, step, offset_class, first, length, hash)``, made by one
-    ``tuple.__new__`` call on what ``_fix``, the one normalizing path of both
-    constructors, returns: ``0 <= offset_class < step``, an int when
-    integral, else the one Fraction ``_OFFSETS`` keeps under its integer pair
-    (numerator, denominator).  ``start = offset_class + first * step`` is
-    derived on demand.  The first five fields are the canonical key; the
-    hash, a function of them, is ``(h ^ h >> 29) & (2**40 - 1)`` with ``h``
-    the hash of ``(line, step, numerator, denominator, first, length)``:
-    without the xorshift, sums of the hashes of related segments collide.
+    The tuple ``(line, step, offset_class, first, length, hash)``, made by
+    one ``tuple.__new__`` call in ``_fix``: ``0 <= offset_class < step``, an
+    int when integral, else the one Fraction ``_OFFSETS`` keeps under its
+    integer pair (numerator, denominator).  ``start = offset_class + first
+    * step`` is derived on demand.  The first five fields are the canonical
+    key; the hash, a function of them, is ``(h ^ h >> 29) & (2**40 - 1)``
+    with ``h`` the hash of ``(line, step, numerator, denominator, first,
+    length)``: without the xorshift, sums of the hashes of related segments
+    collide.
     """
 
     __slots__ = ()
@@ -118,12 +137,13 @@ class Segment(tuple):
         if step < 1:
             raise ValueError(f"segment step must be >= 1, got {step}")
         start = start if isinstance(start, (int, Fraction)) else frac(start)
-        return tuple.__new__(cls, _fix(line, step, start, 0, length))
+        return _fix(line, step, start.numerator, start.denominator, 0, length)
 
     @classmethod
     def from_positions(cls, effective_line: tuple, first: int, last: int) -> "Segment":
         """The segment covering positions ``first..last`` of an effective line."""
-        return tuple.__new__(cls, _fix(*effective_line, first, last - first + 1))
+        line, step, offset = effective_line
+        return _fix(line, step, offset.numerator, offset.denominator, first, last - first + 1)
 
     def __reduce__(self):
         return Segment, (self[0], self.start, self[4], self[1])
@@ -140,7 +160,7 @@ class Segment(tuple):
 
     @property
     def last(self) -> int:
-        return self.first + self.length - 1
+        return self[3] + self[4] - 1
 
     @property
     def end(self) -> Fraction:
@@ -300,7 +320,8 @@ def elementary_successors(m: Multisegment) -> set[Multisegment]:
     a1 and b2 > b1; the union is a1..b2 and the intersection a2..b1.  Each
     is built once per call, from a table of ``(first, last)`` pairs that
     starts afresh at each effective line, so an offset is never hashed per
-    successor.
+    successor, and by one ``_maker`` per effective line, made with the line's
+    first union.
 
     The union sorts after segment i and the intersection before segment j,
     so each goes in by bisection between them, and a successor's hash is
@@ -309,11 +330,11 @@ def elementary_successors(m: Multisegment) -> set[Multisegment]:
     out: set[Multisegment] = set()
     segs = m.segments
     canonical = Multisegment._canonical
-    eff = made = None
+    eff = made = make = None
     for i, seg in enumerate(segs):
         if seg[:3] != eff:  # the first segment of an effective line
             eff = seg[:3]
-            made = {}
+            made, make = {}, None  # the line's maker, made with its first union
         a1 = seg[3]
         b1 = a1 + seg[4] - 1
         for j in range(i + 1, len(segs)):
@@ -326,7 +347,8 @@ def elementary_successors(m: Multisegment) -> set[Multisegment]:
                 continue  # nested
             union = made.get((a1, b2))
             if union is None:
-                union = made[a1, b2] = Segment.from_positions(eff, a1, b2)
+                make = make or _maker(*eff)
+                union = made[a1, b2] = make(a1, b2 - a1 + 1)
             h = m._hash - seg[5] - other[5] + union[5]
             u = bisect_right(segs, union, i + 1, j)
             head = segs[:i] + segs[i + 1 : u] + (union,)
@@ -335,7 +357,7 @@ def elementary_successors(m: Multisegment) -> set[Multisegment]:
                 continue
             inter = made.get((a2, b1))
             if inter is None:
-                inter = made[a2, b1] = Segment.from_positions(eff, a2, b1)
+                inter = made[a2, b1] = make(a2, b1 - a2 + 1)
             x = bisect_right(segs, inter, u, j)
             out.add(canonical(head + segs[u:x] + (inter,) + segs[x:j] + segs[j + 1 :], h + inter[5]))
     return out
@@ -437,9 +459,9 @@ def hermitian_dual(m: Multisegment, registry: LineRegistry) -> Multisegment:
     out, run = [], None
     for s in m.segments:
         line, step, offset, first, length, _ = s
-        if run != (line, step, offset):  # the effective line leads the canonical order: one lookup per run
-            run, eff = (line, step, offset), (registry[line].dual, step, -offset)
-        out.append(Segment.from_positions(eff, 1 - first - length, -first))
+        if run != (line, step, offset):  # the effective line leads the canonical order: one maker per run
+            run, make = (line, step, offset), _maker(registry[line].dual, step, -offset)
+        out.append(make(1 - first - length, length))
     return Multisegment(out)
 
 
@@ -496,6 +518,7 @@ def _run_partitions(
     base, top = min(positions), max(positions)
     root = (base, tuple(positions.get(q, 0) for q in range(base, top + 1)), 1)
     made: dict[tuple[int, int], Segment] = {}  # (p, run length) -> its segment
+    make = _maker(*eff)
     runs: dict[tuple, list] = {}  # state -> [(run segment, its hash, rest)]
     todo = [root]
     while todo:
@@ -526,7 +549,7 @@ def _run_partitions(
                 rest_state = (p + z, rest, 1)
             seg = made.get((p, length))
             if seg is None:
-                seg = made[p, length] = Segment.from_positions(eff, p, p + length - 1)
+                seg = made[p, length] = make(p, length)
             children.append((seg, seg[5], rest_state))
         runs[state] = children
         todo.extend(rest for _, _, rest in children)

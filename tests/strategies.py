@@ -1,6 +1,7 @@
 """Hypothesis strategies and oracles shared by the property tests."""
 
 import enum
+import random
 from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -150,6 +151,24 @@ def overlapping_labels(draw):
 
 
 @st.composite
+def large_labels(draw, max_segments=60):
+    """Up to ``max_segments`` seeded random segments on one or two effective lines, steps 1-3, half-integer starts.
+
+    A drawn seed drives ``random.Random``, so each example is one large label
+    with dense overlaps, nesting and repeats: starts fall in 17 positions of
+    a line and lengths run to 12.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    palette = [(line, step, offset) for line in ("rho", "chi") for step in (1, 2, 3) for offset in (0, Fraction(1, 2))]
+    lines = rng.sample(palette, rng.randint(1, 2))
+    segs = []
+    for _ in range(rng.randint(1, max_segments)):
+        line, step, offset = rng.choice(lines)
+        segs.append(Segment(line, offset + rng.randint(-8, 8) * step, rng.randint(1, 12), step))
+    return Multisegment(segs)
+
+
+@st.composite
 def virtual_reps(draw, d=1, label=labels()):
     """A sum of up to six multiples (-3..3) of at most three labels, so terms repeat and cancel."""
     pool = draw(st.lists(label, min_size=1, max_size=3))
@@ -211,6 +230,37 @@ def recognize_unitary_greedy(m: Multisegment) -> Optional[UnitaryProduct]:
                     del centers[x]
             units.append(unit)
     return UnitaryProduct(units)
+
+
+def dual_irr_oracle(m: Multisegment) -> Multisegment:
+    """The shortest-eligible list peeler on each effective line: the reference for ``dual_irr``.
+
+    Each line keeps a plain list of ``(first, last)`` pairs.  A chain starts
+    at the largest last; each step scans the whole list for the segments
+    ending one position lower than the last one taken, with a smaller begin,
+    and removes the shortest of them.  The chain's segments come back with
+    their last point cut off, and its peeled points are one segment of the
+    dual.  The sorting constructor orders the result.
+    """
+    lines: dict[tuple, list] = {}
+    for s in m.segments:
+        lines.setdefault(s.effective_line(), []).append((s.first, s.last))
+    out = []
+    for line, work in lines.items():
+        while work:
+            e = max(end for _, end in work)
+            chain = []
+            while True:
+                bound = chain[-1][0] if chain else e + 1
+                candidates = [x for x in work if x[1] == e - len(chain) and x[0] < bound]
+                if not candidates:
+                    break
+                chosen = min(candidates, key=lambda x: (x[1] - x[0], x[0]))
+                work.remove(chosen)
+                chain.append(chosen)
+            out.append(Segment.from_positions(line, e - len(chain) + 1, e))
+            work += [(begin, end - 1) for begin, end in chain if end > begin]
+    return Multisegment(out)
 
 
 # -- W_k^l, the index set of the Speh-unit expansion -----------------------------

@@ -1,7 +1,8 @@
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segcalc import (
@@ -16,7 +17,16 @@ from segcalc import (
     unitary_esi,
 )
 from segcalc.selfcheck import window_corpus
-from strategies import labels, labels_with_repeats, ms, seg
+from strategies import (
+    assert_canonical,
+    dual_irr_oracle,
+    labels,
+    labels_with_repeats,
+    large_labels,
+    ms,
+    overlapping_labels,
+    seg,
+)
 
 F = Fraction
 
@@ -95,27 +105,6 @@ def test_dual_splits_across_rigid_parts():
     assert dual_irr(m) == ms(seg(0, 0), seg(1, 1), seg(F(1, 2), F(1, 2)))
 
 
-def mw_dual_oracle(m):
-    """The chain loop on one rigid part as a Multisegment: pick the shortest candidate, then sort."""
-    (line,) = {s.effective_line() for s in m.segments}
-    work = [(s.first, s.last) for s in m.segments]
-    out = []
-    while work:
-        e = max(end for _, end in work)
-        chain = []
-        while True:
-            bound = chain[-1][0] if chain else e + 1
-            candidates = [x for x in work if x[1] == e - len(chain) and x[0] < bound]
-            if not candidates:
-                break
-            chosen = min(candidates, key=lambda x: (x[1] - x[0], x[0]))
-            work.remove(chosen)
-            chain.append(chosen)
-        out.append(Segment.from_positions(line, e - len(chain) + 1, e))
-        work += [(begin, end - 1) for begin, end in chain if end > begin]
-    return Multisegment(out)
-
-
 def rigid_parts_by_dict(m):
     """The parts grouped through a dict keyed by effective line, in sorted line order: the oracle for the runs."""
     groups = {}
@@ -132,7 +121,7 @@ def test_the_canonical_runs_group_effective_lines_as_a_dict_does(m):
     assert [hash(p) for p in rigid_decomposition(m)] == [hash(p) for p in parts]
     want = Multisegment.empty()
     for part in parts:
-        want = want | mw_dual_oracle(part)
+        want = want | dual_irr_oracle(part)
     assert dual_irr(m).segments == want.segments
 
 
@@ -141,12 +130,40 @@ def test_dual_irr_equals_the_union_of_mw_dual_over_rigid_parts(m):
     parts = rigid_decomposition(m)
     want = Multisegment.empty()
     for part in parts:
-        assert mw_dual(part) == mw_dual_oracle(part)
-        want = want | mw_dual_oracle(part)
+        assert mw_dual(part) == dual_irr_oracle(part)
+        want = want | dual_irr_oracle(part)
     assert dual_irr(m).segments == want.segments
     if len(parts) > 1:
         with pytest.raises(ValueError, match="rigid"):
             mw_dual(m)
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [labels(), labels_with_repeats(), overlapping_labels(), large_labels()],
+    ids=["labels", "repeats", "overlapping", "large"],
+)
+@settings(max_examples=50)
+@given(data=st.data())
+def test_dual_irr_equals_the_shortest_eligible_peeler(strategy, data):
+    # the large labels hold up to 60 segments on one or two lines, so chains meet repeated and nested begins
+    m = data.draw(strategy)
+    got = dual_irr(m)
+    assert got.segments == dual_irr_oracle(m).segments
+    assert_canonical([got])
+
+
+def test_dual_irr_of_800_segments_finishes_fast():
+    # a chain step is one bisection; with a scan of every segment left per step the staircase took seconds
+    start = time.perf_counter()
+    copies = Multisegment([Segment("rho", 0, 1)] * 800)
+    assert dual_irr(copies) == copies  # no chain goes below the one point
+    assert dual_irr(Multisegment(Segment("rho", i, 1) for i in range(800))).segments == (Segment("rho", 0, 800),)
+    assert time.perf_counter() - start < 1
+    staircase = Multisegment(Segment("rho", i, 400) for i in range(800))
+    start = time.perf_counter()
+    assert dual_irr(dual_irr(staircase)) == staircase
+    assert time.perf_counter() - start < 1
 
 
 @given(labels())

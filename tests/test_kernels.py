@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 from segcalc import (
     CuspidalPoint,
+    LineRegistry,
     Multisegment,
     Segment,
     SpehUnit,
@@ -414,6 +415,24 @@ def test_a_non_integral_offset_class_is_one_object_whichever_producer_made_it(re
         with pytest.raises(AttributeError):
             delattr(obj, name)
     assert made[0].first == made[0].sort_key()[3] and hash(m) == sum(map(hash, m.segments))
+
+
+@given(labels())
+def test_every_producer_builds_the_constructors_segment(m):
+    # as a 6-tuple, hash field included, with the very offset object; hermitian_dual moves -offset into its class
+    reg = LineRegistry()
+    reg.register("rho", 1)
+    reg.register("chi", 1, dual="rho")
+    made = [*dual_irr(m).segments, *hermitian_dual(m, reg).segments]
+    for label in itertools.chain(elementary_successors(m), descendants(m)):
+        made += label.segments
+    for seg in m.segments:
+        for cuts, _ in segment_cut_expansion(seg):
+            for pieces in cuts:
+                made += pieces
+    for t in made:
+        want = Segment(t.line, t.start, t.length, t.step)
+        assert type(t) is Segment and tuple(t) == tuple(want) and t.offset_class is want.offset_class, t
 
 
 # -- stack depth ----------------------------------------------------------------------------
