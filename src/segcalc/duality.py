@@ -7,8 +7,8 @@ strictly decrease, always preferring the shortest eligible segment (the one
 with the largest begin).  The peeled endings form one segment of the dual.
 The involution commutes with induction products, so it acts on each rigid
 part (effective line) alone; ``mw_dual`` is its rigid-input case.  A chain
-step is one bisection (see ``dual_irr``), but each chain starts with a pass
-over the ends left: O(n^2) on n points with gaps between them.
+step is one bisection and peels one point, and each chain's top comes off
+a heap (see ``dual_irr``), so n segments of length one cost O(n log n).
 
 ``raw_dual_std`` is the signed cut-expansion dual on the standard basis: on
 one segment of length n it is the alternating sum over the 2^(n-1) ways to
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
+from heapq import heapify, heappop, heappush
 from operator import itemgetter
 
 from .gkring import VirtualRep
@@ -59,34 +60,41 @@ def mw_dual(m: Multisegment) -> Multisegment:
 def dual_irr(m: Multisegment) -> Multisegment:
     """Dual of any label: the chain extraction on each effective line's positions.
 
-    Each line keeps end -> the sorted begins of its segments ending there.  A
-    chain step is one ``bisect_left`` for the largest begin below the bound
-    and a ``pop``; once the chain is taken, its segments go back one end
-    lower by ``insort``.  A line's segments are one run of the canonical
-    order, sorted by first position, so each end's begins arrive sorted and
-    the lines come in order: with each line's output sorted, the result is
-    canonical.  One ``_maker`` per line builds its dual's segments.
+    Each line keeps end -> the sorted begins of its segments ending there
+    (a line is one run of the canonical order, sorted by first position, so
+    they arrive sorted) and a max-heap of those ends, each once.  A chain
+    starts at the heap's top, dropping an end whose begins are all taken; a
+    step is one ``bisect_left`` for the largest begin below the bound and a
+    ``pop``; the chain's segments go back one end lower by ``insort``.  The
+    lines come in sorted order and each line's output is sorted, so the
+    result is canonical.  One ``_maker`` per line builds its segments.
     """
     out: list[Segment] = []
     for eff, run in itertools.groupby(m.segments, _EFFECTIVE_LINE):
         ends: dict[int, list[int]] = {}
         for seg in run:
             ends.setdefault(seg[3] + seg[4] - 1, []).append(seg[3])
+        tops = [-e for e in ends]  # a max-heap of the ends, each once: an end leaves both when it comes up empty
+        heapify(tops)
         peeled = []
-        while ends:
-            top = end = max(ends)  # an end whose begins are all taken leaves the dict
+        while tops:
+            top = end = -tops[0]
+            if not ends[top]:  # its begins are all taken
+                del ends[-heappop(tops)]
+                continue
             bound = top + 1  # begins strictly decrease
             chain = []
             while (begins := ends.get(end)) and (i := bisect_left(begins, bound)):
                 bound = begins.pop(i - 1)  # the largest begin below the bound: the shortest eligible segment
-                if not begins:
-                    del ends[end]
                 chain.append(bound)
                 end -= 1
             peeled.append((end + 1, top - end))
             for last, first in zip(range(top - 1, end - 1, -1), chain):  # each chain segment one end lower
                 if first <= last:
-                    insort(ends.setdefault(last, []), first)
+                    if (begins := ends.get(last)) is None:
+                        begins = ends[last] = []
+                        heappush(tops, -last)
+                    insort(begins, first)
         out.extend(itertools.starmap(_maker(*eff), sorted(peeled)))
     out = tuple(out)
     return Multisegment._canonical(out, sum(map(_HASH, out)))

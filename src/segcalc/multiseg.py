@@ -20,14 +20,14 @@ in ``_OFFSETS`` by its integer pair (numerator, denominator): each class is
 one Fraction, built once and never hashed, whichever producer made the
 segment.  A single segment is normalized in ``_fix``; a producer that builds
 a run of segments on one effective line normalizes it once, with ``_maker``.
-The first five fields are the
-canonical key, so equality and the canonical order are the tuple's own,
-in C; the hash, last, is computed once from the integer fields of the key,
-mixed by an xorshift and cut to 40 bits.  A multisegment's hash is the sum of
-its segments' hashes, an additive multiset hash: a label made of a shared
-prefix plus a few pieces hashes in O(1) from the prefix's hash.  ``|``, the
-successor kernel, ``descendants``, the cut expansion and ``raw_dual_std``
-(``duality``) and ``_tadic_sum`` (``gkring``) carry it so.
+The first five fields are the canonical key, so equality and the canonical
+order are the tuple's own, in C; the hash, last, is computed once from the
+integer fields of the key, mixed by an xorshift and cut to 40 bits.  A
+multisegment's hash is the sum of its segments' hashes, an additive
+multiset hash: a label made of a shared prefix plus a few pieces hashes in
+O(1) from the prefix's hash.  ``|``, the successor kernel, ``descendants``,
+the cut expansion and ``raw_dual_std`` (``duality``) and ``_tadic_sum``
+(``gkring``) carry it so.
 
 The order side has one producer, ``descendants(m)``: it makes each label
 below ``m`` once, in canonical order with its hash sum, and builds each
@@ -320,8 +320,7 @@ def elementary_successors(m: Multisegment) -> set[Multisegment]:
     a1 and b2 > b1; the union is a1..b2 and the intersection a2..b1.  Each
     is built once per call, from a table of ``(first, last)`` pairs that
     starts afresh at each effective line, so an offset is never hashed per
-    successor, and by one ``_maker`` per effective line, made with the line's
-    first union.
+    successor, and by one ``_maker`` per effective line.
 
     The union sorts after segment i and the intersection before segment j,
     so each goes in by bisection between them, and a successor's hash is
@@ -330,11 +329,11 @@ def elementary_successors(m: Multisegment) -> set[Multisegment]:
     out: set[Multisegment] = set()
     segs = m.segments
     canonical = Multisegment._canonical
-    eff = made = make = None
+    eff = None
     for i, seg in enumerate(segs):
         if seg[:3] != eff:  # the first segment of an effective line
             eff = seg[:3]
-            made, make = {}, None  # the line's maker, made with its first union
+            made, make = {}, _maker(*eff)
         a1 = seg[3]
         b1 = a1 + seg[4] - 1
         for j in range(i + 1, len(segs)):
@@ -347,7 +346,6 @@ def elementary_successors(m: Multisegment) -> set[Multisegment]:
                 continue  # nested
             union = made.get((a1, b2))
             if union is None:
-                make = make or _maker(*eff)
                 union = made[a1, b2] = make(a1, b2 - a1 + 1)
             h = m._hash - seg[5] - other[5] + union[5]
             u = bisect_right(segs, union, i + 1, j)

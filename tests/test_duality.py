@@ -1,4 +1,4 @@
-import time
+import timeit
 from fractions import Fraction
 
 import pytest
@@ -113,16 +113,28 @@ def rigid_parts_by_dict(m):
     return [Multisegment(groups[k]) for k in sorted(groups)]
 
 
-@given(st.one_of(labels(), labels_with_repeats(), st.builds(Multisegment.__or__, labels(), labels())))
+@settings(max_examples=150)
+@given(
+    st.one_of(
+        labels(),
+        labels_with_repeats(),
+        st.builds(Multisegment.__or__, labels(), labels()),
+        overlapping_labels(),
+        large_labels(),
+    )
+)
 def test_the_canonical_runs_group_effective_lines_as_a_dict_does(m):
-    # two labels joined: two lines, steps 1-3 and two offset shifts, so several offsets per (line, step)
+    # two labels joined: two lines, steps 1-3 and two offset shifts, so several offsets per (line, step); the
+    # large labels hold up to 60 segments on one or two lines, so chains meet repeated and nested begins
     parts = rigid_parts_by_dict(m)
     assert [p.segments for p in rigid_decomposition(m)] == [p.segments for p in parts]
     assert [hash(p) for p in rigid_decomposition(m)] == [hash(p) for p in parts]
     want = Multisegment.empty()
     for part in parts:
         want = want | dual_irr_oracle(part)
-    assert dual_irr(m).segments == want.segments
+    got = dual_irr(m)
+    assert got.segments == want.segments == dual_irr_oracle(m).segments
+    assert_canonical([got])
 
 
 @given(st.one_of(labels(), labels_with_repeats()))
@@ -138,32 +150,37 @@ def test_dual_irr_equals_the_union_of_mw_dual_over_rigid_parts(m):
             mw_dual(m)
 
 
+def _best_of_5(f, arg):
+    return min(timeit.repeat(lambda: f(arg), number=1, repeat=5))
+
+
 @pytest.mark.parametrize(
-    "strategy",
-    [labels(), labels_with_repeats(), overlapping_labels(), large_labels()],
-    ids=["labels", "repeats", "overlapping", "large"],
+    "shape, want",
+    [
+        (lambda n: [Segment("rho", 0, 1)] * n, lambda m: m),  # copies of one point: no chain passes below it
+        (lambda n: [Segment("rho", 2 * i, 1) for i in range(n)], lambda m: m),  # points with gaps: one chain each
+        (lambda n: [Segment("rho", i, 1) for i in range(n)], lambda m: ms(seg(0, m.segments[-1].last))),
+        (lambda n: [Segment("rho", i, 16) for i in range(n // 16)], None),  # a staircase of short segments
+    ],
+    ids=["copies", "gaps", "consecutive", "staircase"],
 )
-@settings(max_examples=50)
-@given(data=st.data())
-def test_dual_irr_equals_the_shortest_eligible_peeler(strategy, data):
-    # the large labels hold up to 60 segments on one or two lines, so chains meet repeated and nested begins
-    m = data.draw(strategy)
-    got = dual_irr(m)
-    assert got.segments == dual_irr_oracle(m).segments
-    assert_canonical([got])
+def test_dual_irr_grows_near_linearly_in_the_segment_count(shape, want):
+    # a chain step is one bisection and each chain's top comes off a heap: 4x the segments cost about 4x the
+    # time, where a scan of the segments left per step or per chain costs 16x
+    small, large = Multisegment(shape(1000)), Multisegment(shape(4000))
+    for m in (small, large):
+        if want is None:
+            assert dual_irr(dual_irr(m)) == m
+        else:
+            assert dual_irr(m) == want(m)
+    assert _best_of_5(dual_irr, large) < 8 * _best_of_5(dual_irr, small)
 
 
-def test_dual_irr_of_800_segments_finishes_fast():
-    # a chain step is one bisection; with a scan of every segment left per step the staircase took seconds
-    start = time.perf_counter()
-    copies = Multisegment([Segment("rho", 0, 1)] * 800)
-    assert dual_irr(copies) == copies  # no chain goes below the one point
-    assert dual_irr(Multisegment(Segment("rho", i, 1) for i in range(800))).segments == (Segment("rho", 0, 800),)
-    assert time.perf_counter() - start < 1
+def test_dual_irr_of_an_800_by_400_staircase_is_an_involution():
     staircase = Multisegment(Segment("rho", i, 400) for i in range(800))
-    start = time.perf_counter()
-    assert dual_irr(dual_irr(staircase)) == staircase
-    assert time.perf_counter() - start < 1
+    dual = dual_irr(staircase)
+    assert sum(s.length for s in dual.segments) == 800 * 400  # each chain step peels one point
+    assert dual_irr(dual) == staircase
 
 
 @given(labels())
