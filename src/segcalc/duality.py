@@ -42,17 +42,14 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
-from operator import itemgetter
 
 from .gkring import VirtualRep
-from .multiseg import _HASH, Multisegment, Segment, _maker
-
-_EFFECTIVE_LINE = itemgetter(slice(3))  # a segment's (line, step, offset_class), read off the tuple
+from .multiseg import _EFFECTIVE_LINE, _HASH, Multisegment, Segment, _maker
 
 
 def mw_dual(m: Multisegment) -> Multisegment:
     """Dual of a rigid multisegment (single effective line)."""
-    if len({s.effective_line() for s in m.segments}) > 1:
+    if len(set(map(_EFFECTIVE_LINE, m.segments))) > 1:
         raise ValueError("mw_dual requires a rigid multisegment (one effective line)")
     return dual_irr(m)
 
@@ -144,7 +141,7 @@ def raw_dual_std(x: VirtualRep) -> VirtualRep:
         line = None
         for seg in label.segments:
             folded: dict[Multisegment, int] = {}
-            new_line = line != (line := seg.effective_line())
+            new_line = line != (line := _EFFECTIVE_LINE(seg))
             for (cuts, hashes), sign in zip(segment_cut_expansion(seg), (1, -1)):
                 if not cuts:  # the minus group of a length-1 segment: no pass over the partial labels
                     continue

@@ -29,6 +29,12 @@ O(1) from the prefix's hash.  ``|``, the successor kernel, ``descendants``,
 the cut expansion and ``raw_dual_std`` (``duality``) and ``_tadic_sum``
 (``gkring``) carry it so.
 
+``is_lower`` decides the order by the rank criterion: ``_ranks_nonnegative``
+sweeps each effective line's signed table once upward in i, reading r(i, j)
+at the lasts j >= i as suffix sums of one column, in O(E log E + P L) for
+E entries, P sweep points and L distinct lasts; ``transfer.ll_less`` fills
+the tables from flattened positions, with no label built.
+
 The order side has one producer, ``descendants(m)``: it makes each label
 below ``m`` once, in canonical order with its hash sum, and builds each
 distinct segment once.  By the rank criterion (Zelevinsky 1980), since
@@ -198,6 +204,7 @@ def unitary_esi(line: str, length: int, step: int = 1) -> Segment:
 
 
 _HASH = itemgetter(5)
+_EFFECTIVE_LINE = itemgetter(slice(3))  # a segment's (line, step, offset_class), read off the tuple
 
 
 class Multisegment(Frozen):
@@ -279,10 +286,17 @@ class Multisegment(Frozen):
         return Multisegment._canonical(tuple(sorted(a + b)), h)
 
     def support(self) -> Counter:
-        out: Counter = Counter()
-        for s in self.segments:
-            out.update(s.points())
-        return out
+        """Point -> multiplicity: position q of offset ``num/den`` is ``(num + q*step*den) / den``, in lowest terms."""
+        counts: dict[tuple[str, int, int], int] = {}
+        for (line, step, offset), run in itertools.groupby(self.segments, _EFFECTIVE_LINE):
+            positions: Counter = Counter()
+            for s in run:
+                positions.update(range(s[3], s[3] + s[4]))
+            num, den = offset.numerator, offset.denominator
+            for q, n in positions.items():
+                key = (line, num + q * step * den, den)
+                counts[key] = counts.get(key, 0) + n
+        return Counter({CuspidalPoint(line, Fraction(num, den)): n for (line, num, den), n in counts.items()})
 
     def endings(self) -> Counter:
         return Counter(s.ending for s in self.segments)
@@ -367,41 +381,53 @@ def rigid_decomposition(m: Multisegment) -> list[Multisegment]:
     The canonical order keeps each effective line's segments contiguous and
     the lines sorted, so the parts are the label's runs.
     """
-    runs = [tuple(run) for _, run in itertools.groupby(m.segments, Segment.effective_line)]
+    runs = [tuple(run) for _, run in itertools.groupby(m.segments, _EFFECTIVE_LINE)]
     return [Multisegment._canonical(run, sum(map(_HASH, run))) for run in runs]
 
 
 def is_lower(ma: Multisegment, mb: Multisegment) -> bool:
     """True iff ``ma`` is reachable from ``mb`` by >= 0 elementary operations.
 
-    Elementary operations never mix effective lines, so one signed table,
-    ``(effective line, first, last)`` -> count in ``ma`` minus count in ``mb``,
-    decides the order by the rank criterion (Zelevinsky 1980; Abeasis-Del
-    Fra-Kraft 1981).  With r(i, j) = the signed number of segments containing
-    positions ``i..j`` of a line, ``ma`` lies below ``mb`` iff r(i, j) >= 0 for
-    all i < j and r(i, i) = 0, the diagonal being the support on that line.
-    r changes only where i reaches a ``first`` or j passes a ``last``, so it is
-    read there: r(i, j) at firsts i <= lasts j, r(i, i) at firsts and lasts + 1.
+    The rank criterion (Zelevinsky 1980; Abeasis-Del Fra-Kraft 1981) on one
+    signed table per effective line, ``(first, last)`` -> count in ``ma``
+    minus count in ``mb``; the module docstring gives the sweep.
     """
-    if ma == mb:
-        return True
-    net: Counter = Counter()
+    return ma == mb or _rank_le(ma, mb, lambda eff: (eff, 1, 0))
+
+
+def _rank_le(ma: Multisegment, mb: Multisegment, place) -> bool:
+    """The rank criterion on tables filled one dict lookup per run: ``place(eff)`` gives its (key, scale, shift)."""
+    tables: dict[tuple, dict[tuple[int, int], int]] = {}
     for m, sign in ((ma, 1), (mb, -1)):
-        for s in m.segments:
-            net[s.effective_line(), s.first, s.last] += sign
-    lines: dict[tuple, list] = {}  # effective line -> its entries that do not cancel
-    for (eff, first, last), c in net.items():
-        if c:
-            lines.setdefault(eff, []).append((first, last, c))
-    for entries in lines.values():
-        firsts, lasts = {e[0] for e in entries}, {e[1] for e in entries}
-        for i in firsts | {j + 1 for j in lasts}:
-            if sum(c for first, last, c in entries if first <= i <= last):
-                return False
-        for i in firsts:
-            for j in lasts:
-                if i <= j and sum(c for first, last, c in entries if first <= i and j <= last) < 0:
-                    return False
+        for eff, run in itertools.groupby(m.segments, _EFFECTIVE_LINE):
+            key, scale, shift = place(eff)
+            net = tables.setdefault(key, {})
+            for s in run:
+                span = (s[3] * scale + shift, (s[3] + s[4]) * scale + shift - 1)
+                net[span] = net.get(span, 0) + sign
+    return all(map(_ranks_nonnegative, tables.values()))
+
+
+def _ranks_nonnegative(net: dict[tuple[int, int], int]) -> bool:
+    """Whether r(i, j) >= 0 for all i < j and r(i, i) = 0, r(i, j) the signed count of ``net``'s spans over i..j.
+
+    r changes only where i reaches a first or passes a last, so i sweeps
+    the firsts and each last + 1, adding the spans that start there into a
+    column by last; its suffix sums over the lasts j >= i are r(i, j).
+    """
+    spans = sorted((first, last, c) for (first, last), c in net.items() if c)  # by first
+    lasts = sorted({span[1] for span in spans})
+    index = {last: k for k, last in enumerate(lasts)}
+    column = [0] * len(lasts)  # the signed count of the spans swept so far, by last
+    e = 0
+    for i in sorted({span[0] for span in spans}.union(last + 1 for last in lasts)):
+        is_first = e < len(spans) and spans[e][0] == i
+        while e < len(spans) and spans[e][0] == i:
+            column[index[spans[e][1]]] += spans[e][2]
+            e += 1
+        ranks = list(itertools.accumulate(reversed(column[bisect_left(lasts, i):])))  # r(i, j), j descending
+        if ranks and (ranks[-1] or is_first and min(ranks) < 0):
+            return False
     return True
 
 
@@ -413,7 +439,7 @@ def descendants(m: Multisegment) -> set[Multisegment]:
     argument.
     """
     per_block = []
-    for eff, run in itertools.groupby(m.segments, Segment.effective_line):
+    for eff, run in itertools.groupby(m.segments, _EFFECTIVE_LINE):
         blocks: list[list[tuple[int, int]]] = []  # the (first, last) pairs of each gap-free block
         for a, b in map(attrgetter("first", "last"), run):  # in canonical order, by first
             if blocks and a <= end + 1:

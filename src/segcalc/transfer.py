@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Union
 
 from .core import ExponentLike, LineRegistry, Record, frac, s_invariant
 from .gkring import SpehUnit, UnitaryProduct, VirtualRep, _two_block_product
-from .multiseg import LimitExceeded, Multisegment, Segment, is_lower, unitary_esi
+from .multiseg import LimitExceeded, Multisegment, Segment, _rank_le, unitary_esi
 
 
 class NotTransferable(ValueError):
@@ -149,9 +149,22 @@ def m_map(m: Multisegment) -> Multisegment:
     return Multisegment(c_inv(s) for s in m.segments)
 
 
+def _split_line(eff: tuple) -> tuple[tuple, int, int]:
+    """``c_inv`` sends position q to ``q * s + shift`` on the class of ``offset - (s-1)/2``, in lowest terms."""
+    line, s, offset = eff
+    den = 2 * offset.denominator
+    shift, num = divmod(2 * offset.numerator - (s - 1) * offset.denominator, den)
+    g = math.gcd(num, den)
+    return (line, num // g, den // g), s, shift
+
+
 def ll_less(a: Multisegment, b: Multisegment) -> bool:
-    """The order transported through m_map (at least as fine as the native one)."""
-    return is_lower(m_map(a), m_map(b))
+    """The order transported through m_map (at least as fine as the native one).
+
+    The rank tables are filled from flattened positions, keyed by the split
+    line, with no label built: (rho, 2, 0) and (rho, 2, 1) share (rho, 1, 1/2).
+    """
+    return _rank_le(a, b, _split_line)
 
 
 # -- closed-form unit transfer ----------------------------------------------

@@ -105,6 +105,35 @@ def descendants_oracle(m, successors=elementary_successors):
     return seen
 
 
+def rank_le_oracle(ma: Multisegment, mb: Multisegment) -> bool:
+    """The rank criterion read entry by entry: the reference for ``is_lower``.
+
+    One signed table ``(effective line, first, last)`` -> count in ``ma``
+    minus count in ``mb``; for each first i and each last j of a line it
+    sums over every entry again, so it is cubic in a line's endpoints.
+    r(i, i) is read at the firsts and each last + 1, r(i, j) at firsts i <=
+    lasts j.
+    """
+    net: Counter = Counter()
+    for m, sign in ((ma, 1), (mb, -1)):
+        for s in m.segments:
+            net[s.effective_line(), s.first, s.last] += sign
+    lines: dict[tuple, list] = {}  # effective line -> its entries that do not cancel
+    for (eff, first, last), c in net.items():
+        if c:
+            lines.setdefault(eff, []).append((first, last, c))
+    for entries in lines.values():
+        firsts, lasts = {e[0] for e in entries}, {e[1] for e in entries}
+        for i in firsts | {j + 1 for j in lasts}:
+            if sum(c for first, last, c in entries if first <= i <= last):
+                return False
+        for i in firsts:
+            for j in lasts:
+                if i <= j and sum(c for first, last, c in entries if first <= i and j <= last) < 0:
+                    return False
+    return True
+
+
 @st.composite
 def labels(draw, max_points=7, steps=(1, 2, 3)):
     """Labels on two lines, the given steps, starts with denominator 1, 2 or 4, repeated points."""
@@ -156,16 +185,64 @@ def large_labels(draw, max_segments=60):
 
     A drawn seed drives ``random.Random``, so each example is one large label
     with dense overlaps, nesting and repeats: starts fall in 17 positions of
-    a line and lengths run to 12.
+    a line and lengths run to 12.  Offset classes are integers and halves
+    below the step, so two inner-form lines may flatten onto one split line.
     """
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    palette = [(line, step, offset) for line in ("rho", "chi") for step in (1, 2, 3) for offset in (0, Fraction(1, 2))]
+    palette = [(line, step, Fraction(k, 2)) for line in ("rho", "chi") for step in (1, 2, 3) for k in range(2 * step)]
     lines = rng.sample(palette, rng.randint(1, 2))
     segs = []
     for _ in range(rng.randint(1, max_segments)):
         line, step, offset = rng.choice(lines)
         segs.append(Segment(line, offset + rng.randint(-8, 8) * step, rng.randint(1, 12), step))
     return Multisegment(segs)
+
+
+def _cut_segments(rng: random.Random, m: Multisegment) -> Multisegment:
+    """``m`` with about half its segments of length >= 2 cut in two at a seeded point: a label above ``m``."""
+    out = []
+    for s in m.segments:
+        if s.length > 1 and rng.random() < 0.5:
+            k = rng.randint(1, s.length - 1)
+            out += [Segment(s.line, s.start, k, s.step), Segment(s.line, s.start + k * s.step, s.length - k, s.step)]
+        else:
+            out.append(s)
+    return Multisegment(out)
+
+
+@st.composite
+def large_label_pairs(draw):
+    """A label of ``large_labels`` and the label made by cutting some of its segments, either way round.
+
+    The cut label lies above the other, so about half the pairs are in the
+    order; the rest have equal supports and fail on a rank off the diagonal.
+    """
+    low = draw(large_labels())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    high = _cut_segments(rng, low)
+    return (low, high) if rng.random() < 0.5 else (high, low)
+
+
+@st.composite
+def order_pairs(draw, label):
+    """A label from ``label`` and another, either way round: drawn alike, made by cutting its segments, or grown.
+
+    A grown label has one segment one point longer, so the supports differ
+    only past that segment's last position.
+    """
+    a = draw(label)
+    how = draw(st.sampled_from(["drawn", "cut", "cut", "grown"]))
+    if how == "drawn":
+        return a, draw(label)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if how == "cut":
+        b = _cut_segments(rng, a)
+    else:
+        segs = list(a.segments)
+        k = rng.randrange(len(segs))
+        segs[k] = Segment(segs[k].line, segs[k].start, segs[k].length + 1, segs[k].step)
+        b = Multisegment(segs)
+    return (a, b) if rng.random() < 0.5 else (b, a)
 
 
 @st.composite

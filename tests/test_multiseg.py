@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 import time
+import timeit
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -36,8 +37,13 @@ from strategies import (
     descendants_oracle,
     gap_free_blocks,
     labels,
+    labels_with_repeats,
+    large_label_pairs,
     ms,
+    order_pairs,
+    overlapping_labels,
     partition_runs,
+    rank_le_oracle,
     seg,
     segment_relation,
 )
@@ -138,6 +144,35 @@ def test_is_lower_reads_a_long_span_at_its_endpoints():
     start = time.perf_counter()
     assert is_lower(ms(seg(0, 5000)), ms(seg(0, 0), seg(1, 5000)))
     assert time.perf_counter() - start < 1
+
+
+def test_is_lower_grows_at_most_quadratically_in_a_segments_points():
+    # one segment of n points against its n singletons: the sweep reads O(n) ranks at each of n points, so 4n
+    # points cost at most about 16x (8-13x measured), where a read per (first, last) pair over every entry costs 64x
+    def both_ways(n):
+        one, points = ms(seg(0, n - 1)), ms(*(seg(i, i) for i in range(n)))
+        return min(timeit.repeat(lambda: (is_lower(one, points), is_lower(points, one)), number=1, repeat=5))
+
+    one, points = ms(seg(0, 399)), ms(*(seg(i, i) for i in range(400)))
+    assert is_lower(one, points) and not is_lower(points, one)
+    assert both_ways(400) < 24 * both_ways(100)
+
+
+@given(st.one_of(order_pairs(labels()), order_pairs(labels_with_repeats()), order_pairs(overlapping_labels()),
+                 large_label_pairs()))
+def test_is_lower_and_ll_less_decide_the_rank_oracle(pair):
+    a, b = pair
+    assert is_lower(a, b) == rank_le_oracle(a, b), (a, b)
+    assert ll_less(a, b) == is_lower(m_map(a), m_map(b)), (a, b)
+
+
+def test_ll_less_merges_inner_form_lines_that_flatten_onto_one_split_line():
+    # (rho, 2, 0) and (rho, 2, 1) both flatten onto (rho, 1, 1/2): [-1/2, 1/2] and [1/2, 3/2] are linked there
+    inner = ms(seg(0, 0, step=2), seg(1, 1, step=2))
+    joined = ms(seg(Fraction(-1, 2), Fraction(3, 2)), seg(Fraction(1, 2), Fraction(1, 2)))
+    assert m_map(inner) == ms(seg(Fraction(-1, 2), Fraction(1, 2)), seg(Fraction(1, 2), Fraction(3, 2)))
+    assert ll_less(joined, inner) and is_lower(joined, m_map(inner))
+    assert not ll_less(inner, joined) and not is_lower(m_map(inner), joined)
 
 
 def _family(data, top, max_points):
@@ -335,6 +370,19 @@ def test_stats_example():
     assert out.endings == Counter({pt(1): 1, pt(3): 1})
     assert out.ell == 3
     assert out.support == Counter({pt(0): 1, pt(1): 2, pt(2): 1, pt(3): 1})
+
+
+@given(st.one_of(labels(), labels_with_repeats(), overlapping_labels()))
+def test_support_counts_every_point_of_every_segment(m):
+    assert m.support() == Counter(p for s in m.segments for p in s.points())
+
+
+def test_support_merges_the_steps_that_meet_at_one_exponent():
+    # rho:[0, 2] on step 1 and rho':[0, 4] on step 2 share the exponents 0 and 2
+    m = ms(seg(0, 2), seg(0, 4, step=2))
+    got = m.support()
+    assert got == Counter({pt(0): 2, pt(1): 1, pt(2): 2, pt(4): 1})
+    assert all(type(p.exp) is Fraction for p in got)
 
 
 def test_stats_empty():
