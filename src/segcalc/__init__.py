@@ -16,10 +16,9 @@ from importlib import import_module
 # home module -> the public names it defines
 _NAMES = {
     "core": "CuspidalPoint LineInfo LineRegistry RegistryError frac s_invariant",
-    "multiseg": "LimitExceeded Multisegment Segment elementary_successors enumerate_multisegments hermitian_dual "
-    "is_hermitian is_lower rigid_decomposition stats unitary_esi",
-    "gkring": "SpehUnit UnitaryProduct VirtualRep expand_u expand_unit_product recognize_unitary speh_ubar "
-    "ubar_factor",
+    "multiseg": "LimitExceeded Multisegment Segment VirtualRep elementary_successors enumerate_multisegments "
+    "hermitian_dual is_hermitian is_lower rigid_decomposition stats unitary_esi",
+    "gkring": "SpehUnit UnitaryProduct expand_u expand_unit_product recognize_unitary speh_ubar ubar_factor",
     "duality": "dual_irr mw_dual raw_dual_std",
     "transfer": "NotTransferable SignedUnitaryProduct c_inv c_map d_cuspidal in_image_lju is_d_compatible lj_generic "
     "lj_std lj_u ll_less m_map",

@@ -14,8 +14,8 @@ import sys
 from .core import LineRegistry, load_json, s_invariant
 from .duality import dual_irr
 from .dsl import ParseError, parse_multisegment, parse_virtual
-from .gkring import UnitaryProduct, VirtualRep, expand_u, expand_unit_product, recognize_unitary, ubar_factor
-from .multiseg import Multisegment, enumerate_multisegments, is_lower, unitary_esi
+from .gkring import UnitaryProduct, expand_u, expand_unit_product, recognize_unitary, ubar_factor
+from .multiseg import Multisegment, VirtualRep, enumerate_multisegments, is_lower, unitary_esi
 
 # the handlers that use transfer, lfactors, globalrep or selfcheck import it: no parse path needs them
 

@@ -28,8 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import LineRegistry, s_invariant
-from .gkring import VirtualRep
-from .multiseg import Multisegment, Segment
+from .multiseg import Multisegment, Segment, VirtualRep
 
 
 class ParseError(ValueError):
@@ -119,7 +118,7 @@ def parse_multisegment(text: str, registry: LineRegistry, d: int = 1) -> Multise
 
 def parse_virtual(text: str, registry: LineRegistry, d: int = 1) -> VirtualRep:
     if text.strip() == "0":
-        return VirtualRep.zero(d)
+        return VirtualRep(d)
     terms: dict[Multisegment, int] = {}
     op, pos = _symbol(text, 0, "-")
     while True:

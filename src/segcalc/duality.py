@@ -43,8 +43,7 @@ import itertools
 from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
 
-from .gkring import VirtualRep
-from .multiseg import _EFFECTIVE_LINE, _HASH, Multisegment, Segment, _maker
+from .multiseg import _EFFECTIVE_LINE, _HASH, Multisegment, Segment, VirtualRep, _maker
 
 
 def mw_dual(m: Multisegment) -> Multisegment:

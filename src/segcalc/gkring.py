@@ -1,8 +1,4 @@
-"""Virtual representations over standard labels and the unit calculus.
-
-``VirtualRep`` is an integer-coefficient formal sum over multisegment labels,
-one Grothendieck-group element per basis tag, with a side tag ``d`` (1 for
-the split side).  Induction products are bilinear multiset unions.
+"""The Speh-unit calculus and its expansions over standard labels.
 
 ``SpehUnit`` is the one model of u(sigma, k), u'(sigma', k) and pi(u, alpha):
 k parallel copies of a centered base, their centers stepping by step(sigma)
@@ -11,7 +7,9 @@ product's expansion is ``expand_unit_product``, and ``expand_u`` is the split
 entry the CLI calls.  ``SpehUnit.half_twists`` is the one statement of
 pi(u, alpha) = nu^alpha u x nu^-alpha u.  ubar(sigma', k), whose copies step
 by plain nu, is no unit: ``speh_ubar`` writes its label and ``ubar_factor``
-its u' factors.  The expansions are alternating sums over W_k^l.
+its u' factors.  The expansions are alternating sums over W_k^l, each a
+``VirtualRep``: the formal sum over labels lives in ``multiseg``, beside
+``Multisegment``, so the parsers and the duality need no unit calculus.
 """
 
 from __future__ import annotations
@@ -22,89 +20,7 @@ from functools import reduce
 from typing import Iterable, Iterator, Optional
 
 from .core import ExponentLike, Record, frac
-from .multiseg import LimitExceeded, Multisegment, Segment, _maker, unitary_esi
-
-
-class SideMismatch(ValueError):
-    """Raised when combining virtual representations of different sides."""
-
-
-class VirtualRep:
-    """Finite map {multisegment label -> nonzero integer} with a side tag."""
-
-    __slots__ = ("d", "terms")
-
-    def __init__(self, d: int = 1, terms: Optional[dict[Multisegment, int]] = None):
-        self.d = d
-        self.terms = dict(terms or {})
-        if 0 in self.terms.values():
-            self.terms = {m: c for m, c in self.terms.items() if c != 0}
-
-    @classmethod
-    def zero(cls, d: int = 1) -> "VirtualRep":
-        return cls(d, {})
-
-    @classmethod
-    def of(cls, label: Multisegment, coeff: int = 1, d: int = 1) -> "VirtualRep":
-        return cls(d, {label: coeff})
-
-    @classmethod
-    def one(cls, d: int = 1) -> "VirtualRep":
-        """The empty label: unit of the induction product."""
-        return cls.of(Multisegment.empty(), 1, d)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VirtualRep)
-            and self.d == other.d
-            and self.terms == other.terms
-        )
-
-    def _check(self, other: "VirtualRep") -> None:
-        if self.d != other.d:
-            raise SideMismatch(f"side mismatch: d={self.d} vs d={other.d}")
-
-    def __add__(self, other: "VirtualRep") -> "VirtualRep":
-        self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return VirtualRep(self.d, terms)
-
-    def __neg__(self) -> "VirtualRep":
-        return VirtualRep(self.d, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "VirtualRep") -> "VirtualRep":
-        return self + (-other)
-
-    def __rmul__(self, scalar: int) -> "VirtualRep":
-        return VirtualRep(self.d, {m: scalar * c for m, c in self.terms.items()})
-
-    def __mul__(self, other: "VirtualRep") -> "VirtualRep":
-        """Induction product: bilinear, multiset union on basis labels."""
-        self._check(other)
-        terms: dict[Multisegment, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 | m2
-                terms[m] = terms.get(m, 0) + c1 * c2
-        return VirtualRep(self.d, terms)
-
-    def items(self) -> list[tuple[Multisegment, int]]:
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
-
-    def __repr__(self) -> str:
-        """``1 * {…} - 2 * {…}`` in canonical order, as ``dsl`` parses it; ``0`` when empty."""
-        if not self.terms:
-            return "0"
-        text = " ".join(f"{'-' if c < 0 else '+'} {abs(c)} * {m!r}" for m, c in self.items())
-        return text[2:] if text[0] == "+" else "-" + text[2:]
-
-    def to_json(self) -> list[dict]:
-        return [{"coeff": c, "multisegment": m.to_json()} for m, c in self.items()]
+from .multiseg import LimitExceeded, Multisegment, Segment, VirtualRep, _maker, unitary_esi
 
 
 # -- Speh units ----------------------------------------------------------
@@ -208,7 +124,7 @@ class UnitaryProduct(Record):
         return len(self.units)
 
     def multisegment(self) -> Multisegment:
-        out = Multisegment.empty()
+        out = Multisegment()
         for u in self.units:
             out = out | u.multisegment()
         return out
@@ -344,7 +260,7 @@ def expand_unit_product(up: UnitaryProduct, d: int) -> VirtualRep:
         for u in up.units
         for h in u.halves()
     ]
-    return reduce(VirtualRep.__mul__, parts) if parts else VirtualRep.one(d)
+    return reduce(VirtualRep.__mul__, parts) if parts else VirtualRep(d, {Multisegment(): 1})
 
 
 # -- recognition -----------------------------------------------------------

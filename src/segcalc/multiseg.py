@@ -57,7 +57,9 @@ support: no span crosses a position, so no cap prunes and a run may end
 anywhere.  ``elementary_successors`` scans each segment's later neighbours
 on its effective line only.  The ``repr`` of a segment or multisegment is
 its canonical text form, the one ``dsl`` parses; ``to_json()`` is its JSON
-form.
+form.  ``VirtualRep``, the formal sum over labels that ``dsl``, ``duality``,
+``transfer`` and the unit expansions of ``gkring`` pass around, lives here
+beside ``Multisegment``, a ``Frozen`` value like it.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .core import CuspidalPoint, ExponentLike, Frozen, LineRegistry, frac
 
@@ -183,12 +186,6 @@ class Segment(tuple):
     @property
     def ending(self) -> CuspidalPoint:
         return CuspidalPoint(self.line, self.end)
-
-    def sort_key(self):
-        return self[:5]
-
-    def effective_line(self):
-        return self[:3]
 
     def __repr__(self) -> str:
         prime = "'" if self.step > 1 else ""
@@ -310,6 +307,98 @@ class Multisegment(Frozen):
 
     def to_json(self) -> list[dict]:
         return [s.to_json() for s in self.segments]
+
+
+class SideMismatch(ValueError):
+    """Raised when combining virtual representations of different sides."""
+
+
+class VirtualRep(Frozen):
+    """Finite map {multisegment label -> nonzero integer} with a side tag ``d`` (1 for the split side).
+
+    A Grothendieck-group element: an integer-coefficient formal sum over
+    labels, whose induction product is the bilinear multiset union.  The
+    constructor copies ``terms`` once, drops zero coefficients if there are
+    any, and keeps a read-only view of its copy, so a value never changes
+    once built.  ``VirtualRep(d)`` is zero, ``VirtualRep(d, {Multisegment():
+    1})`` the unit of the product.
+    """
+
+    __slots__ = ("d", "terms")
+
+    def __init__(self, d: int = 1, terms: Optional[dict[Multisegment, int]] = None):
+        terms = dict(terms or {})
+        if 0 in terms.values():
+            terms = {m: c for m, c in terms.items() if c != 0}
+        set_d, set_terms = self._setters
+        set_d(self, d)
+        set_terms(self, MappingProxyType(terms))
+
+    @classmethod
+    def of(cls, label: Multisegment, coeff: int = 1, d: int = 1) -> "VirtualRep":
+        """``VirtualRep(d, {label: coeff})``, kept because the ``sweep`` and ``expand`` benchmark workloads call it."""
+        return cls(d, {label: coeff})
+
+    def __reduce__(self):
+        return VirtualRep, (self.d, self.terms.copy())
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, VirtualRep)
+            and self.d == other.d
+            and self.terms == other.terms
+        )
+
+    def _check(self, other: "VirtualRep") -> None:
+        if self.d != other.d:
+            raise SideMismatch(f"side mismatch: d={self.d} vs d={other.d}")
+
+    def __add__(self, other: "VirtualRep") -> "VirtualRep":
+        self._check(other)
+        terms = self.terms.copy()
+        for m, c in other.terms.items():
+            terms[m] = terms.get(m, 0) + c
+        return VirtualRep(self.d, terms)
+
+    def __neg__(self) -> "VirtualRep":
+        return VirtualRep(self.d, {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other: "VirtualRep") -> "VirtualRep":
+        return self + (-other)
+
+    def __rmul__(self, scalar: int) -> "VirtualRep":
+        """``scalar * v`` for an integer ``scalar``; any other scalar is refused with TypeError."""
+        if not isinstance(scalar, int):
+            return NotImplemented
+        return VirtualRep(self.d, {m: scalar * c for m, c in self.terms.items()})
+
+    def __mul__(self, other: "VirtualRep") -> "VirtualRep":
+        """Induction product: bilinear, multiset union on basis labels."""
+        if not isinstance(other, VirtualRep):
+            return NotImplemented
+        self._check(other)
+        terms: dict[Multisegment, int] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = m1 | m2
+                terms[m] = terms.get(m, 0) + c1 * c2
+        return VirtualRep(self.d, terms)
+
+    def items(self) -> list[tuple[Multisegment, int]]:
+        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
+
+    def __repr__(self) -> str:
+        """``1 * {…} - 2 * {…}`` in canonical order, as ``dsl`` parses it; ``0`` when empty."""
+        if not self.terms:
+            return "0"
+        text = " ".join(f"{'-' if c < 0 else '+'} {abs(c)} * {m!r}" for m, c in self.items())
+        return text[2:] if text[0] == "+" else "-" + text[2:]
+
+    def to_json(self) -> list[dict]:
+        return [{"coeff": c, "multisegment": m.to_json()} for m, c in self.items()]
 
 
 class MultisegmentStats(NamedTuple):

@@ -22,15 +22,7 @@ from typing import Optional
 
 from .core import CuspidalPoint, LineRegistry
 from .duality import dual_irr, mw_dual, raw_dual_std
-from .gkring import (
-    SpehUnit,
-    UnitaryProduct,
-    VirtualRep,
-    expand_u,
-    expand_unit_product,
-    speh_ubar,
-    ubar_factor,
-)
+from .gkring import SpehUnit, UnitaryProduct, expand_u, expand_unit_product, speh_ubar, ubar_factor
 from .lfactors import (
     FormalLFactor,
     eps_irr,
@@ -40,7 +32,7 @@ from .lfactors import (
     normalizing_factor,
 )
 from .globalrep import interval_decomposition, levi_conjugate_count
-from .multiseg import Multisegment, enumerate_multisegments, is_lower, unitary_esi
+from .multiseg import Multisegment, VirtualRep, enumerate_multisegments, is_lower, unitary_esi
 from .transfer import in_image_lju, lj_std, lj_u
 
 REG = LineRegistry.standard()
@@ -283,7 +275,7 @@ def suite_sign_coherence(width: int = 4, max_points: int = 4, ds=(2,)) -> tuple[
         for support in window_supports(width, max_points):
             signs = set()
             for m in enumerate_multisegments(support, limit=max_points):
-                x = VirtualRep.of(m)
+                x = VirtualRep(1, {m: 1})
                 a = lj_std(REG, raw_dual_std(x), d)
                 b = raw_dual_std(lj_std(REG, x, d))
                 if a.is_zero() and b.is_zero():

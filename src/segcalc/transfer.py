@@ -30,8 +30,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .core import ExponentLike, LineRegistry, Record, frac, s_invariant
-from .gkring import SpehUnit, UnitaryProduct, VirtualRep, _two_block_product
-from .multiseg import LimitExceeded, Multisegment, Segment, _rank_le, unitary_esi
+from .gkring import SpehUnit, UnitaryProduct, _two_block_product
+from .multiseg import LimitExceeded, Multisegment, Segment, VirtualRep, _rank_le, unitary_esi
 
 
 class NotTransferable(ValueError):

@@ -48,7 +48,7 @@ class SegmentRelation(enum.Enum):
 
 def segment_relation(s1: Segment, s2: Segment) -> SegmentRelation:
     """Classify a pair, the linkage oracle: linked iff the union is a segment distinct from both."""
-    if s1.effective_line() != s2.effective_line():
+    if s1[:3] != s2[:3]:
         return SegmentRelation.UNLINKED
     a1, b1, a2, b2 = s1.first, s1.last, s2.first, s2.last
     if a1 == a2 and b1 == b2:
@@ -117,7 +117,7 @@ def rank_le_oracle(ma: Multisegment, mb: Multisegment) -> bool:
     net: Counter = Counter()
     for m, sign in ((ma, 1), (mb, -1)):
         for s in m.segments:
-            net[s.effective_line(), s.first, s.last] += sign
+            net[s[:3], s.first, s.last] += sign
     lines: dict[tuple, list] = {}  # effective line -> its entries that do not cancel
     for (eff, first, last), c in net.items():
         if c:
@@ -249,7 +249,7 @@ def order_pairs(draw, label):
 def virtual_reps(draw, d=1, label=labels()):
     """A sum of up to six multiples (-3..3) of at most three labels, so terms repeat and cancel."""
     pool = draw(st.lists(label, min_size=1, max_size=3))
-    v = VirtualRep.zero(d)
+    v = VirtualRep(d)
     for m, c in draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(-3, 3)), max_size=6)):
         v = v + VirtualRep.of(m, c, d)
     return v
@@ -321,7 +321,7 @@ def dual_irr_oracle(m: Multisegment) -> Multisegment:
     """
     lines: dict[tuple, list] = {}
     for s in m.segments:
-        lines.setdefault(s.effective_line(), []).append((s.first, s.last))
+        lines.setdefault(s[:3], []).append((s.first, s.last))
     out = []
     for line, work in lines.items():
         while work:

@@ -14,19 +14,21 @@ import segcalc
 from segcalc import (
     DiscreteSeriesLabel,
     LineRegistry,
+    Multisegment,
     NotTransferable,
     RegistryError,
     Segment,
     SignedUnitaryProduct,
     SpehUnit,
     UnitaryProduct,
+    VirtualRep,
     frac,
     lj_u,
     s_invariant,
     ubar_factor,
     unitary_esi,
 )
-from segcalc.core import LineInfo, Record
+from segcalc.core import Frozen, LineInfo, Record
 from segcalc.globalrep import GlobalAlgebra, GlobalCheck, GlobalCuspidalData
 from segcalc.lfactors import EpsilonFactor, FormalLFactor, FormalRSProduct
 from segcalc.transfer import lj_unitary_product
@@ -219,6 +221,27 @@ def test_every_record_class_is_in_the_contract_table():
     assert {type(p.values[0]) for p in RECORDS} == set(Record.__subclasses__())
 
 
+def _subclasses(cls: type) -> set[type]:
+    return {sub for c in cls.__subclasses__() for sub in (c, *_subclasses(c))}
+
+
+def test_every_frozen_value_refuses_assignment_and_deletion():
+    m = Multisegment([unitary_esi("rho", 2)])
+    v = VirtualRep(2, {m: 3})
+    values = [p.values[0] for p in RECORDS] + [m, v]
+    assert {type(x) for x in values} == _subclasses(Frozen) - {Record}
+    for x in values:
+        for name in (*type(x).__slots__, "unknown"):
+            for act in (lambda: setattr(x, name, None), lambda: delattr(x, name)):
+                with pytest.raises(AttributeError):
+                    act()
+    # a virtual representation's terms are a read-only view
+    for label, coeff in ((m, 0), (Multisegment(), 1)):
+        with pytest.raises(TypeError):
+            v.terms[label] = coeff
+    assert v == VirtualRep(2, {m: 3}) and not v.is_zero() and repr(v) == "3 * {rho:[-1/2,1/2]}"
+
+
 ST2 = unitary_esi("rho", 2)
 
 # (a record built from unnormalized input, the same record built from normalized input)
@@ -295,10 +318,9 @@ def _cli_code(*argvs: list[str]) -> str:
 # home module -> the public names of ``segcalc``
 PUBLIC = {
     "core": "CuspidalPoint LineInfo LineRegistry RegistryError frac s_invariant",
-    "multiseg": "LimitExceeded Multisegment Segment elementary_successors enumerate_multisegments hermitian_dual "
-    "is_hermitian is_lower rigid_decomposition stats unitary_esi",
-    "gkring": "SpehUnit UnitaryProduct VirtualRep expand_u expand_unit_product recognize_unitary speh_ubar "
-    "ubar_factor",
+    "multiseg": "LimitExceeded Multisegment Segment VirtualRep elementary_successors enumerate_multisegments "
+    "hermitian_dual is_hermitian is_lower rigid_decomposition stats unitary_esi",
+    "gkring": "SpehUnit UnitaryProduct expand_u expand_unit_product recognize_unitary speh_ubar ubar_factor",
     "duality": "dual_irr mw_dual raw_dual_std",
     "transfer": "NotTransferable SignedUnitaryProduct c_inv c_map d_cuspidal in_image_lju is_d_compatible lj_generic "
     "lj_std lj_u ll_less m_map",
@@ -326,6 +348,12 @@ def test_package_resolves_each_public_name_from_its_home_module_on_first_access(
 
 
 # -- per-command imports ----------------------------------------------------------------
+
+
+def test_the_parser_and_the_duality_leave_the_unit_calculus_out():
+    for module in ("segcalc.dsl", "segcalc.duality"):
+        [loaded] = _modules_after(f"import {module}")
+        assert module in loaded and "segcalc.gkring" not in loaded
 
 
 def test_cli_import_leaves_heavy_and_unused_modules_out():

@@ -75,7 +75,7 @@ def test_parse_virtual_leading_minus(registry):
 
 def test_parse_virtual_zero(registry):
     # a bare 0 is the empty sum, as repr writes it; it is no coefficient
-    assert parse_virtual("0", registry, 2) == VirtualRep.zero(2)
+    assert parse_virtual("0", registry, 2) == VirtualRep(2)
     for text in ("0 *", "-0", "0 + {rho:[0,0]}"):
         with pytest.raises(ParseError):
             parse_virtual(text, registry)
@@ -91,7 +91,7 @@ def test_parse_ignores_leading_and_trailing_whitespace(registry):
     for pad in (" ", "\n", " \t\n "):
         assert parse_multisegment(pad + "{rho:[0,1], rho:[1,1]}" + pad, registry) == ms(seg(0, 1), seg(1, 1))
         assert parse_multisegment("{}" + pad, registry) == Multisegment.empty()
-        assert parse_virtual("0" + pad, registry) == VirtualRep.zero()
+        assert parse_virtual("0" + pad, registry) == VirtualRep()
         assert parse_virtual("2 * {rho:[0,1]} - {rho:[0,0]}" + pad, registry) == VirtualRep(
             1, {ms(seg(0, 1)): 2, ms(seg(0, 0)): -1}
         )

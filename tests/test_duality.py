@@ -109,7 +109,7 @@ def rigid_parts_by_dict(m):
     """The parts grouped through a dict keyed by effective line, in sorted line order: the oracle for the runs."""
     groups = {}
     for s in m.segments:
-        groups.setdefault(s.effective_line(), []).append(s)
+        groups.setdefault(s[:3], []).append(s)
     return [Multisegment(groups[k]) for k in sorted(groups)]
 
 

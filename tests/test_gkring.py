@@ -51,7 +51,7 @@ def test_product_of_basis_elements():
 
 def test_empty_label_is_unit():
     x = VirtualRep.of(ms(seg(0, 2)), 3)
-    assert x * VirtualRep.one() == x
+    assert x * VirtualRep(1, {Multisegment(): 1}) == x
 
 
 def test_product_is_bilinear():
@@ -68,15 +68,24 @@ def test_virtual_rep_drops_zero_coefficients_and_owns_its_terms():
     v = VirtualRep(1, terms)
     terms[a], terms[b] = 5, 1
     assert v.terms == {a: 2}
-    assert VirtualRep.of(a) - VirtualRep.of(a) == VirtualRep.zero() and VirtualRep(1, {a: 0}).is_zero()
-    assert (VirtualRep.of(a) + VirtualRep.of(b)) * VirtualRep.of(b, 0) == VirtualRep.zero()
+    assert VirtualRep.of(a) - VirtualRep.of(a) == VirtualRep() and VirtualRep(1, {a: 0}).is_zero()
+    assert (VirtualRep.of(a) + VirtualRep.of(b)) * VirtualRep.of(b, 0) == VirtualRep()
 
 
 def test_side_mismatch_rejected():
-    from segcalc.gkring import SideMismatch
+    from segcalc.multiseg import SideMismatch
 
     with pytest.raises(SideMismatch):
-        VirtualRep.one(1) * VirtualRep.one(2)
+        VirtualRep(1, {Multisegment(): 1}) * VirtualRep(2, {Multisegment(): 1})
+
+
+def test_only_an_integer_scales_a_virtual_rep():
+    v = VirtualRep.of(ms(seg(0, 0)))
+    assert 2 * v == VirtualRep.of(ms(seg(0, 0)), 2)
+    # a rational coefficient is no element of the Grothendieck group, and dsl could not read it back
+    for act in (lambda: F(1, 2) * v, lambda: 2.5 * v, lambda: v * 2):
+        with pytest.raises(TypeError):
+            act()
 
 
 # -- unit constructors -----------------------------------------------------------

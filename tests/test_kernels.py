@@ -73,7 +73,7 @@ TWISTS = st.sampled_from([F(0), F(1), F(-2), F(1, 2), F(-3, 4), F(5, 4)])
 def tadic_sum_oracle(line, l, k, step, twist, d):
     """One label per admissible permutation, sorted by the constructor."""
     origin = Segment(line, twist - F(k + l, 2) * step, 1, step)
-    eff, base = origin.effective_line(), origin.first
+    eff, base = origin[:3], origin.first
     terms = {}
     for w, sign in admissible_permutations(k, l):
         label = Multisegment(
@@ -85,7 +85,7 @@ def tadic_sum_oracle(line, l, k, step, twist, d):
 
 def cut_expansion_oracle(seg):
     """(sign, pieces) for every choice of cut positions, in ``itertools.combinations`` order."""
-    n, line = seg.length, seg.effective_line()
+    n, line = seg.length, seg[:3]
     out = []
     for cuts in itertools.chain.from_iterable(itertools.combinations(range(1, n), r) for r in range(n)):
         bounds = (0,) + cuts + (n,)
@@ -129,7 +129,7 @@ def enumerate_oracle(support, step):
     lines = {}
     for (line, exp), mult in Counter(support).items():
         point = Segment(line, exp, 1, step)
-        lines.setdefault(point.effective_line(), Counter())[point.first] += mult
+        lines.setdefault(point[:3], Counter())[point.first] += mult
     per_line = [
         [[Segment.from_positions(eff, a, a + n - 1) for a, n in part] for part in partitions_oracle(positions)]
         for eff, positions in lines.items()
@@ -153,7 +153,7 @@ def successors_oracle(m):
 
 def cut_key(cut):
     sign, pieces = cut
-    return sign, [p.sort_key() for p in pieces]
+    return sign, [p[:5] for p in pieces]
 
 
 # -- W_k^l -------------------------------------------------------------------------
@@ -255,8 +255,8 @@ def test_producers_without_a_sort_make_canonical_labels(l, k, step, twist, a, b)
 def test_interleaving_union_and_products_carry_the_hash_sum():
     a = Multisegment([Segment("rho", 0, 2), Segment("rho", 3, 2)])
     b = Multisegment([Segment("rho", 1, 3), Segment("chi", 0, 1)])
-    assert not (a.segments[-1].sort_key() <= b.segments[0].sort_key()
-                or b.segments[-1].sort_key() <= a.segments[0].sort_key())  # they interleave
+    assert not (a.segments[-1][:5] <= b.segments[0][:5]
+                or b.segments[-1][:5] <= a.segments[0][:5])  # they interleave
     assert_canonical((a | b, b | a, a | a))
     x = expand_u(2, "rho", 3) + VirtualRep.of(b)
     assert_canonical((x * x).terms)
@@ -324,7 +324,7 @@ def test_descendants_equal_the_plain_bfs_oracle(m):
     assert got == descendants_oracle(m, successors_oracle)  # and against the all-pairs successors
     assert_canonical(got)
     sizes = []  # the bounded program's labels per block: canonical with the carried hash, none twice
-    for _, run in itertools.groupby(m.segments, Segment.effective_line):
+    for _, run in itertools.groupby(m.segments, lambda s: s[:3]):
         spans = [(s.first, s.last) for s in run]
         positions = Counter(q for a, b in spans for q in range(a, b + 1))
         for block in gap_free_blocks(positions):
@@ -414,7 +414,7 @@ def test_a_non_integral_offset_class_is_one_object_whichever_producer_made_it(re
             setattr(obj, name, None)
         with pytest.raises(AttributeError):
             delattr(obj, name)
-    assert made[0].first == made[0].sort_key()[3] and hash(m) == sum(map(hash, m.segments))
+    assert made[0].first == made[0][3] and hash(m) == sum(map(hash, m.segments))
 
 
 @given(labels())

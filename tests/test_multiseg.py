@@ -228,7 +228,7 @@ def _segment_on(line, step, points):
 def test_coordinate_round_trips_and_linkage_matches_point_sets(a, b):
     segs = a.segments + b.segments
     for s in segs:
-        assert Segment.from_positions(s.effective_line(), s.first, s.last) == s
+        assert Segment.from_positions(s[:3], s.first, s.last) == s
     for s1 in segs:
         for s2 in segs:
             p1, p2 = _points(s1), _points(s2)
@@ -275,7 +275,7 @@ def test_equal_segments_hash_equally_from_either_constructor(a, b):
         copies = (
             Segment(s.line, s.start, s.length, s.step),
             Segment(s.line, str(s.start), s.length, s.step),
-            Segment.from_positions(s.effective_line(), s.first, s.last),
+            Segment.from_positions(s[:3], s.first, s.last),
             Segment.from_positions((s.line, s.step, s.offset_class + s.step), s.first - 1, s.last - 1),
             Segment.from_positions((s.line, s.step, Fraction(s.offset_class)), s.first, s.last),
             pickle.loads(pickle.dumps(s)),
@@ -315,7 +315,7 @@ def test_a_segment_stores_positions_and_derives_its_exponents(m, turns, a, n):
 def test_canonical_order_is_line_step_offset_first_length(a, b):
     segs = list(reversed(a.segments + b.segments))
     want = sorted(segs, key=_reference_order)
-    assert sorted(segs, key=Segment.sort_key) == want
+    assert sorted(segs, key=lambda s: s[:5]) == want
     assert list(Multisegment(segs).segments) == want
     pair = [a, b, a | b]
     assert sorted(pair) == sorted(pair, key=lambda m: tuple(map(_reference_order, m.segments)))
@@ -325,7 +325,7 @@ def test_a_segment_is_the_tuple_of_its_key_and_hash():
     s = Segment("rho", Fraction(-1, 2), 3, 2)
     fields = ("line", "step", "offset_class", "first", "length")
     assert tuple(s) == (*(getattr(s, name) for name in fields), hash(s)) == ("rho", 2, Fraction(3, 2), -1, 3, hash(s))
-    assert isinstance(s, tuple) and len(s) == 6 and s[:5] == s.sort_key() and s[:3] == s.effective_line()
+    assert isinstance(s, tuple) and len(s) == 6
     t = Segment("chi", 2, 2)  # an integral offset class, which JSON can write
     assert s == tuple(s) and json.loads(json.dumps(t)) == ["chi", 1, 0, 2, 2, hash(t)]
     assert not hasattr(s, "__dict__")

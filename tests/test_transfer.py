@@ -130,7 +130,7 @@ def test_lj_std_on_compatible_label(registry):
 
 def test_lj_std_drops_incompatible_label(registry):
     x = VirtualRep.of(ms(seg(0, 0)))
-    assert lj_std(registry, x, 2) == VirtualRep.zero(2)
+    assert lj_std(registry, x, 2) == VirtualRep(2)
 
 
 def test_lj_std_of_cuspidal_pair_expansion(registry):
@@ -148,7 +148,7 @@ DS = st.sampled_from([2, 3, 4])
 def test_lj_std_zeroes_an_incompatible_label_before_rejecting_a_step():
     # the step-2 chi segment sorts first; rho:[0,0] is not 2-compatible, so the label is 0
     step2 = seg(0, 2, line="chi", step=2)
-    assert lj_std(TWO_LINES, VirtualRep.of(ms(step2, seg(0, 0))), 2) == VirtualRep.zero(2)
+    assert lj_std(TWO_LINES, VirtualRep.of(ms(step2, seg(0, 0))), 2) == VirtualRep(2)
     with pytest.raises(NotTransferable):
         lj_std(TWO_LINES, VirtualRep.of(ms(step2, seg(0, 1))), 2)
 
