@@ -142,7 +142,7 @@ def _enumerate(args, reg: LineRegistry) -> list[Multisegment]:
     if len(steps) > 1:  # the support would be enumerated at one step only
         raise CliError(f"enumerate needs a label of one step, got steps {', '.join(map(str, steps))}", 1)
     found = enumerate_multisegments(m.support(), step=steps[0], limit=args.limit)
-    return sorted(found, key=Multisegment.sort_key)
+    return sorted(found)
 
 
 def _lfun(args, reg: LineRegistry):

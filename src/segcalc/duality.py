@@ -29,7 +29,7 @@ segments are sorted by (effective line, first position, length).  Pieces of
 one cut start at increasing positions of one effective line, so a cut is
 already sorted; and a segment that starts a new effective line sorts after
 every piece placed before it, so the partial label plus its cut is a label
-as it stands, made by ``Multisegment._canonical`` without a sort.  Only the
+as it stands, made by one ``tuple.__new__`` without a sort.  Only the
 pieces of a further segment on the same effective line (a repeat, or an
 overlapping or later one) can interleave with earlier pieces, and those
 labels are sorted.  A label's hash is the sum of its segments' hashes, so a
@@ -93,7 +93,7 @@ def dual_irr(m: Multisegment) -> Multisegment:
                     insort(begins, first)
         out.extend(itertools.starmap(_maker(*eff), sorted(peeled)))
     out = tuple(out)
-    return Multisegment._canonical(out, sum(map(_HASH, out)))
+    return tuple.__new__(Multisegment, (out, sum(map(_HASH, out))))
 
 
 def segment_cut_expansion(seg: Segment) -> tuple[tuple[list, list], tuple[list, list]]:
@@ -133,25 +133,25 @@ def raw_dual_std(x: VirtualRep) -> VirtualRep:
     sorted and equal partial labels merge before the next segment, so
     repeated segments cost their distinct cut multisets only.
     """
-    canonical = Multisegment._canonical
+    new = tuple.__new__
     terms: dict[Multisegment, int] = {}
     for label, coeff in x.terms.items():
-        partial = {canonical((), 0): coeff}
+        partial = {new(Multisegment, ((), 0)): coeff}
         line = None
-        for seg in label.segments:
+        for seg in label[0]:
             folded: dict[Multisegment, int] = {}
             new_line = line != (line := _EFFECTIVE_LINE(seg))
             for (cuts, hashes), sign in zip(segment_cut_expansion(seg), (1, -1)):
                 if not cuts:  # the minus group of a length-1 segment: no pass over the partial labels
                     continue
-                for m, c in partial.items():
-                    segs, h, c = m.segments, m._hash, sign * c
+                for (segs, h), c in partial.items():
+                    c *= sign
                     if new_line:
                         for pieces, ph in zip(cuts, hashes):
-                            folded[canonical(segs + pieces, h + ph)] = c
+                            folded[new(Multisegment, (segs + pieces, h + ph))] = c
                         continue
                     for pieces, ph in zip(cuts, hashes):
-                        key = canonical(tuple(sorted(segs + pieces)), h + ph)
+                        key = new(Multisegment, (tuple(sorted(segs + pieces)), h + ph))
                         folded[key] = folded.get(key, 0) + c
             partial = folded
         if terms:

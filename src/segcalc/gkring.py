@@ -196,7 +196,7 @@ def _tadic_sum(
     last two positions take the two values left in both orders at once.
     All factors lie on one effective line and factor i starts at position
     i, so every prefix is already in canonical order and becomes a label
-    through ``Multisegment._canonical`` without a sort.  Distinct w give
+    through one ``tuple.__new__`` without a sort.  Distinct w give
     distinct labels, and they finish in the lexicographic order of w.
     """
     if l < 1 or k < 1:
@@ -214,9 +214,9 @@ def _tadic_sum(
         [((), 0)] + [piece(base + i, m) for m in range(1, k + l - i + 1)]
         for i in range(1, k + 1)
     ]
-    canonical = Multisegment._canonical
+    new = tuple.__new__
     if k == 1:
-        return VirtualRep(d, {canonical(*factor[1][l]): 1})
+        return VirtualRep(d, {new(Multisegment, factor[1][l]): 1})
     terms: dict[Multisegment, int] = {}
     last, values = factor[k], (1 << k + 1) - 2  # bits 1..k
     stack = [(1, 0, (), 0, 1)]
@@ -227,10 +227,10 @@ def _tadic_sum(
             rest = values ^ used
             a, b = (rest & -rest).bit_length() - 1, rest.bit_length() - 1
             (fa, ha), (fb, hb) = row[a + l - i], last[b + l - k]
-            terms[canonical(prefix + fa + fb, h + ha + hb)] = sign
+            terms[new(Multisegment, (prefix + fa + fb, h + ha + hb))] = sign
             if a + l != i:
                 (fa, ha), (fb, hb) = row[b + l - i], last[a + l - k]
-                terms[canonical(prefix + fa + fb, h + ha + hb)] = -sign
+                terms[new(Multisegment, (prefix + fa + fb, h + ha + hb))] = -sign
             continue
         lo = i - l
         if lo >= 1 and not used >> lo & 1:

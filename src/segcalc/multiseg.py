@@ -23,11 +23,14 @@ a run of segments on one effective line normalizes it once, with ``_maker``.
 The first five fields are the canonical key, so equality and the canonical
 order are the tuple's own, in C; the hash, last, is computed once from the
 integer fields of the key, mixed by an xorshift and cut to 40 bits.  A
-multisegment's hash is the sum of its segments' hashes, an additive
-multiset hash: a label made of a shared prefix plus a few pieces hashes in
-O(1) from the prefix's hash.  ``|``, the successor kernel, ``descendants``,
-the cut expansion and ``raw_dual_std`` (``duality``) and ``_tadic_sum``
-(``gkring``) carry it so.
+multisegment is likewise one tuple, ``(segments, hash)``: its segments in
+canonical order and the sum of their hashes, an additive multiset hash, so
+a label made of a shared prefix plus a few pieces hashes in O(1) from the
+prefix's hash.  Its equality and order are the tuple's own, in C, and a
+producer that builds its segments in canonical order makes each label
+with one ``tuple.__new__`` call: ``|``, the successor kernel,
+``descendants``, ``dual_irr`` and the cut expansion and ``raw_dual_std``
+(``duality``) and ``_tadic_sum`` (``gkring``), carrying the hash sum.
 
 ``is_lower`` decides the order by the rank criterion: ``_ranks_nonnegative``
 sweeps each effective line's signed table once upward in i, reading r(i, j)
@@ -37,11 +40,11 @@ the tables from flattened positions, with no label built.
 
 The order side has one producer, ``descendants(m)``: it makes each label
 below ``m`` once, in canonical order with its hash sum, and builds each
-distinct segment once.  By the rank criterion (Zelevinsky 1980), since
-elementary operations keep the support and never mix effective lines or
-cross a gap, the labels below ``m`` are the partitions of each gap-free
-block into runs with r_x(i, j) >= r_m(i, j) for all i < j, r(i, j)
-counting the segments that contain positions i..j.  One dynamic program,
+distinct segment once, reusing ``m``'s own.  By the rank criterion
+(Zelevinsky 1980), since elementary operations keep the support and never
+mix effective lines or cross a gap, the labels below ``m`` are the
+partitions of each gap-free block into runs with r_x(i, j) >= r_m(i, j)
+for all i < j, r(i, j) counting the segments that contain positions i..j.  One dynamic program,
 ``_run_partitions``, makes them: it takes a run from the smallest open
 position p, shortest first where p repeats, so it yields each partition
 once, and ``_join_blocks`` joins one per block.  A child that moves p
@@ -59,7 +62,7 @@ on its effective line only.  The ``repr`` of a segment or multisegment is
 its canonical text form, the one ``dsl`` parses; ``to_json()`` is its JSON
 form.  ``VirtualRep``, the formal sum over labels that ``dsl``, ``duality``,
 ``transfer`` and the unit expansions of ``gkring`` pass around, lives here
-beside ``Multisegment``, a ``Frozen`` value like it.
+beside ``Multisegment``, a ``core.Frozen`` value.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -204,83 +207,59 @@ _HASH = itemgetter(5)
 _EFFECTIVE_LINE = itemgetter(slice(3))  # a segment's (line, step, offset_class), read off the tuple
 
 
-class Multisegment(Frozen):
-    """A multiset of segments in canonical order (hashable, immutable).
+class Multisegment(tuple):
+    """A multiset of segments in canonical order: the tuple ``(segments, hash)``, hashable and immutable.
 
-    The order is the segments' own, as tuples.  The hash is the sum of
-    the segments' hashes, fixed at construction, so it does not depend on
-    the order and adds under ``|``.  A producer that builds its segments
-    already in canonical order makes its labels with ``_canonical``, which
-    skips the sort and takes the hash sum from the caller:
+    The order is the segments' own, as tuples.  The hash is the sum of the
+    segments' hashes, a function of them, so equality and the canonical
+    order are the tuple's own, in C, and ordering labels is ordering their
+    segments.  ``len`` and ``bool`` count segments.  The constructor sorts
+    and sums; a producer that builds its segments already in canonical
+    order makes its label with one ``tuple.__new__(Multisegment, (segs,
+    h))`` call, which checks neither the order nor ``h``:
     ``rigid_decomposition`` and ``dual_irr`` sum their segments' hashes,
     while ``|`` (which sorts only labels that interleave), the successor
-    kernel, ``descendants``, ``raw_dual_std`` and ``_tadic_sum``
-    carry the sum of a shared part and add the new pieces'.
+    kernel, ``descendants``, ``raw_dual_std`` and ``_tadic_sum`` carry the
+    sum of a shared part and add the new pieces'.
     """
 
-    __slots__ = ("segments", "_hash")
+    __slots__ = ()
 
-    def __init__(self, segments: Iterable[Segment] = ()):
+    segments = property(itemgetter(0))
+    _hash = property(itemgetter(1))
+
+    def __new__(cls, segments: Iterable[Segment] = ()):
         segs = tuple(sorted(segments))
-        set_segments, set_hash = self._setters
-        set_segments(self, segs)
-        set_hash(self, sum(map(_HASH, segs)))
-
-    @classmethod
-    def _canonical(cls, segs: tuple, h: int) -> "Multisegment":
-        """The label of a tuple already in canonical order, with ``h`` the sum of its segments' hashes.
-
-        Neither the order nor ``h`` is checked: only a producer that builds its
-        segments in canonical order and carries their hash sum may call it.
-        """
-        m = object.__new__(cls)
-        set_segments, set_hash = cls._setters
-        set_segments(m, segs)
-        set_hash(m, h)
-        return m
+        return tuple.__new__(cls, (segs, sum(map(_HASH, segs))))
 
     def __reduce__(self):
-        return Multisegment, (self.segments,)
+        return Multisegment, (self[0],)
 
     @classmethod
     def empty(cls) -> "Multisegment":
         return cls(())
 
     def __len__(self) -> int:
-        return len(self.segments)
+        return len(self[0])
 
     def __bool__(self) -> bool:
-        return bool(self.segments)
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, Multisegment)
-            and self._hash == other._hash
-            and self.segments == other.segments
-        )
+        return bool(self[0])
 
     def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "Multisegment") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def sort_key(self):
-        return self.segments
+        return self[1]
 
     def __or__(self, other: "Multisegment") -> "Multisegment":
         """Multiset union: the hashes add; two labels that do not interleave are joined without a sort."""
-        a, b = self.segments, other.segments
+        (a, ha), (b, hb) = self, other
         if not b:
             return self
         if not a:
             return other
-        h = self._hash + other._hash
         if a[-1] <= b[0]:
-            return Multisegment._canonical(a + b, h)
+            return tuple.__new__(Multisegment, (a + b, ha + hb))
         if b[-1] <= a[0]:
-            return Multisegment._canonical(b + a, h)
-        return Multisegment._canonical(tuple(sorted(a + b)), h)
+            return tuple.__new__(Multisegment, (b + a, ha + hb))
+        return tuple.__new__(Multisegment, (tuple(sorted(a + b)), ha + hb))
 
     def support(self) -> Counter:
         """Point -> multiplicity: position q of offset ``num/den`` is ``(num + q*step*den) / den``, in lowest terms."""
@@ -357,6 +336,8 @@ class VirtualRep(Frozen):
             raise SideMismatch(f"side mismatch: d={self.d} vs d={other.d}")
 
     def __add__(self, other: "VirtualRep") -> "VirtualRep":
+        if not isinstance(other, VirtualRep):
+            return NotImplemented
         self._check(other)
         terms = self.terms.copy()
         for m, c in other.terms.items():
@@ -367,7 +348,7 @@ class VirtualRep(Frozen):
         return VirtualRep(self.d, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "VirtualRep") -> "VirtualRep":
-        return self + (-other)
+        return self + (-other) if isinstance(other, VirtualRep) else NotImplemented
 
     def __rmul__(self, scalar: int) -> "VirtualRep":
         """``scalar * v`` for an integer ``scalar``; any other scalar is refused with TypeError."""
@@ -388,7 +369,7 @@ class VirtualRep(Frozen):
         return VirtualRep(self.d, terms)
 
     def items(self) -> list[tuple[Multisegment, int]]:
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
+        return sorted(self.terms.items())
 
     def __repr__(self) -> str:
         """``1 * {…} - 2 * {…}`` in canonical order, as ``dsl`` parses it; ``0`` when empty."""
@@ -430,8 +411,8 @@ def elementary_successors(m: Multisegment) -> set[Multisegment]:
     ``m``'s minus the pair's plus the new segments'.
     """
     out: set[Multisegment] = set()
-    segs = m.segments
-    canonical = Multisegment._canonical
+    segs, hm = m
+    new = tuple.__new__
     eff = None
     for i, seg in enumerate(segs):
         if seg[:3] != eff:  # the first segment of an effective line
@@ -450,17 +431,17 @@ def elementary_successors(m: Multisegment) -> set[Multisegment]:
             union = made.get((a1, b2))
             if union is None:
                 union = made[a1, b2] = make(a1, b2 - a1 + 1)
-            h = m._hash - seg[5] - other[5] + union[5]
+            h = hm - seg[5] - other[5] + union[5]
             u = bisect_right(segs, union, i + 1, j)
             head = segs[:i] + segs[i + 1 : u] + (union,)
             if a2 > b1:  # adjacent: the union alone
-                out.add(canonical(head + segs[u:j] + segs[j + 1 :], h))
+                out.add(new(Multisegment, (head + segs[u:j] + segs[j + 1 :], h)))
                 continue
             inter = made.get((a2, b1))
             if inter is None:
                 inter = made[a2, b1] = make(a2, b1 - a2 + 1)
             x = bisect_right(segs, inter, u, j)
-            out.add(canonical(head + segs[u:x] + (inter,) + segs[x:j] + segs[j + 1 :], h + inter[5]))
+            out.add(new(Multisegment, (head + segs[u:x] + (inter,) + segs[x:j] + segs[j + 1 :], h + inter[5])))
     return out
 
 
@@ -470,8 +451,8 @@ def rigid_decomposition(m: Multisegment) -> list[Multisegment]:
     The canonical order keeps each effective line's segments contiguous and
     the lines sorted, so the parts are the label's runs.
     """
-    runs = [tuple(run) for _, run in itertools.groupby(m.segments, _EFFECTIVE_LINE)]
-    return [Multisegment._canonical(run, sum(map(_HASH, run))) for run in runs]
+    runs = [tuple(run) for _, run in itertools.groupby(m[0], _EFFECTIVE_LINE)]
+    return [tuple.__new__(Multisegment, (run, sum(map(_HASH, run)))) for run in runs]
 
 
 def is_lower(ma: Multisegment, mb: Multisegment) -> bool:
@@ -488,7 +469,7 @@ def _rank_le(ma: Multisegment, mb: Multisegment, place) -> bool:
     """The rank criterion on tables filled one dict lookup per run: ``place(eff)`` gives its (key, scale, shift)."""
     tables: dict[tuple, dict[tuple[int, int], int]] = {}
     for m, sign in ((ma, 1), (mb, -1)):
-        for eff, run in itertools.groupby(m.segments, _EFFECTIVE_LINE):
+        for eff, run in itertools.groupby(m[0], _EFFECTIVE_LINE):
             key, scale, shift = place(eff)
             net = tables.setdefault(key, {})
             for s in run:
@@ -528,18 +509,20 @@ def descendants(m: Multisegment) -> set[Multisegment]:
     argument.
     """
     per_block = []
-    for eff, run in itertools.groupby(m.segments, _EFFECTIVE_LINE):
-        blocks: list[list[tuple[int, int]]] = []  # the (first, last) pairs of each gap-free block
-        for a, b in map(attrgetter("first", "last"), run):  # in canonical order, by first
-            if blocks and a <= end + 1:
-                blocks[-1].append((a, b))
-                end = max(end, b)
+    for eff, run in itertools.groupby(m[0], _EFFECTIVE_LINE):
+        blocks: list[list[Segment]] = []  # the segments of each gap-free block
+        for s in run:  # in canonical order, by first
+            if blocks and s[3] <= end + 1:
+                blocks[-1].append(s)
+                end = max(end, s[3] + s[4] - 1)
             else:
-                blocks.append([(a, b)])
-                end = b
-        for spans in blocks:
+                blocks.append([s])
+                end = s[3] + s[4] - 1
+        for block in blocks:
+            spans = [(s[3], s[3] + s[4] - 1) for s in block]
             positions = Counter(itertools.chain.from_iterable(range(a, b + 1) for a, b in spans))
-            per_block.append(_run_partitions(eff, positions, _RankCaps(spans, positions), {b for _, b in spans}))
+            made = {(s[3], s[4]): s for s in block}
+            per_block.append(_run_partitions(eff, positions, _RankCaps(spans, positions), made))
     return _join_blocks(per_block)
 
 
@@ -612,25 +595,25 @@ def _join_blocks(per_block: list[list[tuple[tuple[Segment, ...], int]]]) -> set[
             [(a + b, ha + hb) for a, ha in left for b, hb in right]
             for left, right in itertools.zip_longest(per_block[::2], per_block[1::2], fillvalue=[((), 0)])
         ]
-    labels = per_block[0] if per_block else [((), 0)]
-    canonical = Multisegment._canonical
-    return {canonical(segs, h) for segs, h in labels}
+    new = tuple.__new__
+    return {new(Multisegment, label) for label in (per_block[0] if per_block else [((), 0)])}
 
 
 def _run_partitions(
-    eff: tuple, positions: Counter, caps: _RankCaps, lasts: set[int]
+    eff: tuple, positions: Counter, caps: _RankCaps, made: dict[tuple[int, int], Segment]
 ) -> list[tuple[tuple[Segment, ...], int]]:
     """The partitions of positions into runs within ``caps``: (segments in canonical order, hash sum).
 
-    A run may end only at one of ``lasts``.  Each partition is made once and
-    already canonical, and each distinct run is one ``Segment`` on ``eff``;
-    the module docstring gives the argument.  The reachable states are
-    collected first, then solved smallest first, so no step recurses however
-    deep the support.
+    ``made`` maps ``(first, length)`` to the bounding label's own segments
+    on ``eff``; a run may end only where one of them ends, and each new run
+    is added to it, so each distinct run is one ``Segment``.  Each partition
+    is made once and already canonical; the module docstring gives the
+    argument.  The reachable states are collected first, then solved
+    smallest first, so no step recurses however deep the support.
     """
     base, top = min(positions), max(positions)
     root = (base, tuple(positions.get(q, 0) for q in range(base, top + 1)), 1)
-    made: dict[tuple[int, int], Segment] = {}  # (p, run length) -> its segment
+    lasts = {p + length - 1 for p, length in made}
     make = _maker(*eff)
     runs: dict[tuple, list] = {}  # state -> [(run segment, its hash, rest)]
     todo = [root]

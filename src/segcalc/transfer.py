@@ -126,7 +126,7 @@ def lj_std(registry: LineRegistry, x: VirtualRep, d: int) -> VirtualRep:
     terms: dict[Multisegment, int] = {}
     for m, c in x.terms.items():
         out = []
-        for seg in m.segments:
+        for seg in m[0]:
             img = images.get(seg)
             if img is None:
                 try:

@@ -23,12 +23,13 @@ def ms(*segs) -> Multisegment:
 
 
 def assert_canonical(got):
-    """Every label is exactly what the sorting constructor makes of its segments.
+    """Every label is a ``Multisegment`` and exactly what the sorting constructor makes of its segments.
 
     The constructor sums its segments' hashes anew, so a producer that
     carries a wrong hash sum fails here.
     """
     for m in got:
+        assert type(m) is Multisegment, m
         sorted_m = Multisegment(m.segments)
         assert m.segments == sorted_m.segments, m
         assert hash(m) == hash(sorted_m), m
@@ -70,18 +71,21 @@ def gap_free_blocks(positions: Counter) -> list[Counter]:
     return blocks
 
 
-def partition_runs(positions, caps=None, lasts=None) -> set:
+def partition_runs(positions, caps=None, spans=None) -> set:
     """``_run_partitions`` of a position multiset read back as sorted ((first, length), ...) runs.
 
-    Unbounded, it passes the singletons' caps and every position as a run
-    end, as ``enumerate_multisegments`` does through ``descendants``.  Each
+    ``spans`` are the bounding label's ``(first, last)`` pairs, where runs
+    may end.  Unbounded, it passes the singletons' caps and spans, as
+    ``enumerate_multisegments`` does through ``descendants``.  Each
     (segments, hash) pair must make a canonical label with its carried
     hash, and no partition may come twice, with or without a rank bound.
     """
     if caps is None:
-        caps, lasts = _RankCaps([(q, q) for q in positions], positions), set(positions)
-    parts = _run_partitions(("rho", 1, 0), positions, caps, lasts)
-    assert_canonical(Multisegment._canonical(segs, h) for segs, h in parts)
+        spans = [(q, q) for q in positions]
+        caps = _RankCaps(spans, positions)
+    made = {(a, b - a + 1): Segment.from_positions(("rho", 1, 0), a, b) for a, b in spans}
+    parts = _run_partitions(("rho", 1, 0), positions, caps, made)
+    assert_canonical(tuple.__new__(Multisegment, part) for part in parts)
     runs = [tuple((s.first, s.length) for s in segs) for segs, _ in parts]
     assert len(set(runs)) == len(runs), runs
     return set(runs)

@@ -275,7 +275,7 @@ def test_criterion_13_order_sanity():
     # partial-order axioms, exhaustively on the <= 6 point classes
     pairs = 0
     for support in window_supports(5, 6):
-        members = sorted(enumerate_multisegments(support, limit=6), key=Multisegment.sort_key)
+        members = sorted(enumerate_multisegments(support, limit=6))
         if len(members) < 2:
             continue
         desc = {m: descendants(m) for m in members}

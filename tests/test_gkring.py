@@ -88,6 +88,13 @@ def test_only_an_integer_scales_a_virtual_rep():
             act()
 
 
+def test_only_a_virtual_rep_adds_to_a_virtual_rep():
+    v = VirtualRep.of(ms(seg(0, 0)))
+    for act in (lambda: v + 1, lambda: v - 1, lambda: 1 - v, lambda: v + ms(seg(0, 0)), lambda: v - ms(seg(0, 0))):
+        with pytest.raises(TypeError):
+            act()
+
+
 # -- unit constructors -----------------------------------------------------------
 
 

@@ -1,11 +1,12 @@
 """The expansion and order kernels against the per-term constructions they replace.
 
 ``_tadic_sum`` walks W_k^l depth first and ``segment_cut_expansion`` builds
-each cut onto a shared prefix; both hand finished prefixes to
-``Multisegment._canonical`` without a sort, and ``raw_dual_std`` and ``|``
-skip the sort where the pieces cannot interleave.  ``descendants`` makes
-each block's partitions above the rank criterion as canonical segment tuples
-with their hash sums and builds each distinct run once, and
+each cut onto a shared prefix; both make finished prefixes labels with one
+``tuple.__new__(Multisegment, (segs, h))`` without a sort, and
+``raw_dual_std`` and ``|`` skip the sort where the pieces cannot
+interleave.  ``descendants`` makes each block's partitions above the rank
+criterion as canonical segment tuples with their hash sums and builds each
+distinct run once, reusing the bounding label's own segments, and
 ``enumerate_multisegments`` is ``descendants`` of the singletons label;
 ``elementary_successors`` reads only the linked pairs off the canonical
 order.  The oracles below keep the constructions these replaced: one sorted
@@ -323,13 +324,15 @@ def test_descendants_equal_the_plain_bfs_oracle(m):
     assert got == descendants_oracle(m)  # the rank-bounded partitions against one operation at a time
     assert got == descendants_oracle(m, successors_oracle)  # and against the all-pairs successors
     assert_canonical(got)
+    own = {s: s for s in m.segments}
+    assert all(s is own.get(s, s) for x in got for s in x.segments)  # m's own segments, never rebuilt
     sizes = []  # the bounded program's labels per block: canonical with the carried hash, none twice
     for _, run in itertools.groupby(m.segments, lambda s: s[:3]):
         spans = [(s.first, s.last) for s in run]
         positions = Counter(q for a, b in spans for q in range(a, b + 1))
         for block in gap_free_blocks(positions):
             inside = [(a, b) for a, b in spans if a in block]
-            sizes.append(len(partition_runs(block, _RankCaps(inside, block), {b for _, b in inside})))
+            sizes.append(len(partition_runs(block, _RankCaps(inside, block), inside)))
     assert math.prod(sizes) == len(got)  # so the joined blocks repeat no label either
 
 

@@ -21,16 +21,21 @@ from segcalc import (
     LineRegistry,
     Multisegment,
     Segment,
+    VirtualRep,
+    dual_irr,
     elementary_successors,
     enumerate_multisegments,
+    expand_u,
     hermitian_dual,
     is_hermitian,
     is_lower,
     ll_less,
     m_map,
+    raw_dual_std,
     rigid_decomposition,
     stats,
 )
+from segcalc.multiseg import descendants
 from segcalc.selfcheck import window_corpus
 from strategies import (
     SegmentRelation,
@@ -179,7 +184,7 @@ def _family(data, top, max_points):
     """``top``, a chain z >= y >= x below it, one more label below it and an unrelated label."""
 
     def below(m):
-        return data.draw(st.sampled_from(sorted(descendants_oracle(m), key=Multisegment.sort_key)))
+        return data.draw(st.sampled_from(sorted(descendants_oracle(m))))
 
     z = below(top)
     y = below(z)
@@ -335,6 +340,27 @@ def test_a_segment_is_the_tuple_of_its_key_and_hash():
         with pytest.raises(AttributeError):
             delattr(s, name)
     assert s == Segment("rho", Fraction(-1, 2), 3, 2) and hash(s) == s[5]
+
+
+def test_a_label_is_the_tuple_of_its_segments_and_hash():
+    a = ms(seg(0, 2), seg(1, 1, "chi"), seg(Fraction(1, 2), Fraction(5, 2), "rho", 2))
+    b = ms(seg(-1, 0), seg(0, 0))
+    made = [a, b, Multisegment(), a | b, b | a, a | Multisegment(), Multisegment() | b, dual_irr(a), dual_irr(a | b)]
+    made += raw_dual_std(VirtualRep.of(a) - VirtualRep.of(b)).terms
+    made += expand_u(2, "rho", 3).terms
+    made += descendants(b | ms(seg(1, 2)))
+    made += [f(a | b) for f in (copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m)))]
+    for m in made:
+        assert type(m) is Multisegment and isinstance(m, tuple) and not hasattr(m, "__dict__")
+        assert tuple(m) == (m.segments, hash(m)) and m == (m.segments, hash(m))
+        assert hash(m) == sum(map(hash, m.segments)) == m._hash
+        assert len(m) == len(m.segments) and bool(m) == bool(m.segments)
+    assert sorted(made) == sorted(made, key=lambda m: m.segments)
+
+
+@given(st.lists(labels(), max_size=6))
+def test_labels_sort_as_their_segments_do(got):
+    assert sorted(got) == sorted(got, key=lambda m: m.segments)
 
 
 def test_segments_and_labels_pickled_under_another_hash_seed_rebuild_their_hashes():
