@@ -8,7 +8,6 @@ deterministic; ``--json`` switches to machine-readable output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .core import LineRegistry, load_json, s_invariant
@@ -216,7 +215,11 @@ def run(args) -> int:
 
         return 0 if selfcheck.run_all() else 1
     value = COMMANDS[args.command](args, reg)
-    print(json.dumps(_json(value), indent=2, sort_keys=True) if args.as_json else _text(value))
+    if args.as_json:  # only --json output loads the json module
+        import json
+
+        value = json.dumps(_json(value), indent=2, sort_keys=True)
+    print(value if args.as_json else _text(value))
     return 0
 
 

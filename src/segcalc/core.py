@@ -14,7 +14,6 @@ floating point is allowed anywhere.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import gcd
 from operator import attrgetter
@@ -56,6 +55,8 @@ def json_field(entry, key: str, kind: type = str):
 
 def load_json(path: str):
     """The parsed JSON file at ``path``; nesting too deep to parse raises RegistryError."""
+    import json  # only --lines and global-check read JSON: a text-mode command never loads it
+
     with open(path) as fh:
         try:
             return json.load(fh)

@@ -20,7 +20,7 @@ from functools import reduce
 from typing import Iterable, Iterator, Optional
 
 from .core import ExponentLike, Record, frac
-from .multiseg import LimitExceeded, Multisegment, Segment, VirtualRep, _maker, unitary_esi
+from .multiseg import LimitExceeded, Multisegment, Segment, VirtualRep, _maker, _moved, unitary_esi
 
 
 # -- Speh units ----------------------------------------------------------
@@ -43,8 +43,8 @@ class SpehUnit(Record):
         twist = frac(twist)
         if count < 1:
             raise ValueError("unit multiplicity must be >= 1")
-        _, step, offset, first, length, _ = base  # 2 * den * center, with offset_class = num / den:
-        if 2 * offset.numerator + offset.denominator * step * (2 * first + length - 1):
+        _, step, offset, first, length, _ = base  # center = offset_class + (2 * first + length - 1) * step / 2
+        if _moved(offset, (2 * first + length - 1) * step) != (0, 1):
             raise ValueError("unit base must be centered at exponent 0")
         if alpha is not None:
             alpha = frac(alpha)

@@ -8,9 +8,10 @@ multiset unions, so transfer invariance reduces to support preservation.
 
 The nontrivial L-factor rule: an essentially square integrable label over
 an unramified size-1 line contributes the single shift equal to the top
-exponent of its flattened (split-side) support; every other esi contributes
-the empty factor.  This reproduces the closed forms for trivial and
-Steinberg representations in every block size.
+exponent of its flattened (split-side) support, which starts at ``start -
+(step-1)/2`` and is read as ``multiseg._moved`` pairs; every other esi
+contributes the empty factor.  This reproduces the closed forms for
+trivial and Steinberg representations in every block size.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import lcm
 from typing import Iterable, Union
 
 from .core import ExponentLike, LineRegistry, Record, frac
-from .multiseg import Multisegment, Segment
+from .multiseg import Multisegment, Segment, _moved
 
 
 class FormalLFactor(Record):
@@ -66,13 +67,6 @@ class EpsilonFactor(Record):
         return {"psi": self.psi, "shifts": [{"tag": t, "shift": str(a)} for t, a in self.shifts]}
 
 
-def _flat_start(seg: Segment) -> tuple[int, int]:
-    """``start - (step - 1)/2``, the flattened support's first point, as (num, den) over 2 * den(offset)."""
-    offset, step = seg.offset_class, seg.step
-    den = offset.denominator
-    return 2 * (offset.numerator + seg.first * step * den) - (step - 1) * den, 2 * den
-
-
 def l_esi(registry: LineRegistry, seg: Segment) -> FormalLFactor:
     """L-factor of one esi label; nonempty only over unramified size-1 lines."""
     return l_irr(registry, Multisegment((seg,)))
@@ -83,22 +77,21 @@ def l_irr(registry: LineRegistry, m: Multisegment) -> FormalLFactor:
     shifts = []
     for seg in m.segments:
         info = registry[seg.line]
-        if info.unramified and info.p == 1:
-            num, den = _flat_start(seg)
-            shifts.append(Fraction(num + (seg.length * seg.step - 1) * den, den))
+        if info.unramified and info.p == 1:  # start - (step - 1)/2 + length * step - 1
+            shifts.append(Fraction(*_moved(seg.offset_class, (2 * (seg.first + seg.length) - 1) * seg.step - 1)))
     return FormalLFactor(shifts)
 
 
 def eps_irr(registry: LineRegistry, m: Multisegment) -> EpsilonFactor:
     """epsilon'-factor over ``psi``: one term per point of the flattened cuspidal support.
 
-    The points of each segment are ``(num + j * den) / den`` from its
-    ``_flat_start``; they are sorted as integers over one common denominator.
+    A segment's points are ``(num + j * den) / den``, ``num/den`` its first
+    flattened point; they are sorted as integers over one common denominator.
     """
     flats = []
     for seg in m.segments:
         registry[seg.line]  # validate the line exists
-        flats.append((seg.line, *_flat_start(seg), seg.length * seg.step))
+        flats.append((seg.line, *_moved(seg.offset_class, (2 * seg.first - 1) * seg.step + 1), seg.length * seg.step))
     big = lcm(*(den for _, _, den, _ in flats))
     points = sorted((line, (num + j * den) * (big // den)) for line, num, den, n in flats for j in range(n))
     # the pairs are sorted as the constructor would sort them (k / big rises with k) and

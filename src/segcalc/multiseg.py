@@ -20,6 +20,10 @@ in ``_OFFSETS`` by its integer pair (numerator, denominator): each class is
 one Fraction, built once and never hashed, whichever producer made the
 segment.  A single segment is normalized in ``_fix``; a producer that builds
 a run of segments on one effective line normalizes it once, with ``_maker``.
+``_moved(offset, n)`` is an offset class plus n/2 as the lowest-terms pair
+``_fix`` takes: the transfer's moves by +-(s-1)/2, the flattened points of
+the L- and epsilon'-factors and a Speh unit's centre are each one call, so
+no other module reads an offset's numerator or denominator.
 The first five fields are the canonical key, so equality and the canonical
 order are the tuple's own, in C; the hash, last, is computed once from the
 integer fields of the key, mixed by an xorshift and cut to 40 bits.  A
@@ -71,6 +75,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -100,9 +105,11 @@ def _offset_class(num: int, den: int) -> Fraction:
 def _fix(line, step, num, den, first, length, offset=None) -> "Segment":
     """The segment at ``first`` of the line with offset ``num/den``: the length check, the hash, one ``tuple.__new__``.
 
+    ``(num, den)`` must be in lowest terms: the hash and the ``_OFFSETS`` key
+    read the pair, so another spelling of one offset makes another segment.
     Without ``offset`` it normalizes the line for this segment alone, moving
-    ``num`` into ``[0, den * step)`` and ``first`` with it; ``_maker`` passes
-    the class of a line it normalized once.
+    ``num`` into ``[0, den * step)`` and ``first`` with it; ``_maker``
+    passes the class of a line it normalized once.
     """
     if length < 1:
         raise ValueError(f"segment length must be >= 1, got {length}")
@@ -113,6 +120,13 @@ def _fix(line, step, num, den, first, length, offset=None) -> "Segment":
     h = hash((line, step, num, den, first, length))
     h = (h ^ h >> 29) & _HASH_MASK  # the xorshift keeps sums apart
     return tuple.__new__(Segment, (line, step, offset, first, length, h))
+
+
+def _moved(offset, halves: int) -> tuple[int, int]:
+    """``offset + halves/2`` as the lowest-terms pair ``(num, den)`` that ``_fix`` takes."""
+    num, den = 2 * offset.numerator + halves * offset.denominator, 2 * offset.denominator
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def _maker(line, step, offset):
@@ -128,13 +142,9 @@ class Segment(tuple):
 
     The tuple ``(line, step, offset_class, first, length, hash)``, made by
     one ``tuple.__new__`` call in ``_fix``: ``0 <= offset_class < step``, an
-    int when integral, else the one Fraction ``_OFFSETS`` keeps under its
-    integer pair (numerator, denominator).  ``start = offset_class + first
-    * step`` is derived on demand.  The first five fields are the canonical
-    key; the hash, a function of them, is ``(h ^ h >> 29) & (2**40 - 1)``
-    with ``h`` the hash of ``(line, step, numerator, denominator, first,
-    length)``: without the xorshift, sums of the hashes of related segments
-    collide.
+    int when integral, else the one Fraction ``_OFFSETS`` keeps.  ``start =
+    offset_class + first * step`` is derived on demand.  The module
+    docstring gives the key and the hash.
     """
 
     __slots__ = ()
@@ -146,6 +156,9 @@ class Segment(tuple):
     length = property(itemgetter(4))
 
     def __new__(cls, line: str, start: ExponentLike, length: int, step: int = 1):
+        if type(length) is not int or type(step) is not int:  # a bool, a float or a Fraction is refused
+            name, value = ("length", length) if type(length) is not int else ("step", step)
+            raise TypeError(f"segment {name} must be an int, got {value!r}")
         if step < 1:
             raise ValueError(f"segment step must be >= 1, got {step}")
         start = start if isinstance(start, (int, Fraction)) else frac(start)

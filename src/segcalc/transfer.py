@@ -4,9 +4,10 @@ An inner-form cuspidal over a line of size p is realized concretely as its
 split-side block: the length-s segment (s = d / gcd(d, p)) with the same
 center.  The esi correspondence ``c_map``/``c_inv`` then simply regroups a
 split segment into blocks of length s while preserving the underlying
-support, and the lattice map ``lj_std`` sends a standard label to its
-factorwise image when every segment length is divisible by s, and to zero
-otherwise.
+support: the offset moves by +-(s-1)/2, one ``multiseg._moved`` call that
+``ll_less`` makes too.  The lattice map ``lj_std`` sends a standard label
+to its factorwise image when every segment length is divisible by s, and
+to zero otherwise.
 
 ``lj_u`` is the closed-form transfer of a Speh unit, implemented once via
 the symmetric two-block formula (with k = a s + b and l = a' s + b'):
@@ -31,7 +32,7 @@ from typing import Iterable, Optional, Union
 
 from .core import ExponentLike, LineRegistry, Record, frac, s_invariant
 from .gkring import SpehUnit, UnitaryProduct, _two_block_product
-from .multiseg import LimitExceeded, Multisegment, Segment, VirtualRep, _rank_le, unitary_esi
+from .multiseg import LimitExceeded, Multisegment, Segment, VirtualRep, _fix, _moved, _rank_le, unitary_esi
 
 
 class NotTransferable(ValueError):
@@ -70,14 +71,7 @@ ZERO_TRANSFER = SignedUnitaryProduct(0, UnitaryProduct())
 
 def d_cuspidal(registry: LineRegistry, line: str, d: int, center: ExponentLike = 0) -> Segment:
     """The inner-form cuspidal over ``line`` at ``center``: a length-1 step-s segment."""
-    s = s_invariant(registry[line].p, d)
-    return Segment(line, frac(center), 1, s)
-
-
-def _plus_halves(offset, n: int):
-    """``offset + n/2`` from the offset's numerator and denominator: an int when integral."""
-    num, den = 2 * offset.numerator + n * offset.denominator, 2 * offset.denominator
-    return Fraction(num, den) if num % den else num // den
+    return Segment(line, center, 1, s_invariant(registry[line].p, d))
 
 
 def c_map(registry: LineRegistry, seg: Segment, d: int) -> Segment:
@@ -93,16 +87,12 @@ def c_map(registry: LineRegistry, seg: Segment, d: int) -> Segment:
     if seg.length % s:
         raise NotTransferable(f"segment length {seg.length} not divisible by s = {s}")
     q, r = divmod(seg.first, s)
-    eff = (seg.line, s, _plus_halves(seg.offset_class, s - 1 + 2 * r))
-    return Segment.from_positions(eff, q, q + seg.length // s - 1)
+    return _fix(seg.line, s, *_moved(seg.offset_class, s - 1 + 2 * r), q, seg.length // s)
 
 
 def c_inv(seg: Segment) -> Segment:
     """Flatten an inner-form segment back to its split support: ``start - (s-1)/2``, step 1."""
-    s = seg.step
-    first = seg.first * s
-    eff = (seg.line, 1, _plus_halves(seg.offset_class, 1 - s))
-    return Segment.from_positions(eff, first, first + seg.length * s - 1)
+    return _fix(seg.line, 1, *_moved(seg.offset_class, 1 - seg.step), seg.first * seg.step, seg.length * seg.step)
 
 
 def is_d_compatible(registry: LineRegistry, x: Union[Segment, Multisegment], d: int) -> bool:
@@ -152,10 +142,9 @@ def m_map(m: Multisegment) -> Multisegment:
 def _split_line(eff: tuple) -> tuple[tuple, int, int]:
     """``c_inv`` sends position q to ``q * s + shift`` on the class of ``offset - (s-1)/2``, in lowest terms."""
     line, s, offset = eff
-    den = 2 * offset.denominator
-    shift, num = divmod(2 * offset.numerator - (s - 1) * offset.denominator, den)
-    g = math.gcd(num, den)
-    return (line, num // g, den // g), s, shift
+    num, den = _moved(offset, 1 - s)
+    shift, num = divmod(num, den)  # num stays prime to den
+    return (line, num, den), s, shift
 
 
 def ll_less(a: Multisegment, b: Multisegment) -> bool:

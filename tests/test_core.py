@@ -141,6 +141,15 @@ SIGMA = unitary_esi("rho", 1, 2)
                      id="segment-step-0"),
         pytest.param(lambda: Segment("rho", 0, 0, 1), ValueError, "segment length must be >= 1, got 0",
                      id="segment-length-0"),
+        # a float length or step would put float exponents into the exact arithmetic; a bool is no int
+        pytest.param(lambda: Segment("rho", 0, 2.5), TypeError, "segment length must be an int, got 2.5",
+                     id="segment-float-length"),
+        pytest.param(lambda: Segment("rho", 0, 2, 1.5), TypeError, "segment step must be an int, got 1.5",
+                     id="segment-float-step"),
+        pytest.param(lambda: Segment("rho", 0, True), TypeError, "segment length must be an int, got True",
+                     id="segment-bool-length"),
+        pytest.param(lambda: Segment("rho", 0, 2, True), TypeError, "segment step must be an int, got True",
+                     id="segment-bool-step"),
         pytest.param(lambda: frac(0.5), TypeError, "not an exact rational: 0.5", id="frac-float"),
         pytest.param(lambda: Segment("rho", 0.5, 1), TypeError, "not an exact rational: 0.5", id="segment-float-start"),
         pytest.param(lambda: s_invariant(0, 1), ValueError, "p and d must be positive", id="s-invariant-p-0"),
@@ -360,13 +369,14 @@ def test_the_parser_and_the_duality_leave_the_unit_calculus_out():
 
 def test_cli_import_leaves_heavy_and_unused_modules_out():
     # the parse-only commands load neither the transfer, the L-factors, the global
-    # bookkeeping nor selfcheck, and no dataclasses (which pulls in inspect)
+    # bookkeeping nor selfcheck, no dataclasses (which pulls in inspect) and, in text
+    # mode, no json
     [loaded] = _modules_after(_cli_code(
         ["dual", "{rho:[0,2]}"], ["order", "{rho:[0,1]}", "{rho:[0,0], rho:[1,1]}"],
         ["enumerate", "{rho:[0,0], rho:[1,1]}"], ["recognize", "{rho:[-1,0], rho:[0,1]}"],
         ["expand-u", "l=2", "k=2"], ["expand-ubar", "--d", "2", "l=1", "k=2"],
     ))
-    unwanted = {"dataclasses", "inspect", "segcalc.transfer", "segcalc.lfactors", "segcalc.globalrep",
+    unwanted = {"dataclasses", "inspect", "json", "segcalc.transfer", "segcalc.lfactors", "segcalc.globalrep",
                 "segcalc.selfcheck"}
     assert loaded & unwanted == set()
     [loaded] = _modules_after(_cli_code(["lfun", "{rho:[-1/2,1/2]}"]))
