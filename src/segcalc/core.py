@@ -23,10 +23,10 @@ ExponentLike = Union[Fraction, int, str]
 
 
 def frac(x: ExponentLike) -> Fraction:
-    """Coerce an int, string like ``-1/2`` or Fraction to an exact Fraction."""
+    """Coerce an int, string like ``-1/2`` or Fraction to an exact Fraction; a bool is no int."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x.strip())

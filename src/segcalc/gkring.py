@@ -192,8 +192,10 @@ def _tadic_sum(
     factors' hashes) and its sign; each child extends that shared prefix
     tuple by one factor and its hash by the factor's, and placing v flips the
     sign once per unused value below v.  Value i - l fits no later position,
-    so while it is unused it is the only child: every entry completes.  The
-    last two positions take the two values left in both orders at once.
+    so while it is unused it is the only child: every entry completes.  Else
+    every unused value fits, and a node walks the set bits of ``values ^
+    used``, so it costs its children.  The last two positions take the two
+    values left in both orders at once.
     All factors lie on one effective line and factor i starts at position
     i, so every prefix is already in canonical order and becomes a label
     through one ``tuple.__new__`` without a sort.  Distinct w give
@@ -240,11 +242,13 @@ def _tadic_sum(
         # all k - i + 1 unused values are >= lo, and the largest passes k - i of them
         if (k - i) % 2:
             sign = -sign
-        for v in range(k, max(lo, 1) - 1, -1):
-            if not used >> v & 1:
-                f, hf = row[v + l - i]
-                stack.append((i + 1, used | 1 << v, prefix + f, h + hf, sign))
-                sign = -sign
+        rest = values ^ used
+        while rest:
+            v = rest.bit_length() - 1
+            rest ^= 1 << v
+            f, hf = row[v + l - i]
+            stack.append((i + 1, used | 1 << v, prefix + f, h + hf, sign))
+            sign = -sign
     return VirtualRep(d, terms)
 
 

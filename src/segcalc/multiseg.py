@@ -32,9 +32,10 @@ canonical order and the sum of their hashes, an additive multiset hash, so
 a label made of a shared prefix plus a few pieces hashes in O(1) from the
 prefix's hash.  Its equality and order are the tuple's own, in C, and a
 producer that builds its segments in canonical order makes each label
-with one ``tuple.__new__`` call: ``|``, the successor kernel,
-``descendants``, ``dual_irr`` and the cut expansion and ``raw_dual_std``
-(``duality``) and ``_tadic_sum`` (``gkring``), carrying the hash sum.
+with one ``tuple.__new__`` call, carrying the hash sum: ``|`` and the
+product (``_union``), the successor kernel, ``descendants``, ``dual_irr``,
+the cut expansion and ``raw_dual_std`` (``duality``) and ``_tadic_sum``
+(``gkring``).
 
 ``is_lower`` decides the order by the rank criterion: ``_ranks_nonnegative``
 sweeps each effective line's signed table once upward in i, reading r(i, j)
@@ -161,7 +162,7 @@ class Segment(tuple):
             raise TypeError(f"segment {name} must be an int, got {value!r}")
         if step < 1:
             raise ValueError(f"segment step must be >= 1, got {step}")
-        start = start if isinstance(start, (int, Fraction)) else frac(start)
+        start = start if type(start) is int or isinstance(start, Fraction) else frac(start)  # frac refuses a bool
         return _fix(line, step, start.numerator, start.denominator, 0, length)
 
     @classmethod
@@ -231,9 +232,10 @@ class Multisegment(tuple):
     order makes its label with one ``tuple.__new__(Multisegment, (segs,
     h))`` call, which checks neither the order nor ``h``:
     ``rigid_decomposition`` and ``dual_irr`` sum their segments' hashes,
-    while ``|`` (which sorts only labels that interleave), the successor
-    kernel, ``descendants``, ``raw_dual_std`` and ``_tadic_sum`` carry the
-    sum of a shared part and add the new pieces'.
+    while ``|`` and the product (``_union`` sorts only labels that
+    interleave), the successor kernel, ``descendants``, ``raw_dual_std``
+    and ``_tadic_sum`` carry the sum of a shared part and add the new
+    pieces'.
     """
 
     __slots__ = ()
@@ -264,15 +266,7 @@ class Multisegment(tuple):
     def __or__(self, other: "Multisegment") -> "Multisegment":
         """Multiset union: the hashes add; two labels that do not interleave are joined without a sort."""
         (a, ha), (b, hb) = self, other
-        if not b:
-            return self
-        if not a:
-            return other
-        if a[-1] <= b[0]:
-            return tuple.__new__(Multisegment, (a + b, ha + hb))
-        if b[-1] <= a[0]:
-            return tuple.__new__(Multisegment, (b + a, ha + hb))
-        return tuple.__new__(Multisegment, (tuple(sorted(a + b)), ha + hb))
+        return _union(a, ha, b, hb)
 
     def support(self) -> Counter:
         """Point -> multiplicity: position q of offset ``num/den`` is ``(num + q*step*den) / den``, in lowest terms."""
@@ -299,6 +293,15 @@ class Multisegment(tuple):
 
     def to_json(self) -> list[dict]:
         return [s.to_json() for s in self.segments]
+
+
+def _union(a: tuple, ha: int, b: tuple, hb: int) -> Multisegment:
+    """The union of canonical segment tuples ``a`` and ``b`` (hashes ``ha``, ``hb``), sorted only if they interleave."""
+    if not a or not b or a[-1] <= b[0]:
+        return tuple.__new__(Multisegment, (a + b, ha + hb))
+    if b[-1] <= a[0]:
+        return tuple.__new__(Multisegment, (b + a, ha + hb))
+    return tuple.__new__(Multisegment, (tuple(sorted(a + b)), ha + hb))
 
 
 class SideMismatch(ValueError):
@@ -370,15 +373,17 @@ class VirtualRep(Frozen):
         return VirtualRep(self.d, {m: scalar * c for m, c in self.terms.items()})
 
     def __mul__(self, other: "VirtualRep") -> "VirtualRep":
-        """Induction product: bilinear, multiset union on basis labels."""
+        """Induction product: bilinear, ``_union`` on each pair of basis labels, ``self``'s terms outer."""
         if not isinstance(other, VirtualRep):
             return NotImplemented
         self._check(other)
+        right = [(b, hb, c2) for (b, hb), c2 in other.terms.items()]
         terms: dict[Multisegment, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 | m2
-                terms[m] = terms.get(m, 0) + c1 * c2
+        get = terms.get
+        for (a, ha), c1 in self.terms.items():
+            for b, hb, c2 in right:
+                m = _union(a, ha, b, hb)
+                terms[m] = get(m, 0) + c1 * c2
         return VirtualRep(self.d, terms)
 
     def items(self) -> list[tuple[Multisegment, int]]:

@@ -105,30 +105,32 @@ def is_d_compatible(registry: LineRegistry, x: Union[Segment, Multisegment], d: 
 def lj_std(registry: LineRegistry, x: VirtualRep, d: int) -> VirtualRep:
     """Lattice transfer: factorwise c_map on compatible labels, 0 otherwise.
 
-    A term is dropped at its first segment that is not d-compatible.  Terms
-    share few distinct segments, so each segment's image is looked up in one
-    dict local to the call: its ``c_map`` image, or False when it is not
-    d-compatible.
+    A term is dropped at its first segment whose length its line's s does
+    not divide, read from one dict of line -> s local to the call, so a
+    label is found compatible or not before any segment is mapped.  Terms
+    share few distinct segments, so a kept term looks each segment's
+    ``c_map`` image up in a second dict local to the call.
     """
     if x.d != 1:
         raise NotTransferable("lj_std starts from the split side")
-    images: dict[Segment, Union[Segment, bool]] = {}
+    s_of: dict[str, int] = {}
+    images: dict[Segment, Segment] = {}
     terms: dict[Multisegment, int] = {}
     for m, c in x.terms.items():
-        out = []
-        for seg in m[0]:
-            img = images.get(seg)
-            if img is None:
-                try:
-                    img = images[seg] = is_d_compatible(registry, seg, d) and c_map(registry, seg, d)
-                except NotTransferable:
-                    if is_d_compatible(registry, m, d):
-                        raise
-                    break  # an incompatible segment zeroes the label before c_map can refuse
-            if img is False:
+        segs = m[0]
+        for seg in segs:
+            s = s_of.get(seg[0])
+            if s is None:
+                s = s_of[seg[0]] = s_invariant(registry[seg[0]].p, d)
+            if seg[4] % s:
                 break
-            out.append(img)
         else:
+            out = []
+            for seg in segs:
+                img = images.get(seg)
+                if img is None:
+                    img = images[seg] = c_map(registry, seg, d)
+                out.append(img)
             label = Multisegment(out)
             terms[label] = terms.get(label, 0) + c
     return VirtualRep(d, terms)

@@ -259,6 +259,20 @@ def virtual_reps(draw, d=1, label=labels()):
     return v
 
 
+def product_oracle(x: VirtualRep, y: VirtualRep) -> VirtualRep:
+    """``x * y`` pair by pair, ``x``'s terms outer: the per-pair union accumulation the product replaced.
+
+    Each union is made by the sorting constructor, which ``|`` equals, so
+    the oracle shares no union rule with the product it checks.
+    """
+    terms: dict[Multisegment, int] = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            m = Multisegment(m1.segments + m2.segments)
+            terms[m] = terms.get(m, 0) + c1 * c2
+    return VirtualRep(x.d, terms)
+
+
 @st.composite
 def unitary_products(draw, lines=("rho", "chi"), steps=(1,)):
     """At most two factors, each a twist-0 unit or a pi(u, alpha) pair, with l and k <= 3.

@@ -152,6 +152,11 @@ SIGMA = unitary_esi("rho", 1, 2)
                      id="segment-bool-step"),
         pytest.param(lambda: frac(0.5), TypeError, "not an exact rational: 0.5", id="frac-float"),
         pytest.param(lambda: Segment("rho", 0.5, 1), TypeError, "not an exact rational: 0.5", id="segment-float-start"),
+        # a bool is no exponent either: True would read as 1
+        pytest.param(lambda: frac(True), TypeError, "not an exact rational: True", id="frac-bool-true"),
+        pytest.param(lambda: frac(False), TypeError, "not an exact rational: False", id="frac-bool-false"),
+        pytest.param(lambda: Segment("rho", True, 1), TypeError, "not an exact rational: True",
+                     id="segment-bool-start"),
         pytest.param(lambda: s_invariant(0, 1), ValueError, "p and d must be positive", id="s-invariant-p-0"),
         pytest.param(lambda: lj_u(REG, 0, "rho", 1, 2), ValueError, "l and k must be >= 1", id="lj-u-l-0"),
         pytest.param(lambda: ubar_factor(SIGMA, 0), ValueError, "k must be >= 1", id="ubar-k-0"),

@@ -61,8 +61,11 @@ from strategies import (
     gap_free_blocks,
     labels,
     labels_with_repeats,
+    ms,
     overlapping_labels,
     partition_runs,
+    product_oracle,
+    seg,
     segment_relation,
     virtual_reps,
 )
@@ -169,7 +172,7 @@ def test_tadic_sum_equals_per_permutation_oracle(l, k, step, twist, d, line):
 
 
 def test_tadic_sum_equals_oracle_on_every_small_shape():
-    for l in range(1, 5):
+    for l in range(1, 7):  # l >= k included: there i - l never exceeds 1
         for k in range(1, 8):
             assert _tadic_sum("rho", l, k, 1, F(0), 1) == tadic_sum_oracle("rho", l, k, 1, F(0), 1), (l, k)
 
@@ -262,6 +265,38 @@ def test_interleaving_union_and_products_carry_the_hash_sum():
     x = expand_u(2, "rho", 3) + VirtualRep.of(b)
     assert_canonical((x * x).terms)
     assert_canonical((x * expand_u(1, "chi", 3, F(1, 2))).terms)
+
+
+def assert_product_is_the_oracle(x, y):
+    """``x * y`` equals the per-pair oracle term for term, in its insertion order, with canonical labels."""
+    got, want = x * y, product_oracle(x, y)
+    assert got == want and list(got.terms) == list(want.terms)  # x's terms outer, y's inner
+    assert_canonical(got.terms)
+
+
+# sums whose labels may be the empty one, the unit of the product
+SUMS_WITH_UNIT = st.sampled_from([1, 2]).flatmap(
+    lambda d: st.tuples(*[virtual_reps(d, st.one_of(st.just(Multisegment()), labels(5)))] * 2))
+
+
+@given(SUMS_WITH_UNIT)
+def test_product_equals_the_per_pair_union_oracle(pair):
+    x, y = pair
+    assert_product_is_the_oracle(x, y)
+    assert_product_is_the_oracle(y, x)
+    unit = VirtualRep(x.d, {Multisegment(): 1})
+    assert x * unit == x == unit * x
+
+
+def test_product_equals_the_oracle_on_interleaving_and_mixed_offset_operands():
+    a = ms(seg(0, 1), seg(3, 4))
+    b = ms(seg(2, 2), seg(5, 6))  # interleaves a on rho
+    half = ms(seg(F(-1, 2), F(1, 2)), seg(F(5, 2), F(7, 2)))  # the half-integer class of rho, beside a's int one
+    chi = ms(seg(-1, 0, "chi"))
+    x = VirtualRep.of(a) + 2 * VirtualRep.of(half) - VirtualRep.of(chi)
+    y = VirtualRep.of(b) - VirtualRep.of(half) + VirtualRep.of(Multisegment()) + VirtualRep.of(a | chi)
+    for left, right in ((x, y), (y, x), (x, x), (y, y)):
+        assert_product_is_the_oracle(left, right)
 
 
 def test_label_hashes_do_not_collide_on_large_families():

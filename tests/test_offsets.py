@@ -32,6 +32,7 @@ from segcalc import (
     lj_std,
     ll_less,
     m_map,
+    raw_dual_std,
 )
 from segcalc.multiseg import _moved
 from strategies import labels, order_pairs, shifted, virtual_reps
@@ -89,6 +90,9 @@ TWIST_TABLE = [
     ("m_map", m_map, "label", twisted, twisted),
     ("lj_std at d = 2", lambda v: lj_std(REG, v, 2), "split", twisted_sum, twisted_sum),
     ("lj_std at d = 3", lambda v: lj_std(REG, v, 3), "split", twisted_sum, twisted_sum),
+    # a twist by a/b moves both factors alike, so the product's no-sort branches must still order the union
+    ("square", lambda v: v * v, "split", twisted_sum, twisted_sum),
+    ("raw_dual_std", raw_dual_std, "split", twisted_sum, twisted_sum),
     ("l_irr", lambda m: l_irr(REG, m), "label", twisted, lambda f, x: FormalLFactor(a + x for a in f.shifts)),
     ("eps_irr", lambda m: eps_irr(REG, m), "label", twisted,
      lambda e, x: EpsilonFactor(((t, a + x) for t, a in e.shifts), e.psi)),
