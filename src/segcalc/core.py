@@ -15,9 +15,9 @@ floating point is allowed anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import attrgetter
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 ExponentLike = Union[Fraction, int, str]
 
@@ -31,6 +31,13 @@ def frac(x: ExponentLike) -> Fraction:
     if isinstance(x, str):
         return Fraction(x.strip())
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def over_common_denominator(xs: Iterable[Fraction], factor: int) -> tuple[int, dict[Fraction, int]]:
+    """D = ``factor`` times the lcm of the denominators of ``xs``, and each x as the integer x * D."""
+    xs = set(xs)
+    D = factor * lcm(*(x.denominator for x in xs))
+    return D, {x: x.numerator * (D // x.denominator) for x in xs}
 
 
 class RegistryError(ValueError):

@@ -150,14 +150,16 @@ def speh_ubar(sigma: Segment, k: int, twist: ExponentLike = 0) -> Multisegment:
     )
 
 
+def _two_blocks(s: int, b: int, wide, narrow) -> list[tuple]:
+    """The two-block rule as one (block, doubled twist) pair per unit, in ints: b of ``wide`` at twists
+    i - (b+1)/2 and, unless ``narrow`` is None, s-b of ``narrow`` at j - (s-b+1)/2."""
+    rule = [(wide, 2 * i - b - 1) for i in range(1, b + 1)]
+    return rule + [(narrow, 2 * j - s + b - 1) for j in range(1, s - b + 1)] if narrow is not None else rule
+
+
 def _two_block_product(s: int, b: int, wide: tuple, narrow: Optional[tuple]) -> UnitaryProduct:
-    """b twists nu^(i-(b+1)/2) u'(*wide) and, unless narrow is None, s-b twists
-    nu^(j-(s-b+1)/2) u'(*narrow); wide and narrow are (sigma', count) pairs."""
-    units = [SpehUnit(*wide, Fraction(2 * i - b - 1, 2)) for i in range(1, b + 1)]
-    if narrow is not None:
-        nb = s - b
-        units += [SpehUnit(*narrow, Fraction(2 * j - nb - 1, 2)) for j in range(1, nb + 1)]
-    return UnitaryProduct(units)
+    """The units of ``_two_blocks``; wide and narrow are (sigma', count) pairs."""
+    return UnitaryProduct(SpehUnit(*block, Fraction(t2, 2)) for block, t2 in _two_blocks(s, b, wide, narrow))
 
 
 def ubar_factor(sigma: Segment, k: int) -> UnitaryProduct:

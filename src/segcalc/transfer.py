@@ -30,8 +30,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .core import ExponentLike, LineRegistry, Record, frac, s_invariant
-from .gkring import SpehUnit, UnitaryProduct, _two_block_product
+from .core import ExponentLike, LineRegistry, Record, frac, over_common_denominator, s_invariant
+from .gkring import SpehUnit, UnitaryProduct, _two_block_product, _two_blocks
 from .multiseg import LimitExceeded, Multisegment, Segment, VirtualRep, _fix, _moved, _rank_le, unitary_esi
 
 
@@ -245,58 +245,62 @@ def in_image_lju(registry: LineRegistry, target: UnitaryProduct, d: int) -> Opti
     Any preimage factors into split units whose individual transfers cover
     the target's unit multiset exactly, so the search is an exact cover by
     the transfers of candidate units u(Z(rho, l), k) and pi(u, alpha) pairs
-    with matching support.  The candidates come from the target's unit
-    shapes (line, length, step, count): lj_u(l, k) is built only when both
-    of its blocks have a shape that occurs in the target, since otherwise no
-    twist of it can be covered.  A candidate is its (line, l, k, alpha) and
-    the unit multiset of lj_u(l, k) with each twist moved by the halves'
-    twists; units are built only for the witness.  Candidates are tried in
-    canonical order and the first witness is returned; None means the target
-    is not in the image.
+    with matching support.  Twists count in units of 1/D, D twice the lcm of
+    the target's twist denominators, so the block twists (2i - b - 1)/2 of
+    ``lj_u``, every alpha and every cover key are integers.  A block
+    u'(T(rho', length), count) of lj_u(l, k) has (length - 1) s < l <
+    (length + 1) s, and likewise for count and k, so (l, k) is read off the
+    target's unit shapes (line, length, step, count) and kept only when each
+    of its blocks has a shape in the target.  A candidate is its (line, l,
+    k, alpha) and the two-block rule's units moved by
+    ``SpehUnit.half_twists(0, 1, alpha)``; units and Fractions are built only
+    for the witness.  Candidates are tried in canonical order and the first
+    witness is returned; None means the target is not in the image.
     """
-    want = _flatten(target)
-    if not want:
+    flat = _flatten(target)
+    if not flat:
         return UnitaryProduct()
 
     sizes: Counter = Counter()
-    for (line, length, step, count, _), mult in want.items():
+    for (line, length, step, count, _), mult in flat.items():
         sizes[line] += length * step * count * mult
     if sum(sizes.values()) > IMAGE_LIMIT:
         raise LimitExceeded(f"target support {sum(sizes.values())} exceeds limit {IMAGE_LIMIT}")
 
+    D, scaled = over_common_denominator((key[4] for key in flat), 2)
+    want = Counter({(*key[:4], scaled[key[4]]): n for key, n in flat.items()})
     shapes = {key[:4] for key in want}
-    twists = sorted({key[4] for key in want})
 
     candidates: list[tuple[tuple, Counter]] = []
-    for line in sorted(sizes):
-        n_line = sizes[line]  # total exponent-lattice points over this line
+    for line in sizes:
         s = s_invariant(registry[line].p, d)
-        for l in range(1, n_line + 1):
-            for k in range(1, n_line // l + 1):
-                if l % s and k % s:
-                    continue
-                # lj_u(l, k) has a wide block iff b > 0 and a narrow one iff both floors are > 0
-                if l % s + k % s and (line, (l - 1) // s + 1, s, (k - 1) // s + 1) not in shapes:
-                    continue
-                if l // s and k // s and (line, l // s, s, k // s) not in shapes:
-                    continue
-                base = _flatten(lj_u(registry, l, line, k, d).product)
-                alphas = {abs(t - bt) for t in twists for bt in {key[4] for key in base}}
-                for a in [None] + sorted(x for x in alphas if 0 < x < Fraction(1, 2)):
-                    cover: Counter = Counter()  # the transfer's units moved by each half's twist
-                    for t in SpehUnit.half_twists(0, 1, a):
-                        cover.update({(*shape, bt + t): n for (*shape, bt), n in base.items()})
-                    candidates.append(((line, l, k, a or Fraction(0)), cover))
+        window = {(l, k) for ln, length, step, count in shapes if ln == line and step == s
+                  for l in range((length - 1) * s + 1, (length + 1) * s)
+                  for k in range((count - 1) * s + 1, (count + 1) * s)}
+        for l, k in window:
+            if l % s and k % s or l * k > sizes[line]:
+                continue
+            # lj_u(l, k) has a wide block iff b > 0 and a narrow one iff both floors are > 0
+            b, wide = l % s + k % s, (line, (l - 1) // s + 1, s, (k - 1) // s + 1)
+            narrow = (line, l // s, s, k // s) if l // s and k // s else None
+            if b and wide not in shapes or narrow is not None and narrow not in shapes:
+                continue
+            base = [(shape, t2 * D // 2) for shape, t2 in _two_blocks(s, b, wide, narrow)]
+            alphas = {abs(t - bt) for t in scaled.values() for _, bt in base}
+            for a in [None] + sorted(x for x in alphas if 0 < 2 * x < D):
+                cover = Counter((*shape, bt + t) for t in SpehUnit.half_twists(0, 1, a) for shape, bt in base)
+                candidates.append(((line, l, k, a or 0), cover))
     candidates.sort(key=lambda c: c[0])
 
     # depth-first exact cover on an explicit stack; a frame is
     # [remaining, next candidate to try, the candidate that led to it]
-    stack = [[+want, 0, None]]
+    stack = [[want, 0, None]]
     while stack:
         frame = stack[-1]
         remaining = frame[0]
         if not remaining:  # the witness: the unit of each candidate taken, built only now
-            units = (SpehUnit(unitary_esi(line, l), k, Fraction(0), a or None) for *_, (line, l, k, a) in stack[1:])
+            units = (SpehUnit(unitary_esi(line, l), k, Fraction(0), Fraction(a, D) if a else None)
+                     for *_, (line, l, k, a) in stack[1:])
             return UnitaryProduct(units)
         pivot = min(remaining)
         for j in range(frame[1], len(candidates)):

@@ -10,11 +10,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from segcalc import LimitExceeded, LineRegistry, SpehUnit, UnitaryProduct, s_invariant, ubar_factor, unitary_esi
 from segcalc import transfer
+from segcalc.gkring import _two_blocks
 from segcalc.transfer import _flatten, in_image_lju, lj_u, lj_unitary_product
 
 F = Fraction
@@ -76,29 +77,36 @@ def all_candidates_image(registry, target, d):
     return None if witness is None else UnitaryProduct(witness)
 
 
-TWISTS = st.integers(-6, 6).map(lambda n: F(n, 4))
-LINES = st.sampled_from(["rho", "chi"])
+# twists a/b with b in {1, 2, 3, 4, 6}, so one target mixes denominators; in_image_lju counts them in 1/D
+TWISTS = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+# an alpha of odd denominator moves the half-integer block twists of lj_u onto odd denominators
+ALPHAS = st.sampled_from([F(1, 8), F(1, 4), F(1, 3), F(1, 6), F(1, 12), F(5, 12)])
 
 
 @st.composite
-def split_unit(draw, d, alpha=False):
-    """An untwisted split unit (or pi pair) whose transfer at ``d`` is nonzero: s divides l or k."""
-    line = draw(LINES)
+def target_lines(draw, most):
+    """The lines of one to ``most`` units: two or more lie on both lines at once."""
+    first, second = draw(st.permutations(["rho", "chi"]))
+    return [first, second, draw(st.sampled_from([first, second]))][:draw(st.integers(1, most))]
+
+
+@st.composite
+def split_unit(draw, d, line):
+    """An untwisted split unit or pi pair on ``line`` whose transfer at ``d`` is nonzero: s divides l or k."""
     s = s_invariant(REG[line].p, d)
     l, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     if draw(st.booleans()) and l * s <= 6:
         l *= s
     if l % s:
         k *= s  # s divides k where it does not divide l
-    a = draw(st.sampled_from([F(1, 8), F(1, 4), F(1, 3)])) if alpha else None
-    return SpehUnit(unitary_esi(line, l), k, F(0), a)
+    return SpehUnit(unitary_esi(line, l), k, F(0), draw(st.none() | ALPHAS))
 
 
 @st.composite
 def transfer_targets(draw):
-    """The transfer of one or two split units, the first maybe a pi pair; it has a preimage."""
+    """The transfer of one or two split units, each maybe a pi pair; it has a preimage."""
     d = draw(st.sampled_from(DS))
-    units = [draw(split_unit(d, draw(st.booleans())))] + draw(st.lists(split_unit(d), max_size=1))
+    units = [draw(split_unit(d, line)) for line in draw(target_lines(2))]
     t = lj_unitary_product(REG, UnitaryProduct(units), d)
     assert t.sign != 0
     return d, t.product
@@ -109,15 +117,21 @@ def inner_form_targets(draw):
     """One to three twisted inner-form units, chosen without regard to any preimage."""
     d = draw(st.sampled_from(DS))
     units = []
-    for _ in range(draw(st.integers(1, 3))):
-        line = draw(LINES)
+    for line in draw(target_lines(3)):
         s = s_invariant(REG[line].p, d)
         units.append(SpehUnit(unitary_esi(line, draw(st.integers(1, 3)), s),
                               draw(st.integers(1, 4)), draw(TWISTS)))
     return d, UnitaryProduct(units)
 
 
+# lj_u(3, 2) at s = 3 has blocks at -+1/2 and alpha = 1/6 moves them to -+1/3 and -+2/3: the
+# target's denominators are all odd, and only D = 2 * 3 makes the block twists integers
+ODD_DENOMINATORS = (3, lj_unitary_product(REG, UnitaryProduct([SpehUnit(unitary_esi("rho", 3), 2, F(0), F(1, 6))]),
+                                          3).product)
+
+
 @given(transfer_targets())
+@example(ODD_DENOMINATORS)
 def test_pruned_search_matches_oracle_on_unit_and_pair_transfers(case):
     d, target = case
     got = in_image_lju(REG, target, d)
@@ -153,17 +167,29 @@ def criterion8_targets():
     return {"blocked": blocked, "control": ubar_factor(st3, 16)}
 
 
-def test_criterion8_searches_build_few_candidates(monkeypatch):
-    calls = Counter()
+def count_candidates(monkeypatch, target, d):
+    """``in_image_lju(REG, target, d)`` and how many candidates (l, k) it built: one two-block rule each."""
+    calls = []
 
     def counted(*args):
-        calls[which] += 1
-        return lj_u(*args)
+        calls.append(args)
+        return _two_blocks(*args)
 
-    monkeypatch.setattr(transfer, "lj_u", counted)
-    found = {}
-    for which, target in criterion8_targets().items():
-        found[which] = in_image_lju(REG, target, 4)
-    assert found["blocked"] is None
-    assert found["control"] == UnitaryProduct([SpehUnit(unitary_esi("rho", 12), 16)])
-    assert calls["blocked"] <= 4 and calls["control"] <= 4, calls
+    monkeypatch.setattr(transfer, "_two_blocks", counted)
+    return in_image_lju(REG, target, d), len(calls)
+
+
+def test_criterion8_searches_build_few_candidates(monkeypatch):
+    targets = criterion8_targets()
+    blocked, n_blocked = count_candidates(monkeypatch, targets["blocked"], 4)
+    control, n_control = count_candidates(monkeypatch, targets["control"], 4)
+    assert blocked is None
+    assert control == UnitaryProduct([SpehUnit(unitary_esi("rho", 12), 16)])
+    assert 1 <= n_blocked <= 4 and 1 <= n_control <= 4, (n_blocked, n_control)
+
+
+def test_a_target_near_the_support_limit_builds_a_handful_of_candidates(monkeypatch):
+    # support 4000: (l, k) come from the windows of its one shape, not from every l * k <= 4000
+    got, n = count_candidates(monkeypatch, ubar_factor(unitary_esi("rho", 1, 2), 2000), 2)
+    assert got == UnitaryProduct([SpehUnit(unitary_esi("rho", 2), 2000)])
+    assert 1 <= n <= 4, n

@@ -25,6 +25,7 @@ from segcalc import (
     VirtualRep,
     c_inv,
     dual_irr,
+    enumerate_multisegments,
     eps_irr,
     hermitian_dual,
     is_lower,
@@ -34,7 +35,7 @@ from segcalc import (
     m_map,
     raw_dual_std,
 )
-from segcalc.multiseg import _moved
+from segcalc.multiseg import _moved, descendants
 from strategies import labels, order_pairs, shifted, virtual_reps
 
 # the modules that read offsets but may not spell them; dsl and globalrep read parsed rationals, not offsets
@@ -78,6 +79,10 @@ def twisted_pair(pair, x):
     return twisted(pair[0], x), twisted(pair[1], x)
 
 
+def twisted_set(ms, x):
+    return {twisted(m, x) for m in ms}
+
+
 def unchanged(y, x):
     return y
 
@@ -100,6 +105,10 @@ TWIST_TABLE = [
     ("ll_less", lambda pair: ll_less(*pair), "pair", twisted_pair, unchanged),
     ("hermitian_dual", lambda m: hermitian_dual(m, REG), "label", twisted, lambda m, x: twisted(m, -x)),
     ("dual_irr", dual_irr, "label", twisted, twisted),
+    ("descendants", descendants, "label", twisted, twisted_set),
+    # the partitions of the label's support, at the step of its first segment, which a twist keeps
+    ("enumerate_multisegments", lambda m: enumerate_multisegments(m.support(), m.segments[0].step), "label",
+     twisted, twisted_set),
 ]
 
 
