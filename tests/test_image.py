@@ -1,9 +1,10 @@
 """``in_image_lju`` against the search over every (l, k) candidate.
 
 ``in_image_lju`` builds only the candidates whose unit shapes occur in the
-target.  ``all_candidates_image`` below keeps the enumeration of every
-(l, k) with l * k up to the support size and the same exact-cover search,
-so it is the oracle the prune must agree with, witness for witness.
+target, on integer twist keys.  ``all_candidates_image`` below keeps the
+enumeration of every (l, k) with l * k up to the support size, the
+``Fraction``-keyed covers of ``lj_u`` and the same exact-cover search, so it
+is the oracle the prune must agree with, witness for witness.
 """
 
 from collections import Counter
