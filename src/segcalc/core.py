@@ -33,10 +33,10 @@ def frac(x: ExponentLike) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def over_common_denominator(xs: Iterable[Fraction], factor: int) -> tuple[int, dict[Fraction, int]]:
-    """D = ``factor`` times the lcm of the denominators of ``xs``, and each x as the integer x * D."""
+def over_common_denominator(xs: Iterable[Fraction]) -> tuple[int, dict[Fraction, int]]:
+    """The least even D with every x * D an integer, and each x as that integer: halves scale to ints too."""
     xs = set(xs)
-    D = factor * lcm(*(x.denominator for x in xs))
+    D = lcm(2, *(x.denominator for x in xs))
     return D, {x: x.numerator * (D // x.denominator) for x in xs}
 
 

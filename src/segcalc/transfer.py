@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .core import ExponentLike, LineRegistry, Record, frac, over_common_denominator, s_invariant
 from .gkring import SpehUnit, UnitaryProduct, _two_block_product, _two_blocks
@@ -161,6 +161,13 @@ def ll_less(a: Multisegment, b: Multisegment) -> bool:
 # -- closed-form unit transfer ----------------------------------------------
 
 
+def _lj_u_blocks(l: int, k: int, s: int, block: Callable[[int, int], tuple]) -> tuple[int, tuple, Optional[tuple]]:
+    """For s | l or s | k: b and the wide and narrow blocks of lj_u(l, k), each ``block(length, count)``
+    (narrow None when empty), as ``_two_blocks`` takes them."""
+    narrow = block(l // s, k // s) if l // s and k // s else None
+    return l % s + k % s, block((l - 1) // s + 1, (k - 1) // s + 1), narrow
+
+
 def lj_u(registry: LineRegistry, l: int, line: str, k: int, d: int) -> SignedUnitaryProduct:
     """Transfer of u(Z(rho, l), k): vanishes unless s | l or s | k."""
     if l < 1 or k < 1:
@@ -169,10 +176,7 @@ def lj_u(registry: LineRegistry, l: int, line: str, k: int, d: int) -> SignedUni
     if l % s and k % s:
         return ZERO_TRANSFER
     sign = 1 if l % s == 0 or s % 2 else (-1) ** (k * l // s)
-    b = k % s + l % s
-    wide = (unitary_esi(line, (l - 1) // s + 1, s), (k - 1) // s + 1)
-    t_minus, u_minus = l // s, k // s
-    narrow = (unitary_esi(line, t_minus, s), u_minus) if t_minus and u_minus else None
+    b, wide, narrow = _lj_u_blocks(l, k, s, lambda length, count: (unitary_esi(line, length, s), count))
     return SignedUnitaryProduct(sign, _two_block_product(s, b, wide, narrow))
 
 
@@ -245,7 +249,7 @@ def in_image_lju(registry: LineRegistry, target: UnitaryProduct, d: int) -> Opti
     Any preimage factors into split units whose individual transfers cover
     the target's unit multiset exactly, so the search is an exact cover by
     the transfers of candidate units u(Z(rho, l), k) and pi(u, alpha) pairs
-    with matching support.  Twists count in units of 1/D, D twice the lcm of
+    with matching support.  Twists count in units of 1/D, D the lcm of 2 and
     the target's twist denominators, so the block twists (2i - b - 1)/2 of
     ``lj_u``, every alpha and every cover key are integers.  A block
     u'(T(rho', length), count) of lj_u(l, k) has (length - 1) s < l <
@@ -267,7 +271,7 @@ def in_image_lju(registry: LineRegistry, target: UnitaryProduct, d: int) -> Opti
     if sum(sizes.values()) > IMAGE_LIMIT:
         raise LimitExceeded(f"target support {sum(sizes.values())} exceeds limit {IMAGE_LIMIT}")
 
-    D, scaled = over_common_denominator((key[4] for key in flat), 2)
+    D, scaled = over_common_denominator(key[4] for key in flat)
     want = Counter({(*key[:4], scaled[key[4]]): n for key, n in flat.items()})
     shapes = {key[:4] for key in want}
 
@@ -280,9 +284,7 @@ def in_image_lju(registry: LineRegistry, target: UnitaryProduct, d: int) -> Opti
         for l, k in window:
             if l % s and k % s or l * k > sizes[line]:
                 continue
-            # lj_u(l, k) has a wide block iff b > 0 and a narrow one iff both floors are > 0
-            b, wide = l % s + k % s, (line, (l - 1) // s + 1, s, (k - 1) // s + 1)
-            narrow = (line, l // s, s, k // s) if l // s and k // s else None
+            b, wide, narrow = _lj_u_blocks(l, k, s, lambda length, count: (line, length, s, count))
             if b and wide not in shapes or narrow is not None and narrow not in shapes:
                 continue
             base = [(shape, t2 * D // 2) for shape, t2 in _two_blocks(s, b, wide, narrow)]

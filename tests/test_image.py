@@ -84,11 +84,9 @@ TWISTS = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
 ALPHAS = st.sampled_from([F(1, 8), F(1, 4), F(1, 3), F(1, 6), F(1, 12), F(5, 12)])
 
 
-@st.composite
-def target_lines(draw, most):
-    """The lines of one to ``most`` units: two or more lie on both lines at once."""
-    first, second = draw(st.permutations(["rho", "chi"]))
-    return [first, second, draw(st.sampled_from([first, second]))][:draw(st.integers(1, most))]
+def target_lines(most):
+    """The lines of one to ``most`` units, each drawn on its own: on one line or on both at once."""
+    return st.lists(st.sampled_from(["rho", "chi"]), min_size=1, max_size=most)
 
 
 @st.composite
@@ -103,14 +101,18 @@ def split_unit(draw, d, line):
     return SpehUnit(unitary_esi(line, l), k, F(0), draw(st.none() | ALPHAS))
 
 
+def transfer_of(d, *units):
+    """``(d, target)`` for the transfer of the split ``units`` at ``d``, which must not vanish."""
+    t = lj_unitary_product(REG, UnitaryProduct(units), d)
+    assert t.sign != 0
+    return d, t.product
+
+
 @st.composite
 def transfer_targets(draw):
     """The transfer of one or two split units, each maybe a pi pair; it has a preimage."""
     d = draw(st.sampled_from(DS))
-    units = [draw(split_unit(d, line)) for line in draw(target_lines(2))]
-    t = lj_unitary_product(REG, UnitaryProduct(units), d)
-    assert t.sign != 0
-    return d, t.product
+    return transfer_of(d, *(draw(split_unit(d, line)) for line in draw(target_lines(2))))
 
 
 @st.composite
@@ -126,13 +128,17 @@ def inner_form_targets(draw):
 
 
 # lj_u(3, 2) at s = 3 has blocks at -+1/2 and alpha = 1/6 moves them to -+1/3 and -+2/3: the
-# target's denominators are all odd, and only D = 2 * 3 makes the block twists integers
-ODD_DENOMINATORS = (3, lj_unitary_product(REG, UnitaryProduct([SpehUnit(unitary_esi("rho", 3), 2, F(0), F(1, 6))]),
-                                          3).product)
+# target's denominators are all odd, and only an even D makes the block twists integers
+ODD_DENOMINATORS = transfer_of(3, SpehUnit(unitary_esi("rho", 3), 2, F(0), F(1, 6)))
+# two units on one line whose transfers share block shapes: the exact cover backtracks
+SAME_LINE = transfer_of(2, SpehUnit(unitary_esi("rho", 3), 4), SpehUnit(unitary_esi("rho", 3), 4, F(0), F(1, 6)))
+BOTH_LINES = transfer_of(4, SpehUnit(unitary_esi("chi", 2), 3, F(0), F(1, 12)), SpehUnit(unitary_esi("rho", 4), 1))
 
 
 @given(transfer_targets())
 @example(ODD_DENOMINATORS)
+@example(SAME_LINE)
+@example(BOTH_LINES)
 def test_pruned_search_matches_oracle_on_unit_and_pair_transfers(case):
     d, target = case
     got = in_image_lju(REG, target, d)
