@@ -33,9 +33,9 @@ a label made of a shared prefix plus a few pieces hashes in O(1) from the
 prefix's hash.  Its equality and order are the tuple's own, in C, and a
 producer that builds its segments in canonical order makes each label
 with one ``tuple.__new__`` call, carrying the hash sum: ``|`` and the
-product (``_union``), the successor kernel, ``descendants``, ``dual_irr``,
-the cut expansion and ``raw_dual_std`` (``duality``) and ``_tadic_sum``
-(``gkring``).
+product (``_union``, or ``a + b`` alone where operands lie strictly apart),
+the successor kernel, ``descendants``, ``dual_irr``, the cut expansion and
+``raw_dual_std`` (``duality``) and ``_tadic_sum`` (``gkring``).
 
 ``is_lower`` decides the order by the rank criterion: ``_ranks_nonnegative``
 sweeps each effective line's signed table once upward in i, reading r(i, j)
@@ -304,6 +304,12 @@ def _union(a: tuple, ha: int, b: tuple, hb: int) -> Multisegment:
     return tuple.__new__(Multisegment, (tuple(sorted(a + b)), ha + hb))
 
 
+def _before(x: Iterable[Multisegment], y: Iterable[Multisegment]) -> bool:
+    """Whether every segment of the labels ``x`` sorts strictly before every segment of the labels ``y``."""
+    hi, lo = max((m[0][-1] for m in x if m[0]), default=None), min((m[0][0] for m in y if m[0]), default=None)
+    return hi is None or lo is None or hi < lo
+
+
 class SideMismatch(ValueError):
     """Raised when combining virtual representations of different sides."""
 
@@ -373,17 +379,30 @@ class VirtualRep(Frozen):
         return VirtualRep(self.d, {m: scalar * c for m, c in self.terms.items()})
 
     def __mul__(self, other: "VirtualRep") -> "VirtualRep":
-        """Induction product: bilinear, ``_union`` on each pair of basis labels, ``self``'s terms outer."""
+        """Induction product: bilinear, the union of each pair of basis labels, ``self``'s terms outer.
+
+        If all of ``self``'s segments sort strictly before all of ``other``'s, each
+        union is ``a + b`` and ``a`` is its segments below ``other``'s least first
+        one, so no two pairs meet: each term is stored once, with no ``_union`` or
+        lookup (``b + a`` the other way round).  Strictly: ``{s}{s, t} = {s, s}{t}``.
+        """
         if not isinstance(other, VirtualRep):
             return NotImplemented
         self._check(other)
+        left = [(a, ha, c1) for (a, ha), c1 in self.terms.items()]
         right = [(b, hb, c2) for (b, hb), c2 in other.terms.items()]
-        terms: dict[Multisegment, int] = {}
-        get = terms.get
-        for (a, ha), c1 in self.terms.items():
-            for b, hb, c2 in right:
-                m = _union(a, ha, b, hb)
-                terms[m] = get(m, 0) + c1 * c2
+        new = tuple.__new__
+        if _before(self.terms, other.terms):
+            terms = {new(Multisegment, (a + b, ha + hb)): c1 * c2 for a, ha, c1 in left for b, hb, c2 in right}
+        elif _before(other.terms, self.terms):
+            terms = {new(Multisegment, (b + a, ha + hb)): c1 * c2 for a, ha, c1 in left for b, hb, c2 in right}
+        else:
+            terms = {}
+            get = terms.get
+            for a, ha, c1 in left:
+                for b, hb, c2 in right:
+                    m = _union(a, ha, b, hb)
+                    terms[m] = get(m, 0) + c1 * c2
         return VirtualRep(self.d, terms)
 
     def items(self) -> list[tuple[Multisegment, int]]:

@@ -272,8 +272,8 @@ def in_image_lju(registry: LineRegistry, target: UnitaryProduct, d: int) -> Opti
         raise LimitExceeded(f"target support {sum(sizes.values())} exceeds limit {IMAGE_LIMIT}")
 
     D, scaled = over_common_denominator(key[4] for key in flat)
-    want = Counter({(*key[:4], scaled[key[4]]): n for key, n in flat.items()})
-    shapes = {key[:4] for key in want}
+    remaining = Counter({(*key[:4], scaled[key[4]]): n for key, n in flat.items()})
+    shapes = {key[:4] for key in remaining}
 
     candidates: list[tuple[tuple, Counter]] = []
     for line in sizes:
@@ -294,23 +294,26 @@ def in_image_lju(registry: LineRegistry, target: UnitaryProduct, d: int) -> Opti
                 candidates.append(((line, l, k, a or 0), cover))
     candidates.sort(key=lambda c: c[0])
 
-    # depth-first exact cover on an explicit stack; a frame is
-    # [remaining, next candidate to try, the candidate that led to it]
-    stack = [[want, 0, None]]
+    # depth-first exact cover on an explicit stack: a cover taken is subtracted from ``remaining`` in
+    # place, keys at 0 deleted, and added back on backtrack; a frame is [next candidate, the one taken]
+    stack = [[0, (None, {})]]
     while stack:
         frame = stack[-1]
-        remaining = frame[0]
         if not remaining:  # the witness: the unit of each candidate taken, built only now
             units = (SpehUnit(unitary_esi(line, l), k, Fraction(0), Fraction(a, D) if a else None)
-                     for *_, (line, l, k, a) in stack[1:])
+                     for _, ((line, l, k, a), _) in stack[1:])
             return UnitaryProduct(units)
         pivot = min(remaining)
-        for j in range(frame[1], len(candidates)):
-            label, cover = candidates[j]
+        for j in range(frame[0], len(candidates)):
+            cover = candidates[j][1]
             if cover.get(pivot, 0) and all(remaining.get(key, 0) >= n for key, n in cover.items()):
-                frame[1] = j + 1
-                stack.append([remaining - cover, 0, label])
+                frame[0] = j + 1
+                for key, n in cover.items():
+                    left = remaining.pop(key) - n
+                    if left:
+                        remaining[key] = left
+                stack.append([0, candidates[j]])
                 break
         else:
-            stack.pop()
+            remaining.update(stack.pop()[1][1])
     return None

@@ -52,6 +52,7 @@ from segcalc import (
 )
 from segcalc.duality import segment_cut_expansion
 from segcalc.gkring import _tadic_sum
+from segcalc import multiseg
 from segcalc.multiseg import _OFFSETS, _RankCaps, descendants
 from strategies import (
     SegmentRelation,
@@ -274,9 +275,20 @@ def assert_product_is_the_oracle(x, y):
     assert_canonical(got.terms)
 
 
-# sums whose labels may be the empty one, the unit of the product
-SUMS_WITH_UNIT = st.sampled_from([1, 2]).flatmap(
-    lambda d: st.tuples(*[virtual_reps(d, st.one_of(st.just(Multisegment()), labels(5)))] * 2))
+def sums(d, **label_options):
+    """``virtual_reps`` at side d whose labels may be the empty one, the unit of the product."""
+    return virtual_reps(d, st.one_of(st.just(Multisegment()), labels(5, **label_options)))
+
+
+RHO_STEP_1 = {"lines": ("rho",), "steps": (1,)}
+
+# pairs that may interleave, and pairs whose segments lie on disjoint lines (chi before rho) or on disjoint
+# offset classes of rho (0 and 1/4 before 1/2 and 3/4): the product joins the latter without a union per pair
+SUMS_WITH_UNIT = st.sampled_from([1, 2]).flatmap(lambda d: st.one_of(
+    st.tuples(sums(d), sums(d)),
+    st.tuples(sums(d, lines=("chi",)), sums(d, lines=("rho",))),
+    st.tuples(sums(d, shifts=(F(0), F(1, 4)), **RHO_STEP_1), sums(d, shifts=(F(1, 2), F(3, 4)), **RHO_STEP_1)),
+))
 
 
 @given(SUMS_WITH_UNIT)
@@ -288,15 +300,53 @@ def test_product_equals_the_per_pair_union_oracle(pair):
     assert x * unit == x == unit * x
 
 
-def test_product_equals_the_oracle_on_interleaving_and_mixed_offset_operands():
+def interleaving_operands():
+    """Two sums whose labels interleave on rho, on two of its offset classes, and on chi."""
     a = ms(seg(0, 1), seg(3, 4))
     b = ms(seg(2, 2), seg(5, 6))  # interleaves a on rho
     half = ms(seg(F(-1, 2), F(1, 2)), seg(F(5, 2), F(7, 2)))  # the half-integer class of rho, beside a's int one
     chi = ms(seg(-1, 0, "chi"))
     x = VirtualRep.of(a) + 2 * VirtualRep.of(half) - VirtualRep.of(chi)
     y = VirtualRep.of(b) - VirtualRep.of(half) + VirtualRep.of(Multisegment()) + VirtualRep.of(a | chi)
+    return x, y
+
+
+def touching_operands():
+    """s < t on one effective line: {s} * {s, t} and {s, s} * {t} both make {s, s, t}, the last of x's labels
+    equal to the first of y's, so the operands are not strictly apart and the pairs must accumulate."""
+    s, t = seg(0, 0), seg(1, 1)
+    return VirtualRep(1, {ms(s): 1, ms(s, s): 1}), VirtualRep(1, {ms(s, t): 1, ms(t): 1})
+
+
+def test_product_equals_the_oracle_on_interleaving_and_mixed_offset_operands():
+    x, y = interleaving_operands()
     for left, right in ((x, y), (y, x), (x, x), (y, y)):
         assert_product_is_the_oracle(left, right)
+    x, y = touching_operands()
+    sst = ms(seg(0, 0), seg(0, 0), seg(1, 1))
+    for left, right in ((x, y), (y, x)):
+        assert_product_is_the_oracle(left, right)
+        assert (left * right).terms[sst] == 2
+
+
+def test_products_of_operands_strictly_apart_call_no_union(monkeypatch):
+    """``_union`` calls per product, counted: none where the operands lie strictly apart, one per pair otherwise."""
+    calls, union = [], multiseg._union
+
+    def counted(*args):
+        calls.append(args)
+        return union(*args)
+
+    monkeypatch.setattr(multiseg, "_union", counted)
+    rho, chi = expand_u(3, "rho", 5), expand_u(2, "chi", 4, 1)
+    assert len(rho.terms) * len(chi.terms) == 1728
+    x, y = interleaving_operands()
+    u, v = touching_operands()
+    assert [len(w.terms) for w in (x, y, u, v)] == [3, 4, 2, 2]
+    for left, right, want in ((rho, chi, 0), (chi, rho, 0), (x, y, 12), (y, x, 12), (u, v, 4)):
+        calls.clear()
+        left * right
+        assert len(calls) == want, (left, right)
 
 
 def test_label_hashes_do_not_collide_on_large_families():
