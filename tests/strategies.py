@@ -141,7 +141,7 @@ def rank_le_oracle(ma: Multisegment, mb: Multisegment) -> bool:
 @st.composite
 def labels(draw, max_points=7, steps=(1, 2, 3), lines=("rho", "chi"),
            shifts=(Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))):
-    """Labels on the given lines and steps, starts shifted by one of ``shifts`` (denominator 1, 2 or 4), repeated points."""
+    """Labels on the given lines and steps, starts shifted by one of ``shifts`` (denominators 1-4), repeated points."""
     palette = draw(st.lists(st.tuples(st.sampled_from(lines), st.sampled_from(steps)), min_size=1, max_size=2))
     shift = draw(st.sampled_from(shifts))
     budget = draw(st.integers(1, max_points))

@@ -4,9 +4,11 @@
 each cut onto a shared prefix; both make finished prefixes labels with one
 ``tuple.__new__(Multisegment, (segs, h))`` without a sort, and
 ``raw_dual_std`` and ``|`` skip the sort where the pieces cannot
-interleave.  ``descendants`` makes each block's partitions above the rank
-criterion as canonical segment tuples with their hash sums and builds each
-distinct run once, reusing the bounding label's own segments, and
+interleave, and the product stores each pair's ``a + b`` once, with no
+union call, where its operands lie strictly apart.  ``descendants`` makes
+each block's partitions above the rank criterion as canonical segment
+tuples with their hash sums and builds each distinct run once, reusing
+the bounding label's own segments, and
 ``enumerate_multisegments`` is ``descendants`` of the singletons label;
 ``elementary_successors`` reads only the linked pairs off the canonical
 order.  The oracles below keep the constructions these replaced: one sorted
@@ -50,9 +52,9 @@ from segcalc import (
     raw_dual_std,
     unitary_esi,
 )
+from segcalc import multiseg
 from segcalc.duality import segment_cut_expansion
 from segcalc.gkring import _tadic_sum
-from segcalc import multiseg
 from segcalc.multiseg import _OFFSETS, _RankCaps, descendants
 from strategies import (
     SegmentRelation,
@@ -312,8 +314,12 @@ def interleaving_operands():
 
 
 def touching_operands():
-    """s < t on one effective line: {s} * {s, t} and {s, s} * {t} both make {s, s, t}, the last of x's labels
-    equal to the first of y's, so the operands are not strictly apart and the pairs must accumulate."""
+    """Two sums that touch at one segment s: the last of x's labels and the first of y's.
+
+    With s < t on one effective line, {s} * {s, t} and {s, s} * {t} both
+    make {s, s, t}, so the operands are not strictly apart and the pairs
+    must accumulate.
+    """
     s, t = seg(0, 0), seg(1, 1)
     return VirtualRep(1, {ms(s): 1, ms(s, s): 1}), VirtualRep(1, {ms(s, t): 1, ms(t): 1})
 
