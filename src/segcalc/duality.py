@@ -22,19 +22,23 @@ bounds or (sign, pieces, hash) tuple per cut.  ``segment_cut_expansion``
 extends the cuts of a shorter prefix of the segment by one shared piece, a
 tuple concatenation and one hash addition per cut, and returns each sign's
 cuts as two parallel lists, the pieces tuples and their hash sums.
-``raw_dual_std`` folds a label's segments in one at a time, extending each
-partial label by every cut with the coefficient of the cut's sign.  They
-rely on the canonical-order invariant of ``Multisegment``: a label's
-segments are sorted by (effective line, first position, length).  Pieces of
-one cut start at increasing positions of one effective line, so a cut is
-already sorted; and a segment that starts a new effective line sorts after
-every piece placed before it, so the partial label plus its cut is a label
-as it stands, made by one ``tuple.__new__`` without a sort.  Only the
-pieces of a further segment on the same effective line (a repeat, or an
-overlapping or later one) can interleave with earlier pieces, and those
-labels are sorted.  A label's hash is the sum of its segments' hashes, so a
-term's hash is the partial label's plus its cut's, whether the term is
-sorted or not: no term hashes its segments again.
+``raw_dual_std`` folds a label's segments longer than 1 in one at a time,
+extending each partial label by every cut with the coefficient of the cut's
+sign.  A point's one cut is itself, with sign +1, so the label's points (in
+canonical order) join each finished term once by ``multiseg._union``; a
+union with one fixed multiset is injective, so the terms stay distinct, and
+n points cost one pass over the terms, not n.  They rely on the
+canonical-order invariant of ``Multisegment``: a label's segments are
+sorted by (effective line, first position, length).  Pieces of one cut
+start at increasing positions of one effective line, so a cut is already
+sorted; and a segment that starts a new effective line sorts after every
+piece placed before it, so the partial label plus its cut is a label as it
+stands, made by one ``tuple.__new__`` without a sort.  Only the pieces of a
+further segment on the same effective line (a repeat, or an overlapping or
+later one) can interleave with earlier pieces, and those labels are sorted.
+A label's hash is the sum of its segments' hashes, so a term's hash is the
+partial label's plus its cut's, whether the term is sorted or not: no term
+hashes its segments again.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import itertools
 from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
 
-from .multiseg import _EFFECTIVE_LINE, _HASH, Multisegment, Segment, VirtualRep, _maker
+from .multiseg import _EFFECTIVE_LINE, _HASH, Multisegment, Segment, VirtualRep, _maker, _union
 
 
 def mw_dual(m: Multisegment) -> Multisegment:
@@ -127,23 +131,25 @@ def segment_cut_expansion(seg: Segment) -> tuple[tuple[list, list], tuple[list, 
 def raw_dual_std(x: VirtualRep) -> VirtualRep:
     """Linear cut-expansion dual on the standard lattice (no sign normalization).
 
-    Each label is folded in one segment at a time (see the module
-    docstring).  A segment that starts a new effective line makes distinct
-    canonical labels straight from the cut lists; otherwise the labels are
-    sorted and equal partial labels merge before the next segment, so
-    repeated segments cost their distinct cut multisets only.
+    Each label's segments longer than 1 are folded in one at a time, then its
+    points join each term once (see the module docstring).  A segment that
+    starts a new effective line makes distinct canonical labels straight
+    from the cut lists; otherwise the labels are sorted and equal partial
+    labels merge before the next segment, so repeated segments cost their
+    distinct cut multisets only.
     """
     new = tuple.__new__
     terms: dict[Multisegment, int] = {}
     for label, coeff in x.terms.items():
+        points = tuple(seg for seg in label[0] if seg[4] == 1)
         partial = {new(Multisegment, ((), 0)): coeff}
         line = None
         for seg in label[0]:
+            if seg[4] == 1:
+                continue
             folded: dict[Multisegment, int] = {}
             new_line = line != (line := _EFFECTIVE_LINE(seg))
             for (cuts, hashes), sign in zip(segment_cut_expansion(seg), (1, -1)):
-                if not cuts:  # the minus group of a length-1 segment: no pass over the partial labels
-                    continue
                 for (segs, h), c in partial.items():
                     c *= sign
                     if new_line:
@@ -154,6 +160,9 @@ def raw_dual_std(x: VirtualRep) -> VirtualRep:
                         key = new(Multisegment, (tuple(sorted(segs + pieces)), h + ph))
                         folded[key] = folded.get(key, 0) + c
             partial = folded
+        if points:
+            points_h = sum(map(_HASH, points))
+            partial = {_union(segs, h, points, points_h): c for (segs, h), c in partial.items()}
         if terms:
             for m, c in partial.items():
                 terms[m] = terms.get(m, 0) + c
