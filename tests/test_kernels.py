@@ -4,22 +4,23 @@
 each cut onto a shared prefix; both make finished prefixes labels with one
 ``tuple.__new__(Multisegment, (segs, h))`` without a sort, and
 ``raw_dual_std`` and ``|`` skip the sort where the pieces cannot
-interleave, and the product stores each pair's ``a + b`` once, with no
-union call, where its operands lie strictly apart.  ``descendants`` makes
-each block's partitions above the rank criterion as canonical segment
-tuples with their hash sums and builds each distinct run once, reusing
-the bounding label's own segments, and
+interleave, ``raw_dual_std`` joins a label's points to each term once,
+after folding its longer segments, and the product stores each pair's
+``a + b`` once, with no union call, where its operands lie strictly apart.
+``descendants`` makes each block's partitions above the rank criterion as
+canonical segment tuples with their hash sums and builds each distinct run
+once, reusing the bounding label's own segments, and
 ``enumerate_multisegments`` is ``descendants`` of the singletons label;
 ``elementary_successors`` reads only the linked pairs off the canonical
 order.  The oracles below keep the constructions these replaced: one sorted
 label per admissible permutation, one ``itertools.combinations`` cut list
-with a bounds tuple per cut, a fold that sorts every partial label, one new
-segment per run of every partition found by plain recursion, every index
-pair classified by ``segment_relation`` and joined as point sets, and a
-breadth-first search that calls ``elementary_successors`` on each label.
-The kernels must agree with them term for term, produce labels exactly as
-the sorting constructor would, and run in a stack depth that does not grow
-with k or n.
+with a bounds tuple per cut, a fold that sorts every partial label and
+folds each point in on its own, one new segment per run of every partition
+found by plain recursion, every index pair classified by
+``segment_relation`` and joined as point sets, and a breadth-first search
+that calls ``elementary_successors`` on each label.  The kernels must agree
+with them term for term, produce labels exactly as the sorting constructor
+would, and run in a stack depth that does not grow with k or n.
 """
 
 import itertools
@@ -52,7 +53,7 @@ from segcalc import (
     raw_dual_std,
     unitary_esi,
 )
-from segcalc import multiseg
+from segcalc import duality, multiseg
 from segcalc.duality import segment_cut_expansion
 from segcalc.gkring import _tadic_sum
 from segcalc.multiseg import _OFFSETS, _RankCaps, descendants
@@ -232,16 +233,52 @@ def test_raw_dual_equals_sorting_fold_on_generated_virtual_reps(x):
 
 
 def test_raw_dual_equals_oracle_on_repeats_and_two_lines():
-    for segs in (  # (line, start, length, step)
-        [("rho", 0, 3, 1), ("rho", 0, 3, 1)],  # a repeat
-        [("rho", 0, 3, 1), ("rho", 1, 3, 1), ("rho", 2, 2, 1)],  # interleaving pieces on one effective line
-        [("rho", 0, 2, 1), ("rho", 3, 2, 1)],  # one effective line, disjoint
-        [("rho", 0, 3, 1), ("chi", 0, 3, 1), ("chi", 0, 3, 1)],  # a new line, then a repeat on it
-        [("rho", 0, 2, 2), ("rho", 2, 2, 2), ("rho", 1, 2, 2)],  # step 2, two offset classes
-        [("rho", F(1, 2), 3, 1), ("rho", 0, 3, 1)],  # two effective lines on one line
+    for segs, d in (  # (line, start, length, step), and the side
+        ([("rho", 0, 3, 1), ("rho", 0, 3, 1)], 1),  # a repeat
+        ([("rho", 0, 3, 1), ("rho", 1, 3, 1), ("rho", 2, 2, 1)], 1),  # interleaving pieces on one effective line
+        ([("rho", 0, 2, 1), ("rho", 3, 2, 1)], 1),  # one effective line, disjoint
+        ([("rho", 0, 3, 1), ("chi", 0, 3, 1), ("chi", 0, 3, 1)], 1),  # a new line, then a repeat on it
+        ([("rho", 0, 2, 2), ("rho", 2, 2, 2), ("rho", 1, 2, 2)], 1),  # step 2, two offset classes
+        ([("rho", F(1, 2), 3, 1), ("rho", 0, 3, 1)], 1),  # two effective lines on one line
+        # points before, between and after long segments on one effective line
+        ([("rho", -1, 1, 1), ("rho", 0, 3, 1), ("rho", 3, 1, 1), ("rho", 4, 2, 1), ("rho", 7, 1, 1)], 1),
+        ([("rho", 0, 4, 1), ("rho", 2, 1, 1)], 1),  # a point inside a long segment's span: the join sorts
+        ([("rho", 1, 1, 1), ("rho", 1, 1, 1), ("rho", 0, 3, 1), ("rho", 1, 1, 1)], 1),  # repeated points
+        # points on a second line and on a second offset class
+        ([("chi", 0, 1, 1), ("rho", 0, 2, 1), ("rho", F(1, 2), 1, 1), ("rho", 3, 1, 1), ("chi", 1, 2, 1)], 1),
+        ([("rho", 0, 1, 1), ("rho", 1, 1, 1), ("chi", 2, 1, 1), ("rho", 1, 1, 1)], 1),  # points only
+        ([("rho", 0, 1, 2), ("rho", 2, 3, 2), ("rho", 4, 1, 2), ("rho", 1, 1, 2), ("rho", 3, 2, 2)], 2),  # step 2
     ):
-        x = VirtualRep.of(Multisegment(Segment(*s) for s in segs))
-        assert raw_dual_std(x) == raw_dual_oracle(x), segs
+        x = VirtualRep.of(Multisegment(Segment(*s) for s in segs), 1, d)
+        got = raw_dual_std(x)
+        assert got == raw_dual_oracle(x), segs
+        assert_canonical(got.terms)
+
+
+def test_raw_dual_joins_a_labels_points_to_each_term_once(monkeypatch):
+    """One cut expansion per segment longer than 1 and one ``_union`` per term, however many points there are.
+
+    Folding each point in separately made n + 1 cut expansions for n points
+    and one length-3 segment, and one pass over the terms per point.
+    """
+    calls = Counter()
+
+    def counted(name, kernel):
+        def run(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return run
+
+    for name in ("segment_cut_expansion", "_union"):
+        monkeypatch.setattr(duality, name, counted(name, getattr(duality, name)))
+    for n in (10, 1000):
+        points = [Segment("rho", i, 1) for i in range(n)]
+        # the label of points alone is its own one term: no cut expansion, and one union with the empty label
+        for segs, expansions, terms in ((points + [Segment("rho", n // 2, 3)], 1, 4), (points, 0, 1)):
+            calls.clear()
+            assert len(raw_dual_std(VirtualRep.of(Multisegment(segs))).terms) == terms
+            assert calls == Counter({"segment_cut_expansion": expansions, "_union": terms}), (n, len(segs))
+    assert raw_dual_std(VirtualRep.of(Multisegment(points))) == VirtualRep.of(Multisegment(points))
 
 
 # -- canonical order ----------------------------------------------------------------------

@@ -34,6 +34,7 @@ from segcalc import (
     ll_less,
     m_map,
     raw_dual_std,
+    rigid_decomposition,
 )
 from segcalc.multiseg import _moved, descendants
 from strategies import labels, order_pairs, shifted, virtual_reps
@@ -109,6 +110,8 @@ TWIST_TABLE = [
     # the partitions of the label's support, at the step of its first segment, which a twist keeps
     ("enumerate_multisegments", lambda m: enumerate_multisegments(m.support(), m.segments[0].step), "label",
      twisted, twisted_set),
+    # a twist can reorder the effective lines, so the parts compare as a set
+    ("rigid_decomposition", lambda m: set(rigid_decomposition(m)), "label", twisted, twisted_set),
 ]
 
 
